@@ -7,6 +7,11 @@ estimator's).  A point is labeled boundary when its count falls below
 (1 - q(K,N))*K; every boundary point is mapped to its nearest interior
 point so the density layer can extrapolate.
 
+One detection makes at most one (K+1)-NN self-query of the evaluation
+set: the "auto" constants and the reverse counts both read it.  When
+q >= 1 the threshold is <= 0, every point is interior and no count is
+taken; with explicit constants such a detection queries nothing.
+
 The threshold ``q`` has two parts: a Lipschitz/density term
 (L/eps0)*(K/(c_d*N*eps0))^(1/d) and a concentration term
 pk_scale*2*sqrt(6)/k^(delta/2).  With pk_scale = 1 the concentration term
@@ -22,7 +27,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .knn import build_index, count_reverse_neighbors, knn_query, knn_radii, unit_ball_volume
+from .knn import _reverse_counts, build_index, knn_query, unit_ball_volume
 
 __all__ = ["BoundaryConfig", "BoundaryLabels", "q_threshold", "p_k", "detect_boundary"]
 
@@ -90,29 +95,25 @@ def p_k(k: int, delta: float) -> float:
     return math.sqrt(6.0) / k ** (delta / 2.0)
 
 
-def _resolve_auto(eval_points, K, config):
+def _resolve_auto(graph, d, config):
     """Estimate (L, eps0) from the evaluation sample when set to "auto".
 
-    eps0: 10th percentile of standard K-NN density estimates computed
-    within the evaluation set (self excluded).  L: 95th percentile of
+    graph is the (K+1)-NN self-query of the N evaluation points.  eps0:
+    10th percentile of standard K-NN density estimates computed within the
+    evaluation set (self excluded).  L: 95th percentile of
     |f_i - f_j| / ||X_i - X_j|| over the K-NN graph edges.
     """
-    N, d = eval_points.shape
     need_l = config.lipschitz_L == "auto"
     need_e = config.eps0 == "auto"
-    if not (need_l or need_e):
-        return float(config.lipschitz_L), float(config.eps0)
-    kk = min(K + 1, N)
-    index = build_index(eval_points)
-    res = knn_query(index, eval_points, kk)
-    radii = res.distances[:, -1]
+    N, kk = graph.distances.shape
+    radii = graph.distances[:, -1]
     radii = np.maximum(radii, 1e-300)
     cd = unit_ball_volume(d)
     dens = max(kk - 1, 1) / ((N - 1) * cd * radii**d)
     eps0 = float(config.eps0) if not need_e else float(np.percentile(dens, 10.0))
     if need_l:
-        nbr = res.indices[:, 1:]
-        dst = np.maximum(res.distances[:, 1:], 1e-300)
+        nbr = graph.indices[:, 1:]
+        dst = np.maximum(graph.distances[:, 1:], 1e-300)
         ratios = np.abs(dens[nbr] - dens[:, None]) / dst
         L = float(np.percentile(ratios, 95.0))
     else:
@@ -147,6 +148,11 @@ def q_threshold(K: int, N: int, k: int, d: int, config: BoundaryConfig,
     return q
 
 
+def _self_graph(eval_points, K):
+    """The (K+1)-NN self-query of the evaluation points (self included)."""
+    return knn_query(build_index(eval_points), eval_points, K + 1)
+
+
 def detect_boundary(eval_points, k: int, M: int, config: BoundaryConfig = BoundaryConfig()) -> BoundaryLabels:
     """Label evaluation points interior/boundary via reverse K-NN counts.
 
@@ -163,13 +169,24 @@ def detect_boundary(eval_points, k: int, M: int, config: BoundaryConfig = Bounda
     K = max(1, int(k * N / M))
     if K >= N:
         raise ValueError(f"K={K} must be < N={N}; adjust k or the split")
+    if not np.all(np.isfinite(eval_points)):
+        # checked here, not by the index: a degenerate detection builds none
+        raise ValueError("evaluation points must be finite")
     if np.allclose(eval_points, eval_points[0]):
         raise ValueError("all evaluation points identical; k-NN radii are zero")
-    L, e0 = _resolve_auto(eval_points, K, config)
+    graph = L = e0 = None
+    if "auto" in (config.lipschitz_L, config.eps0):
+        graph = _self_graph(eval_points, K)
+        L, e0 = _resolve_auto(graph, d, config)
     q = q_threshold(K, N, k, d, config, lipschitz_L=L, eps0=e0)
-    counts = count_reverse_neighbors(eval_points, K)
     threshold = (1.0 - q) * K
-    interior_mask = counts >= threshold
+    if q >= 1.0:
+        # threshold <= 0 <= every count: all interior, no counts needed
+        interior_mask = np.ones(N, dtype=bool)
+    else:
+        if graph is None:
+            graph = _self_graph(eval_points, K)
+        interior_mask = _reverse_counts(graph) >= threshold
     interior = np.where(interior_mask)[0]
     boundary = np.where(~interior_mask)[0]
     if interior.size == 0:

@@ -163,7 +163,7 @@ class EstimateReport:
     N: int
     M: int
     estimator_variant: str  # "bpi" | "bpi_bias_corrected"
-    boundary_corrected: bool
+    boundary_corrected: bool  # the detector relabelled at least one point
     variance_estimate: float
     ci: Optional[tuple] = None  # (lo, hi, level)
     bias_components: Optional[dict] = None
@@ -212,6 +212,11 @@ def _density_values(data, split, k, boundary_correct, config):
     return ev, dens
 
 
+def _relabelled(dens) -> bool:
+    """True when the detector mapped at least one point to an interior one."""
+    return dens.labels is not None and dens.labels.n_boundary > 0
+
+
 def _evaluate_g(functional, values, points):
     with np.errstate(all="ignore"):
         gv = np.asarray(functional.g(values, points), dtype=np.float64)
@@ -236,8 +241,10 @@ def bpi_estimate(
     """Plain plug-in estimate (1/N) sum g(f_tilde(X_i)).
 
     boundary_correct selects the corrected density f_tilde; otherwise the
-    standard k-NN estimate is plugged in.  The variance estimate is the
-    empirical c4/N + c5/M (sample variances of g and of u*g'(u)).
+    standard k-NN estimate is plugged in.  The report's boundary_corrected
+    is true only when the detector relabelled at least one point.  The
+    variance estimate is the empirical c4/N + c5/M (sample variances of g
+    and of u*g'(u)).
     """
     ev, dens = _density_values(data, split, k, boundary_correct, config)
     u = dens.values
@@ -254,7 +261,7 @@ def bpi_estimate(
         N=N,
         M=M,
         estimator_variant="bpi",
-        boundary_corrected=boundary_correct,
+        boundary_corrected=_relabelled(dens),
         variance_estimate=c4 / N + c5 / M,
     )
     return _attach_ci(report, ci_level)
@@ -270,7 +277,8 @@ def bpi_estimate_bc(
 ) -> EstimateReport:
     """Bias-corrected plug-in estimate (plain - g2(k,M)) / g1(k,M).
 
-    Boundary correction is always on.  Raises when the functional carries
+    Boundary correction is always on; the report's boundary_corrected says
+    whether it relabelled any point.  Raises when the functional carries
     no bias factors (no general correction exists) or when g1 = 0.
     """
     if functional.bias_factors is None:
@@ -289,7 +297,7 @@ def bpi_estimate_bc(
         N=plain.N,
         M=plain.M,
         estimator_variant="bpi_bias_corrected",
-        boundary_corrected=True,
+        boundary_corrected=plain.boundary_corrected,
         variance_estimate=plain.variance_estimate / g1**2,
     )
     return _attach_ci(report, ci_level)
@@ -318,7 +326,7 @@ def renyi_entropy(
         N=integral.N,
         M=integral.M,
         estimator_variant="bpi_bias_corrected",
-        boundary_corrected=True,
+        boundary_corrected=integral.boundary_corrected,
         variance_estimate=var,
     )
     return _attach_ci(report, ci_level)
@@ -338,7 +346,8 @@ def mutual_information(
     All three entropies are bias-corrected Shannon plug-ins computed on the
     same split (joint on all named columns, marginals on their blocks).
     The variance estimate is the empirical variance of
-    log(f_X * f_Y / f_XY) times (1/N + 1/M).
+    log(f_X * f_Y / f_XY) times (1/N + 1/M).  boundary_corrected is true
+    when the detector relabelled a point in any of the three entropies.
     """
     x_cols = list(x_cols)
     y_cols = list(y_cols)
@@ -347,10 +356,12 @@ def mutual_information(
     shannon = shannon_functional()
     logs = {}
     entropies = {}
+    relabelled = False
     for name, cols in (("x", x_cols), ("y", y_cols), ("joint", x_cols + y_cols)):
         sub = Dataset(data.points[:, cols])
         ev, dens = _density_values(sub, split, k, True, config)
         logs[name] = np.log(dens.values)
+        relabelled = relabelled or _relabelled(dens)
         g1, g2 = shannon.bias_factors(k, split.n_ref)
         entropies[name] = float(np.mean(-logs[name])) - g2
     est = entropies["x"] + entropies["y"] - entropies["joint"]
@@ -363,7 +374,7 @@ def mutual_information(
         N=N,
         M=M,
         estimator_variant="bpi_bias_corrected",
-        boundary_corrected=True,
+        boundary_corrected=relabelled,
         variance_estimate=c_v * (1.0 / N + 1.0 / M),
     )
     return _attach_ci(report, ci_level)

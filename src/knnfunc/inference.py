@@ -151,6 +151,13 @@ class TrialSpec:
     ci_level: float = 0.95
     base_seed: int = 0
 
+    def __post_init__(self):
+        if self.bias_correct and not self.boundary_correct:
+            raise ValueError(
+                "bias_correct=True with boundary_correct=False is not supported: "
+                "the bias-corrected estimator always boundary-corrects"
+            )
+
     def resolve_k(self, M: int, d: int) -> int:
         if self.k_rule == "fixed":
             if self.k is None:

@@ -89,6 +89,10 @@ def knn_query(index: NeighborIndex, query, k: int) -> NeighborResult:
     Fast path: a plain tree query.  Whenever the k-th distance is tied with
     the (k+1)-th (duplicates, grids), the candidate set within that radius
     is re-ranked lexicographically so the returned set is deterministic.
+    Tree rows come back sorted by distance, so only rows holding two equal
+    adjacent distances are re-sorted by index.  detect_boundary runs one
+    self-query at K+1 on the evaluation set and shares the result between
+    its "auto" constants and its reverse counts.
     """
     if not 1 <= k <= index.size:
         raise ValueError(f"k={k} outside [1, {index.size}]")
@@ -116,10 +120,12 @@ def knn_query(index: NeighborIndex, query, k: int) -> NeighborResult:
         fixed_d, fixed_i = _lexsorted_neighbors(index.points, q[rows], cands, k)
         out_d[rows] = fixed_d
         out_i[rows] = fixed_i
-    # re-sort each row lexicographically to normalize the fast path too
-    order = np.lexsort((out_i, out_d), axis=1)
-    out_d = np.take_along_axis(out_d, order, axis=1)
-    out_i = np.take_along_axis(out_i, order, axis=1)
+    # order equal distances by index; rows without a tie are already sorted
+    tied = np.where((out_d[:, 1:] <= out_d[:, :-1]).any(axis=1))[0]
+    if tied.size:
+        order = np.lexsort((out_i[tied], out_d[tied]), axis=1)
+        out_d[tied] = np.take_along_axis(out_d[tied], order, axis=1)
+        out_i[tied] = np.take_along_axis(out_i[tied], order, axis=1)
     if single:
         return NeighborResult(out_d[0], out_i[0])
     return NeighborResult(out_d, out_i)
@@ -130,9 +136,8 @@ def knn_radii(index: NeighborIndex, queries, k: int) -> np.ndarray:
     if not 1 <= k <= index.size:
         raise ValueError(f"k={k} outside [1, {index.size}]")
     q, single = _as_queries(queries, index.dim)
-    dist, _ = index._tree.query(q, k=k)
-    dist = np.atleast_2d(dist)
-    r = dist[:, -1]
+    dist, _ = index._tree.query(q, k=[k])
+    r = dist[:, 0]
     return r[0] if single else r
 
 
@@ -169,9 +174,13 @@ def count_reverse_neighbors(points, K: int) -> np.ndarray:
         raise ValueError("K must be < number of points")
     if K < 1:
         raise ValueError("K must be >= 1")
-    index = build_index(points)
-    res = knn_query(index, points, K + 1)
-    cols = np.atleast_2d(res.indices)
+    return _reverse_counts(knn_query(build_index(points), points, K + 1))
+
+
+def _reverse_counts(graph: NeighborResult) -> np.ndarray:
+    """Reverse K-NN counts from a self-query of N points at K+1."""
+    cols = np.atleast_2d(graph.indices)
+    N = len(cols)
     self_mask = cols == np.arange(N)[:, None]
     keep = ~self_mask
     # rows whose own point was displaced from its K+1 list by duplicates:

@@ -4,7 +4,17 @@ import warnings
 import numpy as np
 import pytest
 
-from knnfunc import BoundaryConfig, detect_boundary, q_threshold
+import knnfunc.boundary
+import knnfunc.knn
+from knnfunc import (
+    BoundaryConfig,
+    brute_force_knn,
+    build_index,
+    count_reverse_neighbors,
+    detect_boundary,
+    knn_query,
+    q_threshold,
+)
 from knnfunc.boundary import p_k
 from knnfunc.knn import unit_ball_volume
 
@@ -153,6 +163,11 @@ def test_degenerate_inputs():
         detect_boundary(np.ones((50, 2)), 5, 100, cfg)
     with pytest.raises(ValueError):
         detect_boundary(np.random.default_rng(0).random((50, 2)), 2, 100, cfg)
+    bad = np.random.default_rng(0).random((50, 2))
+    bad[3, 1] = np.nan
+    degenerate = BoundaryConfig(lipschitz_L=0.0, eps0=1.0)  # q >= 1, no graph
+    with pytest.raises(ValueError, match="finite"):
+        detect_boundary(bad, 5, 100, degenerate)
 
 
 def test_default_config_is_verbatim_and_inert_at_desk_scale():
@@ -164,3 +179,126 @@ def test_default_config_is_verbatim_and_inert_at_desk_scale():
         labels = detect_boundary(pts, 20, 1000, BoundaryConfig())
     assert labels.n_boundary == 0
     assert labels.q_used > 1.0
+
+
+# -- one shared evaluation-set graph ------------------------------------------
+
+def _recompute_labels(points, k, M, cfg):
+    """detect_boundary rebuilt from the public pieces: the "auto" constants
+    from their own (K+1)-NN self-query, q_threshold, count_reverse_neighbors
+    and a brute-force nearest interior point."""
+    N, d = points.shape
+    K = max(1, int(k * N / M))
+    L, e0 = cfg.lipschitz_L, cfg.eps0
+    if "auto" in (L, e0):
+        res = knn_query(build_index(points), points, K + 1)
+        radii = np.maximum(res.distances[:, -1], 1e-300)
+        dens = K / ((N - 1) * unit_ball_volume(d) * radii**d)
+        if e0 == "auto":
+            e0 = float(np.percentile(dens, 10.0))
+        if L == "auto":
+            dst = np.maximum(res.distances[:, 1:], 1e-300)
+            L = float(np.percentile(np.abs(dens[res.indices[:, 1:]] - dens[:, None]) / dst, 95.0))
+    q = q_threshold(K, N, k, d, cfg, lipschitz_L=L, eps0=e0)
+    interior_mask = count_reverse_neighbors(points, K) >= (1.0 - q) * K
+    interior = np.where(interior_mask)[0]
+    boundary = np.where(~interior_mask)[0]
+    if interior.size == 0:
+        return "no interior"
+    nearest = {}
+    if boundary.size:
+        picks = brute_force_knn(points[interior], points[boundary], 1).indices[:, 0]
+        nearest = {int(b): int(interior[p]) for b, p in zip(boundary, picks)}
+    return interior, boundary, nearest, q
+
+
+_SHARED_GRAPH_CONFIGS = [
+    BoundaryConfig(),
+    BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0="auto", pk_scale=0.1),
+    BoundaryConfig(delta=0.9, lipschitz_L="auto", eps0=1e6, pk_scale=0.1),
+    BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0=1.0, pk_scale=0.3),
+    BoundaryConfig(delta=0.9, lipschitz_L=2.0, eps0=1.0, pk_scale=0.3),
+]
+
+
+def _shared_graph_inputs():
+    rng = np.random.default_rng(7)
+    grid = rng.integers(0, 4, size=(120, 2)).astype(float)  # test_knn's grid
+    rand = np.random.default_rng(31).random((400, 3))
+    ties = np.round(np.random.default_rng(32).random((300, 1)) * 60) / 60
+    return {"random": (rand, 20, 800), "grid": (grid, 30, 150), "ties1d": (ties, 12, 300)}
+
+
+@pytest.mark.parametrize("name", ["random", "grid", "ties1d"])
+def test_detect_boundary_equals_recomputation_from_public_pieces(name):
+    points, k, M = _shared_graph_inputs()[name]
+    fired = 0
+    for cfg in _SHARED_GRAPH_CONFIGS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = _recompute_labels(points, k, M, cfg)
+            if isinstance(want, str):
+                with pytest.raises(ValueError, match=want):
+                    detect_boundary(points, k, M, cfg)
+                continue
+            labels = detect_boundary(points, k, M, cfg)
+        interior, boundary, nearest, q = want
+        assert np.array_equal(labels.interior, interior), cfg
+        assert np.array_equal(labels.boundary, boundary), cfg
+        assert labels.nearest_interior == nearest, cfg
+        assert labels.q_used == q, cfg
+        fired += labels.n_boundary > 0
+    assert fired >= 2  # the comparison covers live labels, not only q >= 1
+
+
+def _count_graph_calls(monkeypatch, points, k, M, cfg):
+    """Calls to build_index and knn_query made by detect_boundary, and how
+    many of the queries are the evaluation set's self-query.  Both the
+    boundary and the knn module bindings are counted, so a graph built
+    inside a knn helper such as count_reverse_neighbors counts too."""
+    calls = {"build_index": 0, "knn_query": 0, "self_queries": 0}
+    real_build, real_query = knnfunc.boundary.build_index, knnfunc.boundary.knn_query
+
+    def build(pts):
+        calls["build_index"] += 1
+        return real_build(pts)
+
+    def query(index, q, kk):
+        calls["knn_query"] += 1
+        calls["self_queries"] += index.size == len(points) and np.array_equal(q, points)
+        return real_query(index, q, kk)
+
+    for module in (knnfunc.boundary, knnfunc.knn):
+        monkeypatch.setattr(module, "build_index", build)
+        monkeypatch.setattr(module, "knn_query", query)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        labels = detect_boundary(points, k, M, cfg)
+    monkeypatch.undo()
+    return calls, labels
+
+
+def test_default_config_builds_one_evaluation_graph(monkeypatch):
+    pts = np.random.default_rng(33).random((500, 3))
+    calls, labels = _count_graph_calls(monkeypatch, pts, 20, 1000, BoundaryConfig())
+    assert labels.q_used >= 1.0 and labels.n_boundary == 0
+    assert calls == {"build_index": 1, "knn_query": 1, "self_queries": 1}
+
+
+def test_live_configs_share_one_evaluation_graph(monkeypatch):
+    pts = np.random.default_rng(34).random((500, 2))
+    for cfg in (BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0="auto", pk_scale=0.1),
+                BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0=1.0, pk_scale=0.3)):
+        calls, labels = _count_graph_calls(monkeypatch, pts, 20, 1000, cfg)
+        assert labels.n_boundary > 0
+        # one self-query, plus the nearest-interior lookup for the boundary
+        assert calls == {"build_index": 2, "knn_query": 2, "self_queries": 1}, cfg
+
+
+def test_explicit_degenerate_config_builds_no_graph(monkeypatch):
+    pts = np.random.default_rng(35).random((500, 3))
+    cfg = BoundaryConfig(delta=0.8, lipschitz_L=0.0, eps0=1.0, pk_scale=1.0)
+    calls, labels = _count_graph_calls(monkeypatch, pts, 10, 1000, cfg)
+    assert labels.q_used >= 1.0
+    assert labels.n_interior == 500 and labels.n_boundary == 0
+    assert calls == {"build_index": 0, "knn_query": 0, "self_queries": 0}

@@ -1,9 +1,16 @@
 import json
+import warnings
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
 from knnfunc.cli import run
+
+SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
+LIVE_DETECTOR = ["--pk-scale", "0.3", "--delta", "0.9", "--lipschitz", "0",
+                 "--eps0", "1"]
 
 
 def _read_json(path):
@@ -187,3 +194,72 @@ def test_threads_flag_accepted_and_inert(mixture_csv, tmp_path):
     assert run(base + ["--threads", "1", "-o", str(a)]) == 0
     assert run(base + ["--threads", "8", "-o", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def _validate(payload, schema):
+    with open(SCHEMA_DIR / f"{schema}.schema.json", encoding="utf-8") as fh:
+        jsonschema.Draft202012Validator(json.load(fh)).validate(payload)
+
+
+def test_json_outputs_match_their_schemas(mixture_csv, tmp_path):
+    mani = tmp_path / "mani.csv"
+    assert run(["generate", "--dist", "manifold", "--T", "2000",
+                "--intrinsic-d", "2", "--ambient-D", "3", "--seed", "4",
+                "-o", str(mani)]) == 0
+    blocks = tmp_path / "blocks.csv"
+    from knnfunc import sample_block_beta_mixture
+
+    data = sample_block_beta_mixture(3000, [1, 1, 2], seed=6)
+    blocks.write_text(
+        "\n".join(",".join(f"{v:.17g}" for v in row) for row in data.points) + "\n"
+    )
+    models = tmp_path / "models.json"
+    models.write_text(json.dumps({"models": {"a": [[0], [1], [2, 3]],
+                                             "b": [[0, 2], [1], [3]]},
+                                  "pairs": [["a", "b"]]}))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "generator": "uniform", "generator_params": {"d": 2}, "T": 600,
+        "alpha_frac": 0.7, "functional_id": "shannon", "k_rule": "fixed",
+        "k": 6, "truth": 0.0, "base_seed": 2,
+        "boundary_config": {"delta": 0.9, "lipschitz_L": 0.0, "eps0": 1.0,
+                            "pk_scale": 0.3}}))
+    commands = {
+        "entropy": (["entropy", "--input", str(mixture_csv), "--k", "10"],
+                    "estimate_report"),
+        "mi": (["mi", "--input", str(mixture_csv), "--x-cols", "0",
+                "--y-cols", "1,2", "--k", "10"] + LIVE_DETECTOR, "estimate_report"),
+        "dimension": (["dimension", "--input", str(mani), "--k1", "15"],
+                      "dimension_result"),
+        "structure": (["structure", "--input", str(blocks), "--models", str(models),
+                       "--k", "12"] + LIVE_DETECTOR, "model_comparison"),
+        "experiment": (["experiment", "--spec", str(spec), "--trials", "20"],
+                       "experiment_summary"),
+        "tune": (["tune", "--density", "uniform", "--d", "3", "--n-mc", "20000",
+                  "--M", "7000"], "tune_result"),
+    }
+    for name, (argv, schema) in commands.items():
+        out = tmp_path / f"{name}.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run(argv + ["--seed", "3", "-o", str(out)]) == 0, name
+        _validate(_read_json(out), schema)
+
+
+def test_boundary_corrected_false_when_detector_relabels_nothing(tmp_path):
+    # d = 3 mixture at T = 10^4: the default detector's q is about 31.7, so
+    # it relabels none of the 3000 evaluation points
+    csv = tmp_path / "mix.csv"
+    assert run(["generate", "--dist", "beta-uniform", "--T", "10000", "--d", "3",
+                "--a", "4", "--b", "4", "--eps", "0.2", "--seed", "7",
+                "-o", str(csv)]) == 0
+    default = tmp_path / "default.json"
+    live = tmp_path / "live.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert run(["entropy", "--input", str(csv), "--seed", "7",
+                    "-o", str(default)]) == 0
+    assert run(["entropy", "--input", str(csv), "--seed", "7", *LIVE_DETECTOR,
+                "-o", str(live)]) == 0
+    assert _read_json(default)["boundary_corrected"] is False
+    assert _read_json(live)["boundary_corrected"] is True

@@ -275,6 +275,26 @@ def test_mi_overlapping_blocks_rejected():
         mutual_information(data, sp, [0], [0], 5)
 
 
+def test_boundary_corrected_reports_whether_points_were_relabelled():
+    # default detector on the d = 3 mixture degenerates (q >> 1) and
+    # relabels nothing; the live one relabels points near the faces
+    data = generate_dataset("beta_uniform_mixture", 4000, 3,
+                            {"d": 3, "a": 4, "b": 4, "eps": 0.2})
+    sp = split(data, 0.7, 3)
+    shannon = shannon_functional()
+    with pytest.warns(RuntimeWarning, match="degenerates"):
+        assert not bpi_estimate_bc(data, sp, shannon, 20).boundary_corrected
+    with pytest.warns(RuntimeWarning, match="degenerates"):
+        assert not renyi_entropy(data, sp, 0.5, 20).boundary_corrected
+    with pytest.warns(RuntimeWarning, match="degenerates"):
+        assert not mutual_information(data, sp, [0], [1, 2], 20).boundary_corrected
+    assert not bpi_estimate(data, sp, shannon, 20, boundary_correct=False).boundary_corrected
+    assert bpi_estimate(data, sp, shannon, 20, config=FIRING).boundary_corrected
+    assert bpi_estimate_bc(data, sp, shannon, 20, config=FIRING).boundary_corrected
+    assert renyi_entropy(data, sp, 0.5, 20, config=FIRING).boundary_corrected
+    assert mutual_information(data, sp, [0], [1, 2], 20, config=FIRING).boundary_corrected
+
+
 def test_report_ci_ordering_and_serialization():
     data = _uniform_data(2000, 2, 17)
     sp = split(data, 0.7, 17)

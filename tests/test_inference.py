@@ -120,6 +120,19 @@ def test_trial_spec_validation():
         monte_carlo(_SPEC, 0)
 
 
+def test_trial_spec_rejects_bias_correction_without_boundary_correction():
+    # the bias-corrected estimator always boundary-corrects, so this pair
+    # would silently run something other than what it names
+    with pytest.raises(ValueError, match="bias_correct=True with boundary_correct=False"):
+        TrialSpec(generator="uniform", generator_params={"d": 2}, T=100,
+                  alpha_frac=0.5, functional_id="shannon",
+                  bias_correct=True, boundary_correct=False)
+    for bias, boundary in ((True, True), (False, True), (False, False)):
+        TrialSpec(generator="uniform", generator_params={"d": 2}, T=100,
+                  alpha_frac=0.5, functional_id="shannon",
+                  bias_correct=bias, boundary_correct=boundary)
+
+
 def test_normality_self_check():
     # KS p-value implementation: >= 98% of 50 clean-normal batches pass
     passing = 0

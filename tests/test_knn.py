@@ -126,9 +126,11 @@ def test_knn_radii_matches_query():
     pts = rng.random((200, 3))
     q = rng.random((20, 3))
     idx = build_index(pts)
-    r = knn_radii(idx, q, 7)
-    full = knn_query(idx, q, 7)
-    assert np.allclose(r, full.distances[:, -1], atol=1e-12)
+    for k in (1, 7):
+        r = knn_radii(idx, q, k)
+        full = knn_query(idx, q, k)
+        assert r.shape == (20,)
+        assert np.allclose(r, full.distances[:, -1], atol=1e-12)
 
 
 def test_ball_volume_closed_forms():
