@@ -7,10 +7,9 @@ estimator's).  A point is labeled boundary when its count falls below
 (1 - q(K,N))*K; every boundary point is mapped to its nearest interior
 point so the density layer can extrapolate.
 
-One detection makes at most one (K+1)-NN self-query of the evaluation
-set: the "auto" constants and the reverse counts both read it.  When
-q >= 1 the threshold is <= 0, every point is interior and no count is
-taken; with explicit constants such a detection queries nothing.
+One detection makes one (K+1)-NN self-query of the evaluation set: the
+"auto" constants and the reverse counts both read it.  When q >= 1 the
+threshold is <= 0, every point is interior and no count is taken.
 
 The threshold ``q`` has two parts: a Lipschitz/density term
 (L/eps0)*(K/(c_d*N*eps0))^(1/d) and a concentration term
@@ -148,11 +147,6 @@ def q_threshold(K: int, N: int, k: int, d: int, config: BoundaryConfig,
     return q
 
 
-def _self_graph(eval_points, K):
-    """The (K+1)-NN self-query of the evaluation points (self included)."""
-    return knn_query(build_index(eval_points), eval_points, K + 1)
-
-
 def detect_boundary(eval_points, k: int, M: int, config: BoundaryConfig = BoundaryConfig()) -> BoundaryLabels:
     """Label evaluation points interior/boundary via reverse K-NN counts.
 
@@ -169,14 +163,11 @@ def detect_boundary(eval_points, k: int, M: int, config: BoundaryConfig = Bounda
     K = max(1, int(k * N / M))
     if K >= N:
         raise ValueError(f"K={K} must be < N={N}; adjust k or the split")
-    if not np.all(np.isfinite(eval_points)):
-        # checked here, not by the index: a degenerate detection builds none
-        raise ValueError("evaluation points must be finite")
     if np.allclose(eval_points, eval_points[0]):
         raise ValueError("all evaluation points identical; k-NN radii are zero")
-    graph = L = e0 = None
+    graph = knn_query(build_index(eval_points), eval_points, K + 1)
+    L = e0 = None
     if "auto" in (config.lipschitz_L, config.eps0):
-        graph = _self_graph(eval_points, K)
         L, e0 = _resolve_auto(graph, d, config)
     q = q_threshold(K, N, k, d, config, lipschitz_L=L, eps0=e0)
     threshold = (1.0 - q) * K
@@ -184,8 +175,6 @@ def detect_boundary(eval_points, k: int, M: int, config: BoundaryConfig = Bounda
         # threshold <= 0 <= every count: all interior, no counts needed
         interior_mask = np.ones(N, dtype=bool)
     else:
-        if graph is None:
-            graph = _self_graph(eval_points, K)
         interior_mask = _reverse_counts(graph) >= threshold
     interior = np.where(interior_mask)[0]
     boundary = np.where(~interior_mask)[0]

@@ -90,9 +90,7 @@ def knn_query(index: NeighborIndex, query, k: int) -> NeighborResult:
     the (k+1)-th (duplicates, grids), the candidate set within that radius
     is re-ranked lexicographically so the returned set is deterministic.
     Tree rows come back sorted by distance, so only rows holding two equal
-    adjacent distances are re-sorted by index.  detect_boundary runs one
-    self-query at K+1 on the evaluation set and shares the result between
-    its "auto" constants and its reverse counts.
+    adjacent distances are re-sorted by index.
     """
     if not 1 <= k <= index.size:
         raise ValueError(f"k={k} outside [1, {index.size}]")

@@ -165,9 +165,8 @@ def test_degenerate_inputs():
         detect_boundary(np.random.default_rng(0).random((50, 2)), 2, 100, cfg)
     bad = np.random.default_rng(0).random((50, 2))
     bad[3, 1] = np.nan
-    degenerate = BoundaryConfig(lipschitz_L=0.0, eps0=1.0)  # q >= 1, no graph
     with pytest.raises(ValueError, match="finite"):
-        detect_boundary(bad, 5, 100, degenerate)
+        detect_boundary(bad, 5, 100, BoundaryConfig(lipschitz_L=0.0, eps0=1.0))
 
 
 def test_default_config_is_verbatim_and_inert_at_desk_scale():
@@ -278,11 +277,13 @@ def _count_graph_calls(monkeypatch, points, k, M, cfg):
     return calls, labels
 
 
-def test_default_config_builds_one_evaluation_graph(monkeypatch):
+def test_degenerate_configs_build_one_evaluation_graph(monkeypatch):
     pts = np.random.default_rng(33).random((500, 3))
-    calls, labels = _count_graph_calls(monkeypatch, pts, 20, 1000, BoundaryConfig())
-    assert labels.q_used >= 1.0 and labels.n_boundary == 0
-    assert calls == {"build_index": 1, "knn_query": 1, "self_queries": 1}
+    for cfg in (BoundaryConfig(),
+                BoundaryConfig(delta=0.8, lipschitz_L=0.0, eps0=1.0, pk_scale=1.0)):
+        calls, labels = _count_graph_calls(monkeypatch, pts, 20, 1000, cfg)
+        assert labels.q_used >= 1.0 and labels.n_boundary == 0, cfg
+        assert calls == {"build_index": 1, "knn_query": 1, "self_queries": 1}, cfg
 
 
 def test_live_configs_share_one_evaluation_graph(monkeypatch):
@@ -293,12 +294,3 @@ def test_live_configs_share_one_evaluation_graph(monkeypatch):
         assert labels.n_boundary > 0
         # one self-query, plus the nearest-interior lookup for the boundary
         assert calls == {"build_index": 2, "knn_query": 2, "self_queries": 1}, cfg
-
-
-def test_explicit_degenerate_config_builds_no_graph(monkeypatch):
-    pts = np.random.default_rng(35).random((500, 3))
-    cfg = BoundaryConfig(delta=0.8, lipschitz_L=0.0, eps0=1.0, pk_scale=1.0)
-    calls, labels = _count_graph_calls(monkeypatch, pts, 10, 1000, cfg)
-    assert labels.q_used >= 1.0
-    assert labels.n_interior == 500 and labels.n_boundary == 0
-    assert calls == {"build_index": 0, "knn_query": 0, "self_queries": 0}

@@ -2,7 +2,6 @@ import json
 import warnings
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 import pytest
 
@@ -197,6 +196,8 @@ def test_threads_flag_accepted_and_inert(mixture_csv, tmp_path):
 
 
 def _validate(payload, schema):
+    import jsonschema
+
     with open(SCHEMA_DIR / f"{schema}.schema.json", encoding="utf-8") as fh:
         jsonschema.Draft202012Validator(json.load(fh)).validate(payload)
 
