@@ -17,7 +17,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 import oracles  # frozen quadrature truths
 
-from knnfunc import BoundaryConfig, TrialSpec, digamma, monte_carlo, optimal_k
+from scipy.special import psi
+
+from knnfunc import BoundaryConfig, TrialSpec, monte_carlo, optimal_k
 
 
 def main():
@@ -42,7 +44,7 @@ def main():
         res = monte_carlo(spec, args.trials)
         mean = res.summary["mean"]
         bias_plain = mean - oracles.H_SHANNON_MIX
-        bias_bc = bias_plain + math.log(k - 1) - digamma(k)
+        bias_bc = bias_plain + math.log(k - 1) - float(psi(k))
         se = math.sqrt(res.summary["variance"] / args.trials)
         rows.append((k, bias_plain, bias_bc, se))
         print(f"k={k:4d}  bias_plain={bias_plain:+.4f}  bias_bc={bias_bc:+.4f}")

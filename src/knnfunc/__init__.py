@@ -30,8 +30,6 @@ from .functionals import (
     bpi_estimate,
     bpi_estimate_bc,
     custom_functional,
-    digamma,
-    log_gamma,
     mutual_information,
     renyi_entropy,
     renyi_functional,
@@ -49,7 +47,6 @@ from .knn import (
     NeighborIndex,
     NeighborResult,
     ball_volume,
-    brute_force_knn,
     build_index,
     count_reverse_neighbors,
     knn_query,

@@ -32,53 +32,54 @@ def _boundary_config(args):
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0, help="base seed (echoed in output)")
     p.add_argument("--output", "-o", default=None, help="output path (default stdout)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for interface compatibility; computations "
-                        "are vectorized and results are identical for any value")
 
 
-def _add_estimator(p):
+def _add_input(p):
     p.add_argument("--input", required=True, help="CSV of samples")
     p.add_argument("--header", action="store_true", help="skip the first CSV row")
+
+
+def _add_detector(p):
+    p.add_argument("--delta", type=float, default=0.8)
+    p.add_argument("--lipschitz", default="auto")
+    p.add_argument("--eps0", default="auto")
+    p.add_argument("--pk-scale", type=float, default=1.0)
+
+
+def _add_estimator(p, ci_level=True):
+    _add_input(p)
     p.add_argument("--alpha-frac", type=float, default=0.7,
                    help="reference fraction M/T of the split")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--k", type=int, default=None, help="fixed neighbor count")
     group.add_argument("--k-rule", choices=["rate"], default=None,
                        help="rate-matched k = M^(2/(2+d))")
-    p.add_argument("--no-boundary-correction", action="store_true")
-    p.add_argument("--delta", type=float, default=0.8)
-    p.add_argument("--lipschitz", default="auto")
-    p.add_argument("--eps0", default="auto")
-    p.add_argument("--pk-scale", type=float, default=1.0)
-    p.add_argument("--ci-level", type=float, default=0.95)
+    _add_detector(p)
+    if ci_level:
+        p.add_argument("--ci-level", type=float, default=0.95)
 
 
-def _resolve_k(args, M, d):
+def _prepare(args):
+    """Load the input, split it, and resolve k: (data, split, k)."""
+    from .data import load_csv, split
     from .tuning import rate_matched_k
 
-    if args.k is not None:
-        return args.k
-    return rate_matched_k(M, d)
+    data = load_csv(args.input, header=args.header)
+    sp = split(data, args.alpha_frac, args.seed)
+    k = args.k if args.k is not None else rate_matched_k(sp.n_ref, data.dim)
+    return data, sp, k
 
 
-def _emit(payload, args, header=None):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _write(text, args):
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            if header:
-                fh.write(header)
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        if header:
-            sys.stdout.write(header)
-        print(text)
+        sys.stdout.write(text)
 
 
-def _load(args):
-    from .data import load_csv
-
-    return load_csv(args.input, header=args.header)
+def _emit(payload, args):
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args)
 
 
 def _report_payload(report, args, extra=None):
@@ -104,23 +105,16 @@ def cmd_generate(args):
         name = "projected_manifold"
     data = generate_dataset(name, args.T, args.seed, params)
     rows = "\n".join(",".join(format(v, ".17g") for v in row) for row in data.points)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(rows + "\n")
-    else:
-        print(rows)
+    _write(rows + "\n", args)
     return 0
 
 
 def cmd_density(args):
     from .boundary import detect_boundary
-    from .data import split
     from .density import corrected_density, knn_density
     from .knn import build_index
 
-    data = _load(args)
-    sp = split(data, args.alpha_frac, args.seed)
-    k = _resolve_k(args, sp.n_ref, data.dim)
+    data, sp, k = _prepare(args)
     ev = sp.eval_points(data)
     index = build_index(sp.ref_points(data))
     interior_flag = np.ones(sp.n_eval, dtype=bool)
@@ -130,56 +124,37 @@ def cmd_density(args):
         labels = detect_boundary(ev, k, sp.n_ref, _boundary_config(args))
         dens = corrected_density(index, ev, k, labels)
         interior_flag[labels.boundary] = False
-    header = f"# seed={args.seed} k={k} N={sp.n_eval} M={sp.n_ref} kind={dens.estimator_kind}\n"
-    lines = [header.rstrip("\n")]
+    lines = [f"# seed={args.seed} k={k} N={sp.n_eval} M={sp.n_ref} kind={dens.estimator_kind}"]
     for row, val, flag in zip(ev, dens.values, interior_flag):
         coords = ",".join(format(v, ".17g") for v in row)
         lines.append(f"{coords},{val:.17g},{'interior' if flag else 'boundary'}")
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args)
     return 0
 
 
-def _estimate_common(args, functional_maker, variant):
-    from .data import split
-    from .functionals import bpi_estimate, bpi_estimate_bc
+def cmd_entropy(args):
+    from .functionals import bpi_estimate, bpi_estimate_bc, shannon_functional
 
-    data = _load(args)
-    sp = split(data, args.alpha_frac, args.seed)
-    k = _resolve_k(args, sp.n_ref, data.dim)
-    func = functional_maker()
+    data, sp, k = _prepare(args)
     cfg = _boundary_config(args)
-    if variant == "bc":
-        report = bpi_estimate_bc(data, sp, func, k, config=cfg, ci_level=args.ci_level)
-    else:
+    if args.no_bias_correction:
         report = bpi_estimate(
-            data, sp, func, k,
+            data, sp, shannon_functional(), k,
             boundary_correct=not args.no_boundary_correction,
             config=cfg, ci_level=args.ci_level,
         )
-    return report, args
-
-
-def cmd_entropy(args):
-    from .functionals import shannon_functional
-
-    variant = "plain" if args.no_bias_correction else "bc"
-    report, args = _estimate_common(args, shannon_functional, variant)
+    else:
+        report = bpi_estimate_bc(
+            data, sp, shannon_functional(), k, config=cfg, ci_level=args.ci_level
+        )
     _emit(_report_payload(report, args, {"functional": "shannon"}), args)
     return 0
 
 
 def cmd_renyi(args):
-    from .data import split
     from .functionals import renyi_entropy
 
-    data = _load(args)
-    sp = split(data, args.alpha_frac, args.seed)
-    k = _resolve_k(args, sp.n_ref, data.dim)
+    data, sp, k = _prepare(args)
     report = renyi_entropy(
         data, sp, args.alpha, k, config=_boundary_config(args), ci_level=args.ci_level
     )
@@ -189,12 +164,9 @@ def cmd_renyi(args):
 
 
 def cmd_mi(args):
-    from .data import split
     from .functionals import mutual_information
 
-    data = _load(args)
-    sp = split(data, args.alpha_frac, args.seed)
-    k = _resolve_k(args, sp.n_ref, data.dim)
+    data, sp, k = _prepare(args)
     x_cols = [int(c) for c in args.x_cols.split(",")]
     y_cols = [int(c) for c in args.y_cols.split(",")]
     report = mutual_information(
@@ -259,9 +231,10 @@ def cmd_experiment(args):
 
 
 def cmd_dimension(args):
+    from .data import load_csv
     from .dimension import estimate_dimension
 
-    data = _load(args)
+    data = load_csv(args.input, header=args.header)
     est = estimate_dimension(
         data, args.k1, args.k2, gamma=args.gamma, variant=args.variant,
         alpha_frac=args.alpha_frac, seed=args.seed,
@@ -278,9 +251,10 @@ def cmd_dimension(args):
 
 
 def cmd_dimension_scan(args):
+    from .data import load_csv
     from .dimension import anomaly_scan
 
-    data = _load(args)
+    data = load_csv(args.input, header=args.header)
     results = anomaly_scan(
         data, args.window, args.stride, args.k1, args.k2,
         gamma=args.gamma, alpha_frac=args.alpha_frac, seed=args.seed,
@@ -291,19 +265,15 @@ def cmd_dimension_scan(args):
             lines.append(f"{start},,")
         else:
             lines.append(f"{start},{est.d_hat:.17g},{est.d_rounded}")
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args)
     return 0
 
 
 def cmd_structure(args):
+    from .data import load_csv
     from .structure import Factorization, compare_models
 
-    data = _load(args)
+    data = load_csv(args.input, header=args.header)
     with open(args.models, "r", encoding="utf-8") as fh:
         model_spec = json.load(fh)
     models = {
@@ -349,13 +319,16 @@ def build_parser():
     g.set_defaults(fn=cmd_generate)
 
     dns = sub.add_parser("density", help="density estimates at the eval points")
-    _add_estimator(dns)
+    _add_estimator(dns, ci_level=False)
+    dns.add_argument("--no-boundary-correction", action="store_true")
     _add_common(dns)
     dns.set_defaults(fn=cmd_density)
 
     ent = sub.add_parser("entropy", help="Shannon entropy estimate")
     _add_estimator(ent)
     ent.add_argument("--no-bias-correction", action="store_true")
+    ent.add_argument("--no-boundary-correction", action="store_true",
+                     help="plain k-NN density; requires --no-bias-correction")
     _add_common(ent)
     ent.set_defaults(fn=cmd_entropy)
 
@@ -393,8 +366,7 @@ def build_parser():
     ex.set_defaults(fn=cmd_experiment)
 
     dm = sub.add_parser("dimension", help="intrinsic dimension estimate")
-    dm.add_argument("--input", required=True)
-    dm.add_argument("--header", action="store_true")
+    _add_input(dm)
     dm.add_argument("--k1", type=int, default=25)
     dm.add_argument("--k2", type=int, default=None)
     dm.add_argument("--gamma", type=float, default=1.0)
@@ -405,8 +377,7 @@ def build_parser():
     dm.set_defaults(fn=cmd_dimension)
 
     ds = sub.add_parser("dimension-scan", help="sliding-window dimension trace")
-    ds.add_argument("--input", required=True)
-    ds.add_argument("--header", action="store_true")
+    _add_input(ds)
     ds.add_argument("--window", type=int, required=True)
     ds.add_argument("--stride", type=int, default=1)
     ds.add_argument("--k1", type=int, default=5)
@@ -417,17 +388,13 @@ def build_parser():
     ds.set_defaults(fn=cmd_dimension_scan)
 
     st = sub.add_parser("structure", help="factor-graph cross-entropy comparisons")
-    st.add_argument("--input", required=True)
-    st.add_argument("--header", action="store_true")
+    _add_input(st)
     st.add_argument("--models", required=True,
                     help='JSON: {"models": {name: [[cols], ...]}, "pairs": [[a,b], ...]}')
     st.add_argument("--k", type=int, default=20)
     st.add_argument("--budget", type=int, default=None)
     st.add_argument("--alpha-frac", type=float, default=0.5)
-    st.add_argument("--delta", type=float, default=0.8)
-    st.add_argument("--lipschitz", default="auto")
-    st.add_argument("--eps0", default="auto")
-    st.add_argument("--pk-scale", type=float, default=1.0)
+    _add_detector(st)
     _add_common(st)
     st.set_defaults(fn=cmd_structure)
 
@@ -438,6 +405,12 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "entropy" and (
+            args.no_boundary_correction and not args.no_bias_correction
+        ):
+            parser.error("entropy --no-boundary-correction requires "
+                         "--no-bias-correction: the bias-corrected estimator "
+                         "always boundary-corrects")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.special import ndtri, psi
 
 from .boundary import BoundaryConfig, detect_boundary
 from .data import Dataset, SampleSplit
@@ -31,49 +32,11 @@ __all__ = [
     "shannon_functional",
     "renyi_functional",
     "custom_functional",
-    "digamma",
-    "log_gamma",
-    "special_functions",
     "bpi_estimate",
     "bpi_estimate_bc",
     "renyi_entropy",
     "mutual_information",
 ]
-
-
-# -- special functions -------------------------------------------------------
-
-def digamma(x: float) -> float:
-    """psi(x) for x > 0, absolute error below 1e-10.
-
-    Recurrence psi(x) = psi(x+1) - 1/x up to x >= 8, then the asymptotic
-    series with Bernoulli terms through x^-8.
-    """
-    if x <= 0:
-        raise ValueError("digamma requires x > 0")
-    acc = 0.0
-    while x < 8.0:
-        acc -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    series = (
-        math.log(x)
-        - 0.5 / x
-        - inv2 * (1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 / 240.0)))
-    )
-    return acc + series
-
-
-def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0."""
-    if x <= 0:
-        raise ValueError("log_gamma requires x > 0")
-    return math.lgamma(x)
-
-
-def special_functions(x: float):
-    """(digamma(x), log_gamma(x)) for x > 0."""
-    return digamma(x), log_gamma(x)
 
 
 # -- functional definitions ---------------------------------------------------
@@ -99,7 +62,7 @@ def shannon_functional() -> Functional:
     """g(u) = -log u with additive correction g2 = psi(k) - log(k-1)."""
 
     def factors(k, M):
-        return 1.0, digamma(k) - math.log(k - 1)
+        return 1.0, float(psi(k)) - math.log(k - 1)
 
     return Functional(
         id="shannon",
@@ -126,7 +89,7 @@ def renyi_functional(alpha: float) -> Functional:
     def factors(k, M):
         if k + 1 - alpha <= 0:
             raise ValueError("need k + 1 - alpha > 0")
-        g1 = math.exp(log_gamma(k + 1 - alpha) - log_gamma(k)) * (k - 1) ** (alpha - 1)
+        g1 = math.exp(math.lgamma(k + 1 - alpha) - math.lgamma(k)) * (k - 1) ** (alpha - 1)
         return g1, 0.0
 
     return Functional(
@@ -185,17 +148,19 @@ class EstimateReport:
         return out
 
 
+def normal_interval(estimate: float, variance: float, level: float):
+    """CLT interval estimate +- z_{(1+level)/2} * sqrt(variance)."""
+    if not 0.0 < level < 1.0:
+        raise ValueError("ci level must lie in (0, 1)")
+    half = float(ndtri((1.0 + level) / 2.0)) * math.sqrt(variance)
+    return estimate - half, estimate + half
+
+
 def _attach_ci(report: EstimateReport, level: Optional[float]) -> EstimateReport:
     if level is None:
         return report
-    from .inference import normal_quantile  # local import, avoids cycle
-
-    if not 0.0 < level < 1.0:
-        raise ValueError("ci level must lie in (0, 1)")
-    half = normal_quantile((1.0 + level) / 2.0) * math.sqrt(report.variance_estimate)
-    return dataclasses.replace(
-        report, ci=(report.estimate - half, report.estimate + half, level)
-    )
+    lo, hi = normal_interval(report.estimate, report.variance_estimate, level)
+    return dataclasses.replace(report, ci=(lo, hi, level))
 
 
 # -- estimators ---------------------------------------------------------------
@@ -291,13 +256,10 @@ def bpi_estimate_bc(
     g1, g2 = functional.bias_factors(k, split.n_ref)
     if g1 == 0:
         raise ValueError("bias factor g1 is zero")
-    report = EstimateReport(
+    report = dataclasses.replace(
+        plain,
         estimate=(plain.estimate - g2) / g1,
-        k=k,
-        N=plain.N,
-        M=plain.M,
         estimator_variant="bpi_bias_corrected",
-        boundary_corrected=plain.boundary_corrected,
         variance_estimate=plain.variance_estimate / g1**2,
     )
     return _attach_ci(report, ci_level)
@@ -320,15 +282,7 @@ def renyi_entropy(
         raise ValueError(f"nonpositive Renyi integral estimate {integral.estimate}")
     ent = math.log(integral.estimate) / (1.0 - alpha)
     var = integral.variance_estimate / ((1.0 - alpha) * integral.estimate) ** 2
-    report = EstimateReport(
-        estimate=ent,
-        k=k,
-        N=integral.N,
-        M=integral.M,
-        estimator_variant="bpi_bias_corrected",
-        boundary_corrected=integral.boundary_corrected,
-        variance_estimate=var,
-    )
+    report = dataclasses.replace(integral, estimate=ent, variance_estimate=var)
     return _attach_ci(report, ci_level)
 
 

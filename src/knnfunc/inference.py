@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.special import kolmogorov, ndtr, ndtri
 
 from .boundary import BoundaryConfig
 from .data import (
@@ -23,6 +24,7 @@ from .data import (
 from .functionals import (
     bpi_estimate,
     bpi_estimate_bc,
+    normal_interval,
     renyi_functional,
     shannon_functional,
 )
@@ -30,8 +32,6 @@ from .rng import derive_key, make_rng
 from .tuning import TheoryConstants, optimal_k, rate_matched_k
 
 __all__ = [
-    "normal_quantile",
-    "normal_cdf",
     "confidence_interval",
     "TrialSpec",
     "TrialResults",
@@ -42,67 +42,13 @@ __all__ = [
 ]
 
 
-# Wichura's AS 241 (PPND16): rational approximations on three regions.
-_A = (3.3871328727963666080e0, 1.3314166789178437745e2, 1.9715909503065514427e3,
-      1.3731693765509461125e4, 4.5921953931549871457e4, 6.7265770927008700853e4,
-      3.3430575583588128105e4, 2.5090809287301226727e3)
-_B = (1.0, 4.2313330701600911252e1, 6.8718700749205790830e2, 5.3941960214247511077e3,
-      2.1213794301586595867e4, 3.9307895800092710610e4, 2.8729085735721942674e4,
-      5.2264952788528545610e3)
-_C = (1.42343711074968357734e0, 4.63033784615654529590e0, 5.76949722146069140550e0,
-      3.64784832476320460504e0, 1.27045825245236838258e0, 2.41780725177450611770e-1,
-      2.27238449892691845833e-2, 7.74545014278341407640e-4)
-_D = (1.0, 2.05319162663775882187e0, 1.67638483018380384940e0, 6.89767334985100004550e-1,
-      1.48103976427480074590e-1, 1.51986665636164571966e-2, 5.47593808499534494600e-4,
-      1.05075007164441684324e-9)
-_E = (6.65790464350110377720e0, 5.46378491116411436990e0, 1.78482653991729133580e0,
-      2.96560571828504891230e-1, 2.65321895265761230930e-2, 1.24266094738807843860e-3,
-      2.71155556874348757815e-5, 2.01033439929228813265e-7)
-_F = (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.48753612908506148525e-2,
-      7.86869131145613259100e-4, 1.84631831751005468180e-5, 1.42151175831644588870e-7,
-      2.04426310338993978564e-15)
-
-
-def _poly(coeffs, x):
-    out = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        out = out * x + c
-    return out
-
-
-def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF (AS 241, abs error < 1e-15)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
-    q = p - 0.5
-    if abs(q) <= 0.425:
-        r = 0.180625 - q * q
-        return q * _poly(_A, r) / _poly(_B, r)
-    r = p if q < 0 else 1.0 - p
-    r = math.sqrt(-math.log(r))
-    if r <= 5.0:
-        r -= 1.6
-        val = _poly(_C, r) / _poly(_D, r)
-    else:
-        r -= 5.0
-        val = _poly(_E, r) / _poly(_F, r)
-    return -val if q < 0 else val
-
-
-def normal_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
 def confidence_interval(
     estimate: float, c4: float, c5: float, N: int, M: int, level: float
 ):
     """estimate +- z_{(1+level)/2} * sqrt(c4/N + c5/M)."""
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie in (0, 1)")
     if c4 < 0 or c5 < 0:
         raise ValueError("variance constants must be nonnegative")
-    half = normal_quantile((1.0 + level) / 2.0) * math.sqrt(c4 / N + c5 / M)
-    return estimate - half, estimate + half
+    return normal_interval(estimate, c4 / N + c5 / M, level)
 
 
 # -- Monte Carlo harness ------------------------------------------------------
@@ -245,28 +191,14 @@ def monte_carlo(spec: TrialSpec, n_trials: int) -> TrialResults:
                     report.N, report.M, spec.ci_level,
                 )
             else:
-                half = normal_quantile((1 + spec.ci_level) / 2) * math.sqrt(
-                    report.variance_estimate
+                lo, hi = normal_interval(
+                    report.estimate, report.variance_estimate, spec.ci_level
                 )
-                lo, hi = report.estimate - half, report.estimate + half
             cover[t] = lo <= spec.truth <= hi
     return TrialResults(estimates=estimates, ks=ks, truth=spec.truth, coverage=cover)
 
 
 # -- diagnostics --------------------------------------------------------------
-
-def _kolmogorov_sf(lam: float) -> float:
-    """P(sup |B(t)| > lam), the Kolmogorov asymptotic tail."""
-    if lam <= 0:
-        return 1.0
-    total = 0.0
-    for j in range(1, 101):
-        term = (-1.0) ** (j - 1) * math.exp(-2.0 * j * j * lam * lam)
-        total += term
-        if abs(term) < 1e-16:
-            break
-    return max(0.0, min(1.0, 2.0 * total))
-
 
 def normality_diagnostics(estimates):
     """KS test of standardized estimates against the standard normal.
@@ -285,13 +217,13 @@ def normality_diagnostics(estimates):
         raise ValueError("zero sample variance")
     z = np.sort((x - np.mean(x)) / sd)
     n = z.size
-    cdf = np.array([normal_cdf(v) for v in z])
+    cdf = ndtr(z)
     i = np.arange(1, n + 1)
     d_plus = np.max(i / n - cdf)
     d_minus = np.max(cdf - (i - 1) / n)
     ks = max(d_plus, d_minus)
-    p = _kolmogorov_sf(math.sqrt(n) * ks)
-    theo = np.array([normal_quantile((j - 0.5) / n) for j in i])
+    p = kolmogorov(math.sqrt(n) * ks)
+    theo = ndtri((i - 0.5) / n)
     return float(ks), float(p), np.column_stack([theo, z])
 
 

@@ -4,8 +4,7 @@ The accelerated index wraps a k-d tree (axis-aligned space partitioning
 with exact backtracking) and adds deterministic tie resolution: neighbors
 are ordered by (squared distance, reference index) lexicographically, so
 any two correct implementations return identical results, duplicates
-included.  A brute-force scan with the same ordering serves as the
-independent oracle in the test suite.
+included.
 """
 
 import math
@@ -20,7 +19,6 @@ __all__ = [
     "build_index",
     "knn_query",
     "knn_radii",
-    "brute_force_knn",
     "ball_volume",
     "unit_ball_volume",
     "count_reverse_neighbors",
@@ -137,19 +135,6 @@ def knn_radii(index: NeighborIndex, queries, k: int) -> np.ndarray:
     dist, _ = index._tree.query(q, k=[k])
     r = dist[:, 0]
     return r[0] if single else r
-
-
-def brute_force_knn(points, queries, k: int) -> NeighborResult:
-    """O(n*m*d) reference scan with identical ordering semantics."""
-    points = np.asarray(points, dtype=np.float64)
-    q, single = _as_queries(queries, points.shape[1])
-    if not 1 <= k <= len(points):
-        raise ValueError(f"k={k} outside [1, {len(points)}]")
-    all_idx = [np.arange(len(points))] * len(q)
-    dist, idx = _lexsorted_neighbors(points, q, all_idx, k)
-    if single:
-        return NeighborResult(dist[0], idx[0])
-    return NeighborResult(dist, idx)
 
 
 def unit_ball_volume(d: int) -> float:

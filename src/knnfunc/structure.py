@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.special import ndtr
 
 from .boundary import BoundaryConfig
 from .data import Dataset, SampleSplit
@@ -190,10 +191,8 @@ def compare_models(
                 df = len(fac)
                 pred_mean += sign * (c1 * (k / M_slice) ** (2.0 / df) + c2 / k)
                 pred_var += c4 / N_slice
-        from .inference import normal_cdf
-
         if pred_var > 0:
-            pred_err = normal_cdf(-abs(pred_mean) / math.sqrt(pred_var))
+            pred_err = float(ndtr(-abs(pred_mean) / math.sqrt(pred_var)))
     return ModelComparison(
         statistic=statistic,
         decision=decision,

@@ -12,6 +12,8 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from knnfunc import NeighborResult
+
 # d=3 Beta(4,4)/uniform mixture, eps = 0.2 (the primary experimental density)
 MIX_A = 4.0
 MIX_B = 4.0
@@ -142,3 +144,25 @@ def brute_force_counts(points: np.ndarray, K: int) -> np.ndarray:
         order = np.lexsort((np.arange(n), d2))[:K]
         counts[order] += 1
     return counts
+
+
+def brute_force_knn(points, queries, k: int) -> NeighborResult:
+    """O(n*m*d) full scan, ordered by (squared distance, index)."""
+    points = np.asarray(points, dtype=np.float64)
+    queries = np.asarray(queries, dtype=np.float64)
+    single = queries.ndim == 1
+    queries = np.atleast_2d(queries)
+    if not 1 <= k <= len(points):
+        raise ValueError(f"k={k} outside [1, {len(points)}]")
+    index = np.arange(len(points))
+    dist = np.empty((len(queries), k))
+    idx = np.empty((len(queries), k), dtype=np.intp)
+    for i, q in enumerate(queries):
+        diff = points - q
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        order = np.lexsort((index, d2))[:k]
+        dist[i] = np.sqrt(d2[order])
+        idx[i] = order
+    if single:
+        return NeighborResult(dist[0], idx[0])
+    return NeighborResult(dist, idx)

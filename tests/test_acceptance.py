@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import psi
 
 from knnfunc import (
     BoundaryConfig,
@@ -24,7 +25,6 @@ from knnfunc import (
     bpi_estimate,
     bpi_estimate_bc,
     confidence_interval,
-    digamma,
     monte_carlo,
     mutual_information,
     normality_diagnostics,
@@ -36,7 +36,6 @@ from knnfunc import (
 from knnfunc import (
     Dataset,
     Factorization,
-    brute_force_knn,
     build_index,
     compare_models,
     count_reverse_neighbors,
@@ -235,7 +234,7 @@ def test_criterion_3_bc_bias_monotone(mixture_k_sweep):
     means, ses = mixture_k_sweep
     # exact additive identity turns the plain sweep into the BC one
     bc_bias = {
-        k: (means[k] + math.log(k - 1) - digamma(k)) - oracles.H_SHANNON_MIX
+        k: (means[k] + math.log(k - 1) - float(psi(k))) - oracles.H_SHANNON_MIX
         for k in KS_SWEEP
     }
     violations = []
@@ -442,7 +441,7 @@ def test_criterion_10_index_equals_brute_force():
         pts = rng.random((n, d))
         queries = rng.random((4, d))
         fast = knn_query(build_index(pts), queries, k)
-        slow = brute_force_knn(pts, queries, k)
+        slow = oracles.brute_force_knn(pts, queries, k)
         if not (np.array_equal(fast.indices, slow.indices)
                 and np.allclose(fast.distances, slow.distances, atol=1e-12)):
             mismatches += 1
@@ -470,7 +469,7 @@ def test_criterion_11_exact_identities():
     sh = shannon_functional()
     plain = bpi_estimate(data, sp, sh, k, config=CFG_SWEEP)
     bc = bpi_estimate_bc(data, sp, sh, k, config=CFG_SWEEP)
-    id_bc = abs((bc.estimate - plain.estimate) - (math.log(k - 1) - digamma(k)))
+    id_bc = abs((bc.estimate - plain.estimate) - (math.log(k - 1) - psi(k)))
 
     shifted = Dataset(data.points + 0.37)
     id_shift = abs(

@@ -8,7 +8,6 @@ import knnfunc.boundary
 import knnfunc.knn
 from knnfunc import (
     BoundaryConfig,
-    brute_force_knn,
     build_index,
     count_reverse_neighbors,
     detect_boundary,
@@ -206,7 +205,9 @@ def _recompute_labels(points, k, M, cfg):
         return "no interior"
     nearest = {}
     if boundary.size:
-        picks = brute_force_knn(points[interior], points[boundary], 1).indices[:, 0]
+        picks = oracles.brute_force_knn(
+            points[interior], points[boundary], 1
+        ).indices[:, 0]
         nearest = {int(b): int(interior[p]) for b, p in zip(boundary, picks)}
     return interior, boundary, nearest, q
 

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import knnfunc
 from knnfunc.cli import run
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -186,13 +190,29 @@ def test_runtime_error_exit_1(tmp_path):
     assert rc == 1
 
 
-def test_threads_flag_accepted_and_inert(mixture_csv, tmp_path):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    base = ["entropy", "--input", str(mixture_csv), "--k", "8", "--seed", "2"]
-    assert run(base + ["--threads", "1", "-o", str(a)]) == 0
-    assert run(base + ["--threads", "8", "-o", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+@pytest.mark.parametrize("argv", [
+    # the bias-corrected estimator always boundary-corrects
+    ["entropy", "--no-boundary-correction"],
+    # flags these subcommands would parse and then ignore
+    ["renyi", "--alpha", "0.5", "--no-boundary-correction"],
+    ["mi", "--x-cols", "0", "--y-cols", "1", "--no-boundary-correction"],
+    ["density", "--ci-level", "0.9"],
+    ["entropy", "--threads", "2"],
+])
+def test_contradictory_or_ignored_flags_are_usage_errors(mixture_csv, tmp_path, argv):
+    out = tmp_path / "never.json"
+    rc = run(argv + ["--input", str(mixture_csv), "--k", "8", "-o", str(out)])
+    assert rc == 2
+    assert not out.exists()
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about 0.6 s to import; the library needs only scipy.special
+    env = dict(os.environ, PYTHONPATH=str(Path(knnfunc.__file__).parent.parent))
+    code = "import sys, knnfunc, knnfunc.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def _validate(payload, schema):

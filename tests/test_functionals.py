@@ -11,15 +11,12 @@ from knnfunc import (
     bpi_estimate,
     bpi_estimate_bc,
     custom_functional,
-    digamma,
-    log_gamma,
     mutual_information,
     renyi_entropy,
     renyi_functional,
     shannon_functional,
     split,
 )
-from knnfunc.functionals import special_functions
 from knnfunc.inference import generate_dataset
 from knnfunc.rng import make_rng
 
@@ -36,27 +33,6 @@ def _uniform_data(T, d, seed):
     return Dataset(make_rng(seed, "test-uniform", T, d).random((T, d)))
 
 
-# -- special functions ---------------------------------------------------
-
-def test_digamma_known_values():
-    assert abs(digamma(1.0) + EULER_GAMMA) < 1e-10
-    assert log_gamma(1.0) == 0.0
-    # psi(10) = psi(1) + sum_{j=1..9} 1/j  (recurrence identity)
-    expected = -EULER_GAMMA + sum(1.0 / j for j in range(1, 10))
-    assert abs(digamma(10.0) - expected) < 1e-10
-
-
-def test_special_functions_against_scipy():
-    for x in (0.05, 0.3, 1.0, 2.5, 7.9, 8.0, 52.0, 640.0):
-        dg, lg = special_functions(x)
-        assert abs(dg - sps.digamma(x)) < 1e-10
-        assert abs(lg - sps.gammaln(x)) < 1e-10
-    with pytest.raises(ValueError):
-        digamma(0.0)
-    with pytest.raises(ValueError):
-        log_gamma(-1.0)
-
-
 # -- functional definitions ----------------------------------------------
 
 def test_shannon_functional_values():
@@ -68,6 +44,15 @@ def test_shannon_functional_values():
     assert abs((-g2) - (-(1 - EULER_GAMMA))) < 1e-10
     _, g2_large = f.bias_factors(10**6, 10**7)
     assert abs(g2_large) < 1e-6
+
+
+def test_shannon_g2_harmonic_identity():
+    # psi(k) = H_{k-1} - gamma_E at integer k, so g2 = H_{k-1} - gamma_E - log(k-1)
+    f = shannon_functional()
+    for k in (2, 10, 87):
+        harmonic = math.fsum(1.0 / j for j in range(1, k))
+        expected = harmonic - EULER_GAMMA - math.log(k - 1)
+        assert abs(f.bias_factors(k, 10 * k)[1] - expected) < 1e-12
 
 
 def test_renyi_g1_exact_moment_identity():
@@ -155,7 +140,7 @@ def test_bc_plain_shannon_identity_exact():
     k = 15
     plain = bpi_estimate(data, sp, shannon_functional(), k, config=FIRING)
     bc = bpi_estimate_bc(data, sp, shannon_functional(), k, config=FIRING)
-    expected_diff = math.log(k - 1) - digamma(k)
+    expected_diff = math.log(k - 1) - sps.psi(k)
     assert abs((bc.estimate - plain.estimate) - expected_diff) < 1e-10
 
 
@@ -210,7 +195,7 @@ def test_bc_plain_converge_for_large_k():
     diffs = []
     for k in (10, 40, 160):
         plain = bpi_estimate(data, sp, shannon_functional(), k, boundary_correct=False)
-        bc_est = plain.estimate + math.log(k - 1) - digamma(k)
+        bc_est = plain.estimate + math.log(k - 1) - sps.psi(k)
         diffs.append(abs(bc_est - plain.estimate))
     assert diffs[0] > diffs[1] > diffs[2]
     assert diffs[2] < 1.0 / 160

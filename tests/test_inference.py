@@ -1,13 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.special as sps
-import scipy.stats as scistats
 
 from knnfunc import (
     BoundaryConfig,
     TrialSpec,
+    bpi_estimate,
     bpi_estimate_bc,
     confidence_interval,
     monte_carlo,
@@ -16,17 +17,8 @@ from knnfunc import (
     shannon_functional,
     split,
 )
-from knnfunc.inference import generate_dataset, normal_cdf, normal_quantile, run_trial
+from knnfunc.inference import generate_dataset, run_trial
 from knnfunc.rng import derive_key
-
-
-def test_normal_quantile_against_scipy():
-    for p in (1e-12, 1e-6, 0.01, 0.025, 0.3, 0.5, 0.7, 0.975, 0.99, 1 - 1e-6):
-        assert abs(normal_quantile(p) - sps.ndtri(p)) < 1e-9
-    with pytest.raises(ValueError):
-        normal_quantile(0.0)
-    with pytest.raises(ValueError):
-        normal_quantile(1.0)
 
 
 def test_confidence_interval_halfwidth():
@@ -42,7 +34,7 @@ def test_confidence_interval_halfwidth():
 def test_ci_width_identity():
     # half^2 * N -> z^2 c4 as M -> infinity
     c4, level = 2.0, 0.9
-    z = normal_quantile(0.95)
+    z = sps.ndtri(0.95)
     lo, hi = confidence_interval(0.0, c4, 5.0, 1000, 10**12, level)
     half = (hi - lo) / 2
     assert abs(half**2 * 1000 - z**2 * c4) < 1e-6
@@ -109,6 +101,20 @@ def test_monte_carlo_coverage_and_summary():
     assert res.coverage is not None and 0.0 <= s["coverage"] <= 1.0
 
 
+def test_ci_level_outside_unit_interval_raises_on_every_path():
+    data = generate_dataset("uniform", 400, 1, {"d": 2})
+    sp = split(data, 0.7, 1)
+    for level in (0.0, 1.0, 1.5):
+        with pytest.raises(ValueError, match="ci level"):
+            bpi_estimate(data, sp, shannon_functional(), 5,
+                         config=_SPEC.boundary_config, ci_level=level)
+        with pytest.raises(ValueError, match="ci level"):
+            confidence_interval(0.0, 1.0, 1.0, 10, 10, level)
+        spec = dataclasses.replace(_SPEC, T=400, ci_level=level, truth=0.0)
+        with pytest.raises(ValueError, match="ci level"):
+            monte_carlo(spec, 1)
+
+
 def test_trial_spec_validation():
     with pytest.raises(ValueError):
         TrialSpec(generator="uniform", generator_params={"d": 2}, T=100,
@@ -145,14 +151,18 @@ def test_normality_self_check():
 
 
 def test_normality_statistic_matches_scipy():
+    import scipy.stats  # kept out of module scope: it is slow to import
+
     rng = np.random.default_rng(3)
     x = rng.normal(size=500)
     ks, p, qq = normality_diagnostics(x)
     z = (x - x.mean()) / x.std(ddof=1)
-    ref = scistats.kstest(z, "norm")
+    ref = scipy.stats.kstest(z, "norm", method="asymp")
     assert abs(ks - ref.statistic) < 1e-12
+    assert abs(p - ref.pvalue) < 1e-12
     assert 0.0 <= ks <= 1.0
     assert qq.shape == (500, 2)
+    assert np.allclose(qq[:, 0], scipy.stats.norm.ppf((np.arange(500) + 0.5) / 500))
 
 
 def test_normality_affine_invariance_and_errors():

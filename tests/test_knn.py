@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from knnfunc import (
     ball_volume,
-    brute_force_knn,
     build_index,
     count_reverse_neighbors,
     knn_query,
@@ -49,7 +48,7 @@ def test_tie_breaking_lexicographic_on_grid():
     idx = build_index(pts)
     res = knn_query(idx, np.array([1.0, 1.0]), 3)
     assert list(res.indices) == [0, 1, 2]
-    brute = brute_force_knn(pts, np.array([1.0, 1.0]), 3)
+    brute = oracles.brute_force_knn(pts, np.array([1.0, 1.0]), 3)
     assert np.array_equal(res.indices, brute.indices)
 
 
@@ -73,7 +72,7 @@ def test_index_brute_force_equivalence_random():
         queries = rng.random((7, d))
         idx = build_index(pts)
         fast = knn_query(idx, queries, k)
-        slow = brute_force_knn(pts, queries, k)
+        slow = oracles.brute_force_knn(pts, queries, k)
         assert np.array_equal(fast.indices, slow.indices), f"trial {trial}"
         assert np.allclose(fast.distances, slow.distances, rtol=0, atol=1e-12)
 
@@ -85,7 +84,7 @@ def test_equivalence_with_duplicate_heavy_grid():
     queries = rng.integers(0, 4, size=(15, 2)).astype(float)
     for k in (1, 3, 8):
         fast = knn_query(idx, queries, k)
-        slow = brute_force_knn(base, queries, k)
+        slow = oracles.brute_force_knn(base, queries, k)
         assert np.array_equal(fast.indices, slow.indices)
 
 
