@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .boundary import BoundaryLabels
-from .knn import NeighborIndex, knn_radii, unit_ball_volume
+from .knn import NeighborIndex, _ball_counts, knn_radii, unit_ball_volume
 
 __all__ = [
     "DensityEstimates",
@@ -98,7 +98,7 @@ def uniform_kernel_density(index: NeighborIndex, queries, k: int) -> DensityEsti
     cd = unit_ball_volume(index.dim)
     v_u = k / M
     radius = (v_u / cd) ** (1.0 / index.dim)
-    counts = index._tree.query_ball_point(queries, radius, return_length=True)
+    counts = _ball_counts(index, queries, radius, k)
     counts = np.asarray(counts, dtype=np.float64)
     vals = counts / (M * v_u)
     return DensityEstimates(

@@ -103,6 +103,8 @@ class TrialSpec:
                 "bias_correct=True with boundary_correct=False is not supported: "
                 "the bias-corrected estimator always boundary-corrects"
             )
+        if not 0.0 < self.ci_level < 1.0:
+            raise ValueError("ci level must lie in (0, 1)")
 
     def resolve_k(self, M: int, d: int) -> int:
         if self.k_rule == "fixed":

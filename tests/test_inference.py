@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
+import knnfunc.knn
 from knnfunc import (
     BoundaryConfig,
     TrialSpec,
     bpi_estimate,
     bpi_estimate_bc,
     confidence_interval,
+    detect_boundary,
     monte_carlo,
     normality_diagnostics,
     rate_fit,
@@ -70,6 +72,33 @@ def test_monte_carlo_deterministic():
     assert np.array_equal(a.estimates, b.estimates)
 
 
+def test_results_do_not_depend_on_worker_count(monkeypatch):
+    # N = 6000, M = 14000, k = 20, K = 8: the radii and the detector's
+    # graph both cross the worker gate, so cpus = 2 runs them threaded
+    spec = dataclasses.replace(_SPEC, T=20000, k=20)
+    data = generate_dataset("uniform", spec.T, 5, {"d": 2})
+    sp = split(data, spec.alpha_frac, 5)
+    out = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(knnfunc.knn, "_CPUS", cpus)
+        assert knnfunc.knn._workers(len(sp.eval_indices), 9) == cpus
+        labels = detect_boundary(data.points[sp.eval_indices], spec.k,
+                                 len(sp.ref_indices), spec.boundary_config)
+        report = bpi_estimate_bc(data, sp, shannon_functional(), spec.k,
+                                 config=spec.boundary_config)
+        trials = monte_carlo(spec, 3)
+        out[cpus] = (labels, report, trials)
+    (la, ra, ta), (lb, rb, tb) = out[1], out[2]
+    assert la.n_boundary > 0
+    assert np.array_equal(la.interior, lb.interior)
+    assert np.array_equal(la.boundary, lb.boundary)
+    assert la.nearest_interior == lb.nearest_interior
+    assert (la.q_used, la.threshold_used) == (lb.q_used, lb.threshold_used)
+    assert ra == rb
+    assert np.array_equal(ta.estimates, tb.estimates)
+    assert np.array_equal(ta.ks, tb.ks)
+
+
 def test_monte_carlo_mean_consistency():
     # harness mean equals the mean of the individually replayed trials,
     # and the uniform-cube Shannon estimate sits within its known
@@ -110,8 +139,8 @@ def test_ci_level_outside_unit_interval_raises_on_every_path():
                          config=_SPEC.boundary_config, ci_level=level)
         with pytest.raises(ValueError, match="ci level"):
             confidence_interval(0.0, 1.0, 1.0, 10, 10, level)
-        spec = dataclasses.replace(_SPEC, T=400, ci_level=level, truth=0.0)
         with pytest.raises(ValueError, match="ci level"):
+            spec = dataclasses.replace(_SPEC, T=400, ci_level=level, truth=0.0)
             monte_carlo(spec, 1)
 
 
@@ -124,6 +153,9 @@ def test_trial_spec_validation():
                   alpha_frac=0.5, functional_id="nope", k_rule="rate").functional()
     with pytest.raises(ValueError):
         monte_carlo(_SPEC, 0)
+    # rejected when built, before any trial runs, with or without a truth
+    with pytest.raises(ValueError, match="ci level"):
+        dataclasses.replace(_SPEC, ci_level=1.5)
 
 
 def test_trial_spec_rejects_bias_correction_without_boundary_correction():

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import knnfunc.knn
 from knnfunc import (
     ball_volume,
     build_index,
     count_reverse_neighbors,
+    knn_density,
     knn_query,
     knn_radii,
 )
@@ -130,6 +132,64 @@ def test_knn_radii_matches_query():
         full = knn_query(idx, q, k)
         assert r.shape == (20,)
         assert np.allclose(r, full.distances[:, -1], atol=1e-12)
+
+
+def test_knn_radii_1d_equals_brute_force():
+    # the sorted-array path must give the oracle's k-th distance exactly
+    rng = np.random.default_rng(11)
+    refs = {
+        "random": rng.random(300),
+        "duplicates": rng.integers(0, 12, 300).astype(float),
+        "rounded": np.round(rng.standard_normal(300), 2),
+    }
+    for name, s in refs.items():
+        span = s.max() - s.min()
+        queries = np.concatenate([
+            rng.uniform(s.min() - span, s.max() + span, 40),  # outside too
+            rng.choice(s, 20),  # equal to reference points
+            [s.min(), s.max(), s.min() - 5.0, s.max() + 5.0],
+        ])[:, None]
+        idx = build_index(s[:, None])
+        for k in (1, 2, 37, len(s) - 1, len(s)):
+            got = knn_radii(idx, queries, k)
+            want = oracles.brute_force_knn(s[:, None], queries, k).distances[:, -1]
+            assert np.array_equal(got, want), (name, k)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_queries_rejected(d, bad):
+    rng = np.random.default_rng(12)
+    idx = build_index(rng.random((50, d)))
+    q = rng.random((4, d))
+    q[2, 0] = bad
+    for call in (knn_radii, knn_query, knn_density):
+        with pytest.raises(ValueError, match="query points must be finite"):
+            call(idx, q, 5)
+
+
+def test_results_do_not_depend_on_worker_count(monkeypatch):
+    # sized so that every tree call crosses the worker gate
+    rng = np.random.default_rng(13)
+    grid = rng.integers(0, 30, size=(3000, 2)).astype(float)
+    tied = rng.integers(0, 60, size=(3000, 1)).astype(float)
+    inputs = {
+        "random": (rng.random((4000, 3)), rng.random((3000, 3))),
+        "duplicate-grid": (grid, grid[:2500]),
+        "tied-1d": (tied, tied[:2500]),
+    }
+    k = 20
+    out = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(knnfunc.knn, "_CPUS", cpus)
+        for name, (pts, queries) in inputs.items():
+            assert knnfunc.knn._workers(len(queries), k) == cpus
+            idx = build_index(pts)
+            res = knn_query(idx, queries, k)
+            out[cpus, name] = (res.distances, res.indices, knn_radii(idx, queries, k))
+    for name in inputs:
+        for a, b in zip(out[1, name], out[2, name]):
+            assert np.array_equal(a, b), name
 
 
 def test_ball_volume_closed_forms():
