@@ -163,7 +163,7 @@ def detect_boundary(eval_points, k: int, M: int, config: BoundaryConfig = Bounda
     K = max(1, int(k * N / M))
     if K >= N:
         raise ValueError(f"K={K} must be < N={N}; adjust k or the split")
-    if np.allclose(eval_points, eval_points[0]):
+    if np.all(eval_points == eval_points[0]):
         raise ValueError("all evaluation points identical; k-NN radii are zero")
     graph = knn_query(build_index(eval_points), eval_points, K + 1)
     L = e0 = None

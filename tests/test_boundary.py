@@ -158,8 +158,14 @@ def test_nearest_interior_against_brute_force():
 
 def test_degenerate_inputs():
     cfg = BoundaryConfig()
-    with pytest.raises(ValueError, match="identical"):
-        detect_boundary(np.ones((50, 2)), 5, 100, cfg)
+    for same in (np.ones((50, 2)), np.full((50, 3), 1e-9)):
+        with pytest.raises(ValueError, match="identical"):
+            detect_boundary(same, 5, 100, cfg)
+    # distinct points closer together than any absolute tolerance are valid
+    tiny = np.random.default_rng(0).random((50, 2)) * 1e-9
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert detect_boundary(tiny, 5, 100, cfg).n_interior == 50
     with pytest.raises(ValueError):
         detect_boundary(np.random.default_rng(0).random((50, 2)), 2, 100, cfg)
     bad = np.random.default_rng(0).random((50, 2))
@@ -288,10 +294,11 @@ def test_degenerate_configs_build_one_evaluation_graph(monkeypatch):
 
 
 def test_live_configs_share_one_evaluation_graph(monkeypatch):
-    pts = np.random.default_rng(34).random((500, 2))
-    for cfg in (BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0="auto", pk_scale=0.1),
-                BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0=1.0, pk_scale=0.3)):
-        calls, labels = _count_graph_calls(monkeypatch, pts, 20, 1000, cfg)
-        assert labels.n_boundary > 0
-        # one self-query, plus the nearest-interior lookup for the boundary
-        assert calls == {"build_index": 2, "knn_query": 2, "self_queries": 1}, cfg
+    rng = np.random.default_rng(34)
+    for pts in (rng.random((500, 2)), rng.random((500, 1))):  # tree and d = 1 window
+        for cfg in (BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0="auto", pk_scale=0.1),
+                    BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0=1.0, pk_scale=0.3)):
+            calls, labels = _count_graph_calls(monkeypatch, pts, 20, 1000, cfg)
+            assert labels.n_boundary > 0
+            # one self-query, plus the nearest-interior lookup for the boundary
+            assert calls == {"build_index": 2, "knn_query": 2, "self_queries": 1}, cfg

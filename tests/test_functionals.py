@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +157,19 @@ def test_shannon_shift_and_scale_laws():
     scaled = Dataset(data.points * s)
     rep_scale = bpi_estimate(scaled, sp, shannon_functional(), 8, config=FIRING)
     assert abs(rep_scale.estimate - (base.estimate + 2 * math.log(s))) < 1e-10
+
+
+@pytest.mark.parametrize("s", [1e-3, 1e-6, 1e-9])
+def test_shannon_scale_law_at_small_scales(s):
+    # scaling by s adds d log s, however small the scaled sample's spread
+    data = generate_dataset("beta_uniform_mixture", 2000, 9,
+                            {"d": 3, "a": 4, "b": 4, "eps": 0.2})
+    sp = split(data, 0.7, 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # default q >= 1
+        base = bpi_estimate_bc(data, sp, shannon_functional(), 10)
+        scaled = bpi_estimate_bc(Dataset(data.points * s), sp, shannon_functional(), 10)
+    assert abs(scaled.estimate - (base.estimate + 3 * math.log(s))) < 1e-10
 
 
 def test_permutation_invariance_of_estimate():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ from hypothesis import strategies as st
 
 import knnfunc.knn
 from knnfunc import (
+    BoundaryConfig,
     ball_volume,
     build_index,
     count_reverse_neighbors,
+    detect_boundary,
     knn_density,
     knn_query,
     knn_radii,
@@ -35,6 +38,12 @@ def test_single_point_index():
     idx = build_index(np.array([[2.0, 2.0]]))
     res = knn_query(idx, np.array([0.0, 0.0]), 1)
     assert np.isclose(res.distances[0], math.sqrt(8.0))
+    # several queries keep one row each, at d = 1 too
+    for pts in (np.array([[2.0, 2.0]]), np.array([[2.0]])):
+        queries = np.zeros((3, pts.shape[1]))
+        res = knn_query(build_index(pts), queries, 1)
+        assert res.distances.shape == res.indices.shape == (3, 1)
+        assert np.array_equal(res.indices, np.zeros((3, 1)))
 
 
 def test_duplicates_both_retrievable():
@@ -134,26 +143,119 @@ def test_knn_radii_matches_query():
         assert np.allclose(r, full.distances[:, -1], atol=1e-12)
 
 
-def test_knn_radii_1d_equals_brute_force():
-    # the sorted-array path must give the oracle's k-th distance exactly
-    rng = np.random.default_rng(11)
+def _1d_inputs(seed):
+    """References (random, duplicate-heavy, 2-decimal, symmetric about 0)
+    with queries outside their range, equal to references and, for the
+    symmetric set, midway between tied pairs."""
+    rng = np.random.default_rng(seed)
+    offsets = rng.integers(1, 40, 150).astype(float)
     refs = {
         "random": rng.random(300),
         "duplicates": rng.integers(0, 12, 300).astype(float),
         "rounded": np.round(rng.standard_normal(300), 2),
+        "symmetric": rng.permutation(np.concatenate([-offsets, offsets])),
     }
     for name, s in refs.items():
         span = s.max() - s.min()
         queries = np.concatenate([
             rng.uniform(s.min() - span, s.max() + span, 40),  # outside too
             rng.choice(s, 20),  # equal to reference points
-            [s.min(), s.max(), s.min() - 5.0, s.max() + 5.0],
+            [s.min(), s.max(), s.min() - 5.0, s.max() + 5.0, 0.0],
         ])[:, None]
-        idx = build_index(s[:, None])
-        for k in (1, 2, 37, len(s) - 1, len(s)):
+        yield name, s[:, None], queries
+
+
+def test_knn_radii_1d_equals_brute_force():
+    # the sorted-array path must give the oracle's k-th distance exactly
+    for name, refs, queries in _1d_inputs(11):
+        idx = build_index(refs)
+        for k in (1, 2, 37, len(refs) - 1, len(refs)):
             got = knn_radii(idx, queries, k)
-            want = oracles.brute_force_knn(s[:, None], queries, k).distances[:, -1]
+            want = oracles.brute_force_knn(refs, queries, k).distances[:, -1]
             assert np.array_equal(got, want), (name, k)
+
+
+def test_knn_query_1d_equals_brute_force():
+    # the sorted-window lists must equal the oracle's, ties by index
+    for name, refs, queries in _1d_inputs(15):
+        idx = build_index(refs)
+        for k in (1, 2, 37, len(refs) - 1, len(refs)):
+            got = knn_query(idx, queries, k)
+            want = oracles.brute_force_knn(refs, queries, k)
+            assert np.array_equal(got.indices, want.indices), (name, k)
+            assert np.array_equal(got.distances, want.distances), (name, k)
+
+
+def _tree_neighbors(index, x, k):
+    """The tree's answer in place of knnfunc.knn._window_neighbors."""
+    dist, idx = index._tree.query(x[:, None], k=k)
+    return dist.reshape(len(x), k), idx.reshape(len(x), k)
+
+
+def test_1d_graph_equals_tree_graph(monkeypatch):
+    # the window graph gives the reverse counts and labels the tree gave
+    configs = (BoundaryConfig(),
+               BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0=1.0, pk_scale=0.3))
+    fired = 0
+    for name, refs, _ in _1d_inputs(16):
+        out = {}
+        for path in ("window", "tree"):
+            if path == "tree":
+                monkeypatch.setattr(knnfunc.knn, "_window_neighbors", _tree_neighbors)
+            counts = [count_reverse_neighbors(refs, K) for K in (1, 5, 40)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                labels = [detect_boundary(refs, 25, 600, cfg) for cfg in configs]
+            out[path] = counts, [(b.boundary, b.q_used) for b in labels]
+        monkeypatch.undo()
+        for a, b in zip(out["window"][0], out["tree"][0]):
+            assert np.array_equal(a, b), name
+        for (ba, qa), (bb, qb) in zip(out["window"][1], out["tree"][1]):
+            assert np.array_equal(ba, bb) and qa == qb, name
+            fired += ba.size > 0
+    assert fired >= 2  # live labels are compared, not only q >= 1
+
+
+def _zorder_inputs():
+    rng = np.random.default_rng(14)
+    pts3 = rng.random((3000, 3))
+    grid = rng.integers(0, 30, size=(3000, 2)).astype(float)
+    flat = rng.random((2000, 3))
+    flat[:, 1] = 0.25  # a constant column: zero span on that axis
+    return {
+        "random-3d": (pts3, rng.random((1500, 3))),
+        "random-6d": (rng.random((3000, 6)), rng.random((1500, 6))),
+        "duplicate-grid": (grid, grid[:1500]),
+        "huge": (pts3 * 1e200, pts3[:1500] * 1e200),
+        "huge-negative": (pts3 * -1e200, pts3[:1500] * -1e200),
+        "tiny": (pts3 * 1e-160, pts3[:1500] * 1e-160),
+        "widest": ((2 * pts3 - 1) * 1.7e308, (2 * pts3[:1500] - 1) * 1.7e308),
+        "constant-column": (flat, flat[:1000]),
+        "single-row": (pts3, pts3[:1] + 0.01),
+    }
+
+
+def test_zorder_radii_equal_input_order_radii(monkeypatch):
+    for name, (pts, queries) in _zorder_inputs().items():
+        idx = build_index(pts)
+        for k in (1, 7):
+            out = []
+            for gate in (idx.size + 1, 0):  # input order, then Z-order
+                monkeypatch.setattr(knnfunc.knn, "_ZORDER_MIN_REFS", gate)
+                with warnings.catch_warnings(), np.errstate(all="raise"):
+                    warnings.simplefilter("error")
+                    out.append(knn_radii(idx, queries, k))
+            assert np.array_equal(out[0], out[1]), (name, k)
+
+
+def test_zorder_is_a_local_permutation():
+    rng = np.random.default_rng(18)
+    q = rng.random((4096, 2))
+    order = knnfunc.knn._zorder(q)
+    assert np.array_equal(np.sort(order), np.arange(len(q)))
+    # consecutive queries are neighbours: steps far shorter than at random
+    step = np.linalg.norm(np.diff(q[order], axis=0), axis=1).mean()
+    assert step < 0.1 * np.linalg.norm(np.diff(q, axis=0), axis=1).mean()
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -179,6 +281,7 @@ def test_results_do_not_depend_on_worker_count(monkeypatch):
         "tied-1d": (tied, tied[:2500]),
     }
     k = 20
+    default_gate = knnfunc.knn._ZORDER_MIN_REFS
     out = {}
     for cpus in (1, 2):
         monkeypatch.setattr(knnfunc.knn, "_CPUS", cpus)
@@ -186,7 +289,11 @@ def test_results_do_not_depend_on_worker_count(monkeypatch):
             assert knnfunc.knn._workers(len(queries), k) == cpus
             idx = build_index(pts)
             res = knn_query(idx, queries, k)
-            out[cpus, name] = (res.distances, res.indices, knn_radii(idx, queries, k))
+            radii = []
+            for gate in (default_gate, 0):  # input order, then Z-order
+                monkeypatch.setattr(knnfunc.knn, "_ZORDER_MIN_REFS", gate)
+                radii.append(knn_radii(idx, queries, k))
+            out[cpus, name] = (res.distances, res.indices, *radii)
     for name in inputs:
         for a, b in zip(out[1, name], out[2, name]):
             assert np.array_equal(a, b), name
