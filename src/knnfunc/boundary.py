@@ -8,7 +8,9 @@ estimator's).  A point is labeled boundary when its count falls below
 point so the density layer can extrapolate.
 
 One detection makes one (K+1)-NN self-query of the evaluation set: the
-"auto" constants and the reverse counts both read it.  When q >= 1 the
+"auto" constants, the reverse counts and the nearest interior points all
+read it.  Only a boundary point with no interior point among its K + 1
+nearest needs a second index, over the interior points.  When q >= 1 the
 threshold is <= 0, every point is interior and no count is taken.
 
 The threshold ``q`` has two parts: a Lipschitz/density term
@@ -180,13 +182,17 @@ def detect_boundary(eval_points, k: int, M: int, config: BoundaryConfig = Bounda
     boundary = np.where(~interior_mask)[0]
     if interior.size == 0:
         raise ValueError("no interior points; increase T or adjust config")
-    nearest = {}
-    if boundary.size:
-        idx = build_index(eval_points[interior])
-        res = knn_query(idx, eval_points[boundary], 1)
-        picks = np.atleast_2d(res.indices)[:, 0]
-        for b, p in zip(boundary, picks):
-            nearest[int(b)] = int(interior[p])
+    # a graph row lists its point's K + 1 nearest in (distance, index) order,
+    # so its first interior entry is the nearest interior point; only rows
+    # with no interior entry need a tree over the interior points
+    rows = graph.indices[boundary]
+    hits = interior_mask[rows]
+    picks = rows[np.arange(boundary.size), hits.argmax(axis=1)]
+    lonely = ~hits.any(axis=1)
+    if lonely.any():
+        res = knn_query(build_index(eval_points[interior]), eval_points[boundary[lonely]], 1)
+        picks[lonely] = interior[res.indices[:, 0]]
+    nearest = {int(b): int(p) for b, p in zip(boundary, picks)}
     return BoundaryLabels(
         interior=interior,
         boundary=boundary,

@@ -28,6 +28,7 @@ from .functionals import (
     renyi_functional,
     shannon_functional,
 )
+from .knn import _ordered_map
 from .rng import derive_key, make_rng
 from .tuning import TheoryConstants, optimal_k, rate_matched_k
 
@@ -173,31 +174,42 @@ def run_trial(spec: TrialSpec, trial: int):
 
 
 def monte_carlo(spec: TrialSpec, n_trials: int) -> TrialResults:
-    """n_trials independent end-to-end runs with derived per-trial seeds."""
+    """n_trials independent end-to-end runs with derived per-trial seeds.
+
+    The trials run concurrently (knn._ordered_map) and are collected in
+    trial order; each draws from its own generator, so the results are
+    those of running them one after another.
+    """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    estimates = np.empty(n_trials)
-    ks = np.empty(n_trials, dtype=int)
-    cover = np.empty(n_trials, dtype=bool) if spec.truth is not None else None
-    for t in range(n_trials):
-        try:
-            report = run_trial(spec, t)
-        except Exception as exc:
-            raise RuntimeError(f"trial {t} failed: {exc}") from exc
-        estimates[t] = report.estimate
-        ks[t] = report.k
-        if cover is not None:
-            if spec.constants is not None:
-                lo, hi = confidence_interval(
-                    report.estimate, spec.constants.c4, spec.constants.c5,
-                    report.N, report.M, spec.ci_level,
-                )
-            else:
-                lo, hi = normal_interval(
-                    report.estimate, report.variance_estimate, spec.ci_level
-                )
-            cover[t] = lo <= spec.truth <= hi
-    return TrialResults(estimates=estimates, ks=ks, truth=spec.truth, coverage=cover)
+    outcomes = _ordered_map(lambda t: _trial_outcome(spec, t), range(n_trials))
+    estimates, ks, cover = zip(*outcomes)
+    return TrialResults(
+        estimates=np.array(estimates),
+        ks=np.array(ks, dtype=int),
+        truth=spec.truth,
+        coverage=np.array(cover, dtype=bool) if spec.truth is not None else None,
+    )
+
+
+def _trial_outcome(spec: TrialSpec, t: int):
+    """(estimate, k, whether the interval covers the truth) of trial t."""
+    try:
+        report = run_trial(spec, t)
+    except Exception as exc:
+        raise RuntimeError(f"trial {t} failed: {exc}") from exc
+    if spec.truth is None:
+        return report.estimate, report.k, None
+    if spec.constants is not None:
+        lo, hi = confidence_interval(
+            report.estimate, spec.constants.c4, spec.constants.c5,
+            report.N, report.M, spec.ci_level,
+        )
+    else:
+        lo, hi = normal_interval(
+            report.estimate, report.variance_estimate, spec.ci_level
+        )
+    return report.estimate, report.k, lo <= spec.truth <= hi
 
 
 # -- diagnostics --------------------------------------------------------------

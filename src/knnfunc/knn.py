@@ -8,6 +8,9 @@ included.  This module alone decides how the exact work runs, and none of
 its choices changes a result:
 
 - large tree calls use every CPU the process may run on;
+- _ordered_map runs independent jobs, such as Monte Carlo trials, as
+  threads over those CPUs, and a tree call inside a job gets the CPUs left
+  over: one apiece once every CPU has a job;
 - against a large index, k-th-radius queries at d >= 2 visit the queries
   in Z-order (a Morton key), so consecutive queries walk the same part of
   the tree, and the radii are scattered back to input order;
@@ -19,6 +22,8 @@ its choices changes a result:
 
 import math
 import os
+import threading
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,9 +57,42 @@ except AttributeError:  # platforms without affinity masks
 _THREAD_MIN_SLOTS = 1 << 15
 
 
+# the CPUs a tree call may use in this thread: unset means all of _CPUS
+_budget = threading.local()
+
+
 def _workers(rows: int, k: int) -> int:
     """Worker count for one tree call over rows queries of about k slots."""
-    return _CPUS if rows * k >= _THREAD_MIN_SLOTS else 1
+    if rows * k < _THREAD_MIN_SLOTS:
+        return 1
+    return getattr(_budget, "cpus", _CPUS)
+
+
+def _ordered_map(func, items) -> list:
+    """[func(x) for x in items], run on min(_CPUS, len(items)) threads.
+
+    Each thread's tree calls share out the CPUs: one worker apiece once
+    there are as many threads as CPUs.  Threads need no pickling and share
+    nothing mutable with one another as long as each func(x) draws from its
+    own generator, which is what keeps the results those of the serial
+    loop.  At the first failure the items not yet started are cancelled;
+    those are all later than it, as the threads take items in order, so
+    the failure raised, the first in item order, is the serial loop's.
+    """
+    items = list(items)
+    width = max(1, min(_CPUS, len(items)))
+    cpus = max(1, _CPUS // width)
+
+    def set_budget():
+        _budget.cpus = cpus
+
+    pool = ThreadPoolExecutor(width, initializer=set_budget)
+    try:
+        futures = [pool.submit(func, x) for x in items]
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return [f.result() for f in futures]
 
 
 # Queries in Z-order walk the tree in step with one another, so more of it
@@ -142,7 +180,8 @@ def knn_query(index: NeighborIndex, query, k: int) -> NeighborResult:
     Tree rows come back sorted by distance, so only rows holding two equal
     adjacent distances are re-sorted by index.  At d = 1 the k + 1 nearest
     come from the sorted references instead of the tree (_window_neighbors)
-    and take the same tie path.
+    and take the same tie path.  A neighbour whose squared distance
+    overflows float64 cannot be ranked, so it raises ValueError.
     """
     if not 1 <= k <= index.size:
         raise ValueError(f"k={k} outside [1, {index.size}]")
@@ -154,6 +193,13 @@ def knn_query(index: NeighborIndex, query, k: int) -> NeighborResult:
         dist, idx = index._tree.query(q, k=kk, workers=_workers(len(q), kk))
         dist = dist.reshape(len(q), kk)
         idx = idx.reshape(len(q), kk)
+    # points and queries are finite, so an infinite distance is an overflowed
+    # square, which the tree also marks with index size (its sentinel)
+    if np.isinf(dist[:, :k]).any():
+        raise ValueError(
+            "squared neighbour distances overflow float64 (coordinates "
+            "differ by more than about 1e154); rescale the points"
+        )
     if kk > k:
         ambiguous = dist[:, k - 1] >= dist[:, k] * (1 - 1e-12)
     else:

@@ -300,5 +300,28 @@ def test_live_configs_share_one_evaluation_graph(monkeypatch):
                     BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0=1.0, pk_scale=0.3)):
             calls, labels = _count_graph_calls(monkeypatch, pts, 20, 1000, cfg)
             assert labels.n_boundary > 0
-            # one self-query, plus the nearest-interior lookup for the boundary
-            assert calls == {"build_index": 2, "knn_query": 2, "self_queries": 1}, cfg
+            # the self-query also gives every boundary point an interior neighbour
+            assert calls == {"build_index": 1, "knn_query": 1, "self_queries": 1}, cfg
+
+
+def test_nearest_interior_fallback_queries_only_rows_without_an_interior_neighbour(monkeypatch):
+    # L = 0 and pk_scale = 0 put the threshold at K itself, so about a third
+    # of the points are boundary, and at K = 2 a few have only boundary
+    # points among their 3 nearest; their nearest interior point needs the
+    # interior tree (the tree path at d = 2, the window path at d = 1)
+    cfg = BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0=1.0, pk_scale=0.0)
+    rng = np.random.default_rng(35)
+    for pts in (rng.random((300, 2)), rng.random((300, 1))):
+        calls, labels = _count_graph_calls(monkeypatch, pts, 3, 360, cfg)
+        assert labels.K_used == 2
+        graph = knn_query(build_index(pts), pts, 3)
+        interior_mask = np.zeros(len(pts), dtype=bool)
+        interior_mask[labels.interior] = True
+        lonely = [b for b in labels.boundary if not interior_mask[graph.indices[b]].any()]
+        assert lonely
+        # one more index build and query, for the lonely rows
+        assert calls == {"build_index": 2, "knn_query": 2, "self_queries": 1}
+        want = oracles.brute_force_knn(pts[labels.interior], pts[labels.boundary], 1)
+        assert labels.nearest_interior == {
+            int(b): int(labels.interior[p]) for b, p in zip(labels.boundary, want.indices[:, 0])
+        }

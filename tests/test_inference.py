@@ -1,10 +1,13 @@
 import dataclasses
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
 import scipy.special as sps
 
+import knnfunc.inference
 import knnfunc.knn
 from knnfunc import (
     BoundaryConfig,
@@ -99,13 +102,73 @@ def test_results_do_not_depend_on_worker_count(monkeypatch):
     assert np.array_equal(ta.ks, tb.ks)
 
 
+def test_trial_results_identical_for_any_cpu_count(monkeypatch):
+    # five trials on one, two and four threads (more than this host may
+    # have), switching threads often, with a truth so coverage is kept
+    spec = dataclasses.replace(_SPEC, truth=0.0)
+    out = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(knnfunc.knn, "_CPUS", cpus)
+            out[cpus] = monte_carlo(spec, 5)
+    finally:
+        sys.setswitchinterval(interval)
+    for cpus in (2, 4):
+        for field in ("estimates", "ks", "coverage"):
+            x, y = getattr(out[1], field), getattr(out[cpus], field)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (cpus, field)
+
+
+def test_tree_calls_inside_pool_trials_run_on_one_worker(monkeypatch):
+    # N = 6000 and k = 20 put the radii query over the worker gate, which
+    # would give it both CPUs outside the pool
+    spec = dataclasses.replace(_SPEC, T=20000, k=20)
+    monkeypatch.setattr(knnfunc.knn, "_CPUS", 2)
+    real = knnfunc.knn._workers
+    seen = []
+
+    def workers(rows, k):
+        n = real(rows, k)
+        seen.append((rows * k >= knnfunc.knn._THREAD_MIN_SLOTS, n))
+        return n
+
+    monkeypatch.setattr(knnfunc.knn, "_workers", workers)
+    monte_carlo(spec, 3)
+    assert any(gated for gated, _ in seen)
+    assert {n for _, n in seen} == {1}
+
+
+def test_failing_trials_name_the_lowest_failing_trial(monkeypatch):
+    # trial 4 fails at once while trial 2 is still running and fails later;
+    # the error names trial 2, as the serial loop's would, and trials not
+    # started by then never run
+    started = []
+
+    def fake_trial(spec, t):
+        started.append(t)
+        if t == 4:
+            raise ValueError("early")
+        time.sleep(0.3 if t == 2 else 0.05)
+        if t == 2:
+            raise ValueError("late")
+        return run_trial(spec, 0)
+
+    monkeypatch.setattr(knnfunc.knn, "_CPUS", 2)
+    monkeypatch.setattr(knnfunc.inference, "run_trial", fake_trial)
+    with pytest.raises(RuntimeError, match="trial 2 failed: late"):
+        monte_carlo(dataclasses.replace(_SPEC, T=400), 12)
+    assert 11 not in started
+
+
 def test_monte_carlo_mean_consistency():
     # harness mean equals the mean of the individually replayed trials,
     # and the uniform-cube Shannon estimate sits within its known
     # boundary-bias floor of the truth 0
     res = monte_carlo(_SPEC, 20)
     singles = [run_trial(_SPEC, t).estimate for t in range(20)]
-    assert np.allclose(res.estimates, singles)
+    assert np.array_equal(res.estimates, singles)
     assert abs(res.summary["mean"]) < 0.25
 
 

@@ -270,6 +270,31 @@ def test_non_finite_queries_rejected(d, bad):
             call(idx, q, 5)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("k", [2, 3])
+def test_overflowing_distances_raise(d, k):
+    # squared distances past 1e308 are infinite: the tree would return its
+    # sentinel index 3 at k = 3 and fail inside its tie path at k = 2
+    pts = [[0.0], [1e300], [-1e300]] if d == 1 else [[0, 0], [1e300, 0], [-1e300, 1]]
+    idx = build_index(pts)
+    with pytest.raises(ValueError, match="distances overflow float64"):
+        knn_query(idx, [pts[0]], k)
+    # the nearest neighbour itself is at a finite distance
+    res = knn_query(idx, [pts[0]], 1)
+    assert res.indices.tolist() == [[0]] and res.distances.tolist() == [[0.0]]
+
+
+def test_ordered_map_keeps_order_and_shares_out_the_cpus(monkeypatch):
+    gated = knnfunc.knn._THREAD_MIN_SLOTS  # a call that may use every CPU
+    for cpus, n, each in ((2, 5, 1), (4, 2, 2), (2, 1, 2), (1, 3, 1)):
+        monkeypatch.setattr(knnfunc.knn, "_CPUS", cpus)
+        got = knnfunc.knn._ordered_map(
+            lambda x: (x, knnfunc.knn._workers(gated, 1)), range(n))
+        assert got == [(x, each) for x in range(n)], (cpus, n)
+        # the budget belongs to the pool's threads, not to the caller
+        assert knnfunc.knn._workers(gated, 1) == cpus
+
+
 def test_results_do_not_depend_on_worker_count(monkeypatch):
     # sized so that every tree call crosses the worker gate
     rng = np.random.default_rng(13)
