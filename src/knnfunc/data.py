@@ -9,6 +9,7 @@ ambient space, and block-dependent Beta mixtures for the factor-graph
 comparisons.
 """
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,12 +96,48 @@ class SampleSplit:
 
 
 def load_csv(path, header: bool = False) -> Dataset:
-    """Parse a headerless CSV of reals into a Dataset.
+    """Parse a CSV of reals into a Dataset; header=True skips line 1.
 
-    Raises ValueError naming the 1-based row for ragged rows, non-numeric
-    cells, or an empty file.  UTF-8, LF or CRLF, '.' decimal separator.
+    UTF-8, LF, CRLF or CR line ends, '.' decimal separator; blank lines are
+    skipped.  There is no quoting, no comment character and no '_' digit
+    separator.  Raises ValueError naming the 1-based line of the file for
+    ragged rows and non-numeric cells, or for an empty file.
     """
-    rows = []
+    try:
+        with warnings.catch_warnings():
+            # a file without data rows is reported below, not warned about
+            warnings.filterwarnings(
+                "ignore", "loadtxt: input contained no data", UserWarning
+            )
+            points = _loadtxt(path, skiprows=int(header))
+    except ValueError:
+        _raise_row_error(path, header)
+        raise
+    if points.size == 0:
+        raise ValueError("empty input file")
+    return Dataset(points)
+
+
+def _loadtxt(source, skiprows: int = 0) -> np.ndarray:
+    # numpy's C reader converts each cell with PyOS_string_to_double, the
+    # correctly rounded routine behind float(), so the values are float()'s
+    return np.loadtxt(
+        source,
+        delimiter=",",
+        dtype=np.float64,
+        ndmin=2,
+        comments=None,
+        encoding="utf-8",
+        skiprows=skiprows,
+    )
+
+
+def _raise_row_error(path, header: bool) -> None:
+    """Re-read a file that np.loadtxt rejected, line by line, and raise the
+    error for its first bad line.  np.loadtxt counts data rows rather than
+    file lines, so its own messages cannot name the line.  Each line's cells
+    go through np.loadtxt too, so this path rejects exactly what it does.
+    Returns if no line is bad, and the caller re-raises numpy's error."""
     width = None
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -109,20 +146,17 @@ def load_csv(path, header: bool = False) -> Dataset:
             line = line.strip("\r\n")
             if not line:
                 continue
-            cells = line.split(",")
+            cells = line.count(",") + 1
             if width is None:
-                width = len(cells)
-            elif len(cells) != width:
+                width = cells
+            elif cells != width:
                 raise ValueError(
-                    f"row {lineno}: expected {width} columns, got {len(cells)}"
+                    f"row {lineno}: expected {width} columns, got {cells}"
                 )
             try:
-                rows.append([float(c) for c in cells])
+                _loadtxt([line])
             except ValueError:
                 raise ValueError(f"row {lineno}: non-numeric cell") from None
-    if not rows:
-        raise ValueError("empty input file")
-    return Dataset(np.array(rows, dtype=np.float64))
 
 
 def split(data: Dataset, alpha_frac: float, seed: int) -> SampleSplit:

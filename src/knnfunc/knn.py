@@ -204,8 +204,10 @@ def knn_query(index: NeighborIndex, query, k: int) -> NeighborResult:
         ambiguous = dist[:, k - 1] >= dist[:, k] * (1 - 1e-12)
     else:
         ambiguous = np.zeros(len(q), dtype=bool)
-    out_d = dist[:, :k].copy()
-    out_i = idx[:, :k].astype(np.intp)
+    # views, not copies: dist and idx belong to this call, and dist is read
+    # only before the tie paths below write into them
+    out_d = dist[:, :k]
+    out_i = idx[:, :k].astype(np.intp, copy=False)
     if ambiguous.any():
         rows = np.where(ambiguous)[0]
         radii = dist[rows, min(k, kk - 1)] * (1 + 1e-12) + 1e-300

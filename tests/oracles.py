@@ -166,3 +166,33 @@ def brute_force_knn(points, queries, k: int) -> NeighborResult:
     if single:
         return NeighborResult(dist[0], idx[0])
     return NeighborResult(dist, idx)
+
+
+def reference_load_csv(path, header: bool = False) -> np.ndarray:
+    """The CSV reader as a plain loop over the file's lines, with float() on
+    each cell: the reference for knnfunc.load_csv.  Raises the same
+    ValueErrors, naming the 1-based line of the file.  Unlike load_csv it
+    accepts what float() alone accepts, such as '_' digit separators."""
+    rows = []
+    width = None
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if header and lineno == 1:
+                continue
+            line = line.strip("\r\n")
+            if not line:
+                continue
+            cells = line.split(",")
+            if width is None:
+                width = len(cells)
+            elif len(cells) != width:
+                raise ValueError(
+                    f"row {lineno}: expected {width} columns, got {len(cells)}"
+                )
+            try:
+                rows.append([float(c) for c in cells])
+            except ValueError:
+                raise ValueError(f"row {lineno}: non-numeric cell") from None
+    if not rows:
+        raise ValueError("empty input file")
+    return np.array(rows, dtype=np.float64)

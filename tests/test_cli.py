@@ -284,3 +284,46 @@ def test_boundary_corrected_false_when_detector_relabels_nothing(tmp_path):
                 "-o", str(live)]) == 0
     assert _read_json(default)["boundary_corrected"] is False
     assert _read_json(live)["boundary_corrected"] is True
+
+
+def test_input_layout_does_not_change_output(tmp_path):
+    # the same sample written plain, and with CRLF, a header, blank lines
+    # and padded cells, must give byte-identical outputs
+    from knnfunc import sample_block_beta_mixture
+
+    data = sample_block_beta_mixture(1200, [2, 1], seed=12)
+    rows = [[repr(float(v)) for v in row] for row in data.points]
+    plain = tmp_path / "plain"
+    padded = tmp_path / "padded"
+    plain.mkdir()
+    padded.mkdir()
+    (plain / "s.csv").write_text("".join(",".join(r) + "\n" for r in rows))
+    lines = ["x0,x1,x2"]
+    for i, r in enumerate(rows):
+        if i % 97 == 0:
+            lines.append("")
+        lines.append(",".join(f" {c}\t" if j == 1 else c for j, c in enumerate(r)))
+    (padded / "s.csv").write_bytes(("\r\n".join(lines) + "\r\n\r\n").encode("utf-8"))
+    models = tmp_path / "models.json"
+    models.write_text(json.dumps({"models": {"true": [[0, 1], [2]],
+                                             "false": [[0, 2], [1]]},
+                                  "pairs": [["true", "false"]]}))
+    commands = {
+        "entropy.json": ["entropy", "--k", "10"],
+        "mi.json": ["mi", "--x-cols", "0", "--y-cols", "1", "--k", "10"] + LIVE_DETECTOR,
+        "dimension.json": ["dimension", "--k1", "10"],
+        "scan.csv": ["dimension-scan", "--window", "300", "--stride", "150",
+                     "--k1", "5"],
+        "structure.json": ["structure", "--models", str(models), "--k", "10"]
+                          + LIVE_DETECTOR,
+    }
+    for name, argv in commands.items():
+        outputs = []
+        for folder, extra in ((plain, []), (padded, ["--header"])):
+            out = folder / name
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                assert run(argv + ["--input", str(folder / "s.csv"), *extra,
+                                   "--seed", "5", "-o", str(out)]) == 0, name
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1], name

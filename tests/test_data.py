@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knnfunc import (
@@ -65,6 +66,98 @@ def test_load_csv_header_and_crlf(tmp_path):
     p.write_bytes(b"colA,colB\r\n1.5,2.5\r\n3.5,4.5\r\n")
     d = load_csv(p, header=True)
     assert d.count == 2 and d.points[0, 1] == 2.5
+
+
+_CELL_FORMATS = [repr, lambda v: "%.17g" % v, lambda v: "%.6f" % v, lambda v: "%e" % v]
+
+
+@st.composite
+def csv_files(draw):
+    """A valid CSV file's bytes, with the layouts load_csv accepts."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 4))
+    values = draw(st.lists(
+        st.floats(allow_nan=False, allow_infinity=False, width=64),
+        min_size=rows * cols, max_size=rows * cols,
+    ))
+    fmt = draw(st.sampled_from(_CELL_FORMATS))
+    pad = st.sampled_from(["", " ", "\t", "  \t"])
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    header = draw(st.booleans())
+    lines = [",".join(f"c{j}" for j in range(cols))] if header else []
+    for i in range(rows):
+        lines.extend([""] * draw(st.integers(0, 2)))
+        cells = values[i * cols:(i + 1) * cols]
+        lines.append(",".join(draw(pad) + fmt(v) + draw(pad) for v in cells))
+    text = end.join(lines) + draw(st.sampled_from(["", end, end + end]))
+    return text.encode("utf-8"), header
+
+
+@given(csv_files())
+@example((b"1,2\n\n\n3,4\n", False))
+@example((b"c0,c1\r\n\r\n 1 ,\t2\r\n3,4\r\n", True))
+@example((b"1,2\r3,4\r", False))
+@example((b"5\n", False))
+@example((b"1\n2\n3\n", False))
+@example((b"1,2,3", False))
+@settings(max_examples=200, deadline=None)
+def test_load_csv_equals_reference_parser(tmp_path_factory, case):
+    content, header = case
+    p = tmp_path_factory.mktemp("csv") / "d.csv"
+    p.write_bytes(content)
+    want = oracles.reference_load_csv(p, header=header)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = load_csv(p, header=header).points
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@given(st.text(alphabet="0123456789.,-+eEinfa \t\r\n#x", max_size=40),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_load_csv_accepts_and_rejects_as_the_reference_parser(tmp_path_factory, text, header):
+    # outside '_' separators and non-ASCII digits, which float() alone takes,
+    # load_csv succeeds where the reference does and fails with its message
+    p = tmp_path_factory.mktemp("csv") / "d.csv"
+    p.write_bytes(text.encode("utf-8"))
+
+    def outcome(read):
+        try:
+            return "ok", read(p, header=header).points.tolist()
+        except ValueError as exc:
+            return "error", str(exc)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = outcome(load_csv)
+    assert got == outcome(lambda path, header: Dataset(oracles.reference_load_csv(path, header)))
+
+
+@pytest.mark.parametrize("content, header, message", [
+    (b"1,2\n\n\n1,2,3\n", False, "row 4: expected 2 columns, got 3"),
+    (b"1,2\r\n\r\n\r\n1,2,3\r\n", False, "row 4: expected 2 columns, got 3"),
+    (b"1,2\r\r\r1,2,3\r", False, "row 4: expected 2 columns, got 3"),
+    (b"a,b\n\n1,2\n3,x\n", True, "row 4: non-numeric cell"),
+    (b"a,b\n\n1,2\n3,4,5\n", True, "row 4: expected 2 columns, got 3"),
+    (b"1_0\n", False, "row 1: non-numeric cell"),
+    (b"1,2\n3,4_5\n", False, "row 2: non-numeric cell"),
+    (b"1,2\n   \n", False, "row 2: expected 2 columns, got 1"),
+    (b"1,2,\n", False, "row 1: non-numeric cell"),
+    (b"", False, "empty input file"),
+    (b"\n\n\n", False, "empty input file"),
+    (b"\r\n\r\n", False, "empty input file"),
+    (b"a,b\n", True, "empty input file"),
+    (b"a,b\n\n\n", True, "empty input file"),
+])
+def test_load_csv_errors_name_the_file_line(tmp_path, content, header, message):
+    p = tmp_path / "d.csv"
+    p.write_bytes(content)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            load_csv(p, header=header)
+    assert str(info.value) == message
 
 
 def test_dataset_rejects_nonfinite():
