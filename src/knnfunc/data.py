@@ -104,12 +104,15 @@ def load_csv(path, header: bool = False) -> Dataset:
     ragged rows and non-numeric cells, or for an empty file.
     """
     try:
-        with warnings.catch_warnings():
+        # np.loadtxt is handed an open file, not the path: given a path it
+        # would also read x.csv.gz for a missing x.csv, decompress, or fetch
+        # URLs
+        with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
             # a file without data rows is reported below, not warned about
             warnings.filterwarnings(
                 "ignore", "loadtxt: input contained no data", UserWarning
             )
-            points = _loadtxt(path, skiprows=int(header))
+            points = _loadtxt(fh, skiprows=int(header))
     except ValueError:
         _raise_row_error(path, header)
         raise

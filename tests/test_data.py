@@ -1,3 +1,4 @@
+import gzip
 import math
 import warnings
 
@@ -49,6 +50,16 @@ def test_load_csv_empty(tmp_path):
     p.write_text("")
     with pytest.raises(ValueError, match="empty"):
         load_csv(p)
+
+
+def test_load_csv_reads_only_the_named_file(tmp_path):
+    # no fallback to a compressed sibling, and no decompression
+    gz = tmp_path / "d.csv.gz"
+    gz.write_bytes(gzip.compress(b"1,2\n3,4\n"))
+    with pytest.raises(FileNotFoundError):
+        load_csv(tmp_path / "d.csv")
+    with pytest.raises(ValueError):
+        load_csv(gz)
 
 
 def test_load_csv_telemetry_shape(tmp_path):
