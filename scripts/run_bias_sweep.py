@@ -3,23 +3,18 @@
 
 Reproduces the bias-vs-bandwidth study: N=3000 evaluation / M=7000
 reference points, k swept over a grid, both the plain and the
-bias-corrected estimator, against the quadrature truth.  Writes a CSV and
+bias-corrected estimator, against a Monte Carlo truth.  Writes a CSV and
 prints the empirical |bias| minimizer next to the theory recommendation.
 """
 
 import argparse
 import csv
 import math
-import sys
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-
-import oracles  # frozen quadrature truths
 
 from scipy.special import psi
 
 from knnfunc import BoundaryConfig, TrialSpec, monte_carlo, optimal_k
+from mixture_truths import MIXTURE, functional_truth, shannon_constants
 
 
 def main():
@@ -30,20 +25,22 @@ def main():
     ap.add_argument("--output", default="bias_sweep.csv")
     args = ap.parse_args()
 
+    truth = functional_truth("shannon")
+    c1, c2 = shannon_constants("c1", "c2")
     cfg = BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0=1.0, pk_scale=0.3)
     ks = list(range(5, 151, 5))
     rows = []
     for k in ks:
         spec = TrialSpec(
             generator="beta_uniform_mixture",
-            generator_params={"d": 3, "a": 4.0, "b": 4.0, "eps": 0.2},
+            generator_params=MIXTURE,
             T=args.t_total, alpha_frac=0.7, functional_id="shannon",
             k_rule="fixed", k=k, bias_correct=False, boundary_config=cfg,
             base_seed=args.seed + k,
         )
         res = monte_carlo(spec, args.trials)
         mean = res.summary["mean"]
-        bias_plain = mean - oracles.H_SHANNON_MIX
+        bias_plain = mean - truth
         bias_bc = bias_plain + math.log(k - 1) - float(psi(k))
         se = math.sqrt(res.summary["variance"] / args.trials)
         rows.append((k, bias_plain, bias_bc, se))
@@ -55,9 +52,9 @@ def main():
         w.writerows(rows)
 
     minimizer = min(rows, key=lambda r: abs(r[1]))[0]
-    k_rec = optimal_k(oracles.C1_SHANNON_MIX, oracles.C2_SHANNON_MIX, 3, 7000)
+    k_rec = optimal_k(c1, c2, 3, 7000)
     print(f"\nempirical |bias| minimizer: k = {minimizer}")
-    print(f"theory recommendation (quadrature constants): k = {k_rec}")
+    print(f"theory recommendation (oracle constants): k = {k_rec}")
     print(f"wrote {args.output}")
 
 

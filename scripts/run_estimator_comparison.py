@@ -8,14 +8,9 @@ log-log slopes.
 
 import argparse
 import csv
-import sys
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-
-import oracles
 
 from knnfunc import BoundaryConfig, TrialSpec, monte_carlo, rate_fit
+from mixture_truths import MIXTURE, functional_truth
 
 
 def main():
@@ -26,15 +21,16 @@ def main():
     ap.add_argument("--output", default="estimator_comparison.csv")
     args = ap.parse_args()
 
+    truth = functional_truth("renyi", alpha=0.5)
     cfg = BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0=1.0, pk_scale=0.15)
     Ts = [2500, 5000, 10_000, 20_000]
     mse_bc, mse_plain = [], []
     for T in Ts:
         common = dict(
             generator="beta_uniform_mixture",
-            generator_params={"d": 3, "a": 4.0, "b": 4.0, "eps": 0.2},
+            generator_params=MIXTURE,
             T=T, alpha_frac=0.5, functional_id="renyi", alpha=0.5,
-            k_rule="fixed", k=args.k, truth=oracles.I_RENYI05_MIX,
+            k_rule="fixed", k=args.k, truth=truth,
             base_seed=args.seed + T,
         )
         bc = monte_carlo(TrialSpec(bias_correct=True, boundary_correct=True,

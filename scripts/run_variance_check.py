@@ -3,14 +3,9 @@
 
 import argparse
 import csv
-import sys
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-
-import oracles
 
 from knnfunc import BoundaryConfig, TrialSpec, monte_carlo
+from mixture_truths import MIXTURE, shannon_constants
 
 
 def main():
@@ -21,19 +16,20 @@ def main():
     ap.add_argument("--output", default="variance_check.csv")
     args = ap.parse_args()
 
+    (c4,) = shannon_constants("c4")
     cfg = BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0=1.0, pk_scale=0.3)
     rows = []
     for M in (4000, 6000, 8000):
         N = args.t_total - M
         spec = TrialSpec(
             generator="beta_uniform_mixture",
-            generator_params={"d": 3, "a": 4.0, "b": 4.0, "eps": 0.2},
+            generator_params=MIXTURE,
             T=args.t_total, alpha_frac=M / args.t_total,
             functional_id="shannon", k_rule="rate", bias_correct=False,
             boundary_config=cfg, base_seed=args.seed + M,
         )
         res = monte_carlo(spec, args.trials)
-        predicted = oracles.C4_SHANNON_MIX / N  # c5 = 0 for Shannon
+        predicted = c4 / N  # c5 = 0 for Shannon
         rows.append((M, N, res.summary["variance"], predicted))
         print(f"M={M:5d} N={N:5d}  empirical={rows[-1][2]:.3e} "
               f"predicted={predicted:.3e}  ratio={rows[-1][2]/predicted:.3f}")

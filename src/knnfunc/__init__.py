@@ -22,14 +22,13 @@ from .data import (
     true_functional,
     uniform_density,
 )
-from .density import corrected_density, knn_density, uniform_kernel_density
+from .density import corrected_density, knn_density
 from .dimension import DimensionEstimate, anomaly_scan, estimate_dimension, log_length
 from .functionals import (
     EstimateReport,
     Functional,
     bpi_estimate,
     bpi_estimate_bc,
-    custom_functional,
     mutual_information,
     renyi_entropy,
     renyi_functional,
@@ -46,17 +45,15 @@ from .inference import (
 from .knn import (
     NeighborIndex,
     NeighborResult,
-    ball_volume,
     build_index,
     count_reverse_neighbors,
     knn_query,
     knn_radii,
     unit_ball_volume,
 )
-from .structure import Factorization, ModelComparison, compare_models, dimension_vector
+from .structure import Factorization, ModelComparison, compare_models
 from .tuning import (
     TheoryConstants,
-    constants_empirical,
     constants_oracle,
     optimal_k,
     predict_bias_variance,

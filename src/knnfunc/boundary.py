@@ -42,7 +42,7 @@ class BoundaryConfig:
     delta: exponent in the concentration term, must lie in (2/3, 1).
     lipschitz_L, eps0: Lipschitz constant and density lower bound of the
         underlying density, or "auto" to estimate both from the evaluation
-        sample (see resolve_auto).
+        sample (see _resolve_auto).
     pk_scale: multiplier on the 2*sqrt(6)/k^(delta/2) concentration term;
         1.0 is the literal threshold, smaller values make detection fire
         at moderate k.

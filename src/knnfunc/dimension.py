@@ -27,7 +27,6 @@ __all__ = [
     "DimensionEstimate",
     "log_length",
     "estimate_dimension",
-    "optimal_dim_params",
     "anomaly_scan",
 ]
 
@@ -133,47 +132,6 @@ def estimate_dimension(
         variant=variant,
         variance_estimate=var_d,
     )
-
-
-def optimal_dim_params(constants, d_guess: int, total: int):
-    """(k_opt, N_opt) minimizing the dimension-estimate MSE model.
-
-    constants = (C_b1, C_b2, C_v) from the bias/variance expansion
-    MSE = (C_b1 (k/M)^(2/d) + C_b2 / k)^2 + C_v / N.  total is the sample
-    budget N + M for one length statistic.  Zero constants fall back to the
-    rate-matched bandwidth with a warning.
-    """
-    import warnings
-
-    c_b1, c_b2, c_v = constants
-    if total < 8:
-        raise ValueError("total must be >= 8")
-    d = d_guess
-    if c_b1 == 0 or c_b2 == 0 or c_v < 0:
-        warnings.warn("degenerate constants: rate-matched fallback", RuntimeWarning)
-        M = max(2, int(0.7 * total))
-        from .tuning import rate_matched_k
-
-        return rate_matched_k(M, d), total - M
-    k0 = (abs(c_b2) * d / (2.0 * abs(c_b1))) ** (d / (d + 2.0))
-    b0 = abs(c_b1) * k0 ** (2.0 / d) + abs(c_b2) / k0
-    n0 = math.sqrt(c_v * (2.0 + d)) / (2.0 * b0)
-    expo = (6.0 + d) / (2.0 * (2.0 + d))
-    # budget constraint N + M = total with N = n0 M^expo: the left side is
-    # strictly increasing in M, so bisect for the root
-    lo, hi = 2.0, float(total - 1)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if n0 * mid**expo + mid < total:
-            lo = mid
-        else:
-            hi = mid
-    M = int(round(0.5 * (lo + hi)))
-    M = min(max(M, 2), total - 1)
-    n_opt = min(max(int(n0 * M**expo), 1), total - M)
-    k_opt = int(k0 * M ** (2.0 / (2.0 + d)))
-    k_opt = min(max(k_opt, 3), M - 1)
-    return k_opt, n_opt
 
 
 def anomaly_scan(

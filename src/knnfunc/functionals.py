@@ -31,7 +31,6 @@ __all__ = [
     "EstimateReport",
     "shannon_functional",
     "renyi_functional",
-    "custom_functional",
     "bpi_estimate",
     "bpi_estimate_bc",
     "renyi_entropy",
@@ -45,9 +44,9 @@ __all__ = [
 class Functional:
     """g with derivatives in the density argument and optional (g1, g2).
 
-    g, g_prime, g_double_prime take (values, points) where points may be
-    None; the built-in functionals ignore the point argument.
-    bias_factors(k, M) -> (g1, g2) or None when no correction exists.
+    g, g_prime, g_double_prime map an array of density values to an array
+    of the same shape.  bias_factors(k, M) -> (g1, g2) or None when no
+    correction exists.
     """
 
     id: str
@@ -55,7 +54,6 @@ class Functional:
     g_prime: Callable
     g_double_prime: Callable
     bias_factors: Optional[Callable] = None
-    alpha: Optional[float] = None
 
 
 def shannon_functional() -> Functional:
@@ -66,9 +64,9 @@ def shannon_functional() -> Functional:
 
     return Functional(
         id="shannon",
-        g=lambda u, x=None: -np.log(u),
-        g_prime=lambda u, x=None: -1.0 / u,
-        g_double_prime=lambda u, x=None: 1.0 / u**2,
+        g=lambda u: -np.log(u),
+        g_prime=lambda u: -1.0 / u,
+        g_double_prime=lambda u: 1.0 / u**2,
         bias_factors=factors,
     )
 
@@ -94,26 +92,10 @@ def renyi_functional(alpha: float) -> Functional:
 
     return Functional(
         id="renyi",
-        g=lambda u, x=None: u ** (alpha - 1.0),
-        g_prime=lambda u, x=None: (alpha - 1.0) * u ** (alpha - 2.0),
-        g_double_prime=lambda u, x=None: (alpha - 1.0) * (alpha - 2.0) * u ** (alpha - 3.0),
+        g=lambda u: u ** (alpha - 1.0),
+        g_prime=lambda u: (alpha - 1.0) * u ** (alpha - 2.0),
+        g_double_prime=lambda u: (alpha - 1.0) * (alpha - 2.0) * u ** (alpha - 3.0),
         bias_factors=factors,
-        alpha=alpha,
-    )
-
-
-def custom_functional(
-    g, g_prime, g_double_prime=None, bias_factors=None, id: str = "custom"
-) -> Functional:
-    """User-supplied functional; bias correction only if factors given."""
-    if g_double_prime is None:
-        g_double_prime = lambda u, x=None: np.zeros_like(np.asarray(u, dtype=float))
-    return Functional(
-        id=id,
-        g=g,
-        g_prime=g_prime,
-        g_double_prime=g_double_prime,
-        bias_factors=bias_factors,
     )
 
 
@@ -171,10 +153,8 @@ def _density_values(data, split, k, boundary_correct, config):
     index = build_index(rf)
     if boundary_correct:
         labels = detect_boundary(ev, k, split.n_ref, config or BoundaryConfig())
-        dens = corrected_density(index, ev, k, labels)
-    else:
-        dens = knn_density(index, ev, k)
-    return ev, dens
+        return corrected_density(index, ev, k, labels)
+    return knn_density(index, ev, k)
 
 
 def _relabelled(dens) -> bool:
@@ -182,9 +162,9 @@ def _relabelled(dens) -> bool:
     return dens.labels is not None and dens.labels.n_boundary > 0
 
 
-def _evaluate_g(functional, values, points):
+def _evaluate_g(functional, values):
     with np.errstate(all="ignore"):
-        gv = np.asarray(functional.g(values, points), dtype=np.float64)
+        gv = np.asarray(functional.g(values), dtype=np.float64)
     if not np.all(np.isfinite(gv)):
         bad = int(np.argmax(~np.isfinite(gv)))
         raise ValueError(
@@ -211,14 +191,14 @@ def bpi_estimate(
     variance estimate is the empirical c4/N + c5/M (sample variances of g
     and of u*g'(u)).
     """
-    ev, dens = _density_values(data, split, k, boundary_correct, config)
+    dens = _density_values(data, split, k, boundary_correct, config)
     u = dens.values
-    gv = _evaluate_g(functional, u, ev)
+    gv = _evaluate_g(functional, u)
     est = float(np.mean(gv))
     N, M = split.n_eval, split.n_ref
     c4 = float(np.var(gv, ddof=1)) if N > 1 else 0.0
     with np.errstate(all="ignore"):
-        fg = u * np.asarray(functional.g_prime(u, ev), dtype=np.float64)
+        fg = u * np.asarray(functional.g_prime(u), dtype=np.float64)
     c5 = float(np.var(fg, ddof=1)) if N > 1 else 0.0
     report = EstimateReport(
         estimate=est,
@@ -313,7 +293,7 @@ def mutual_information(
     relabelled = False
     for name, cols in (("x", x_cols), ("y", y_cols), ("joint", x_cols + y_cols)):
         sub = Dataset(data.points[:, cols])
-        ev, dens = _density_values(sub, split, k, True, config)
+        dens = _density_values(sub, split, k, True, config)
         logs[name] = np.log(dens.values)
         relabelled = relabelled or _relabelled(dens)
         g1, g2 = shannon.bias_factors(k, split.n_ref)

@@ -35,7 +35,6 @@ __all__ = [
     "build_index",
     "knn_query",
     "knn_radii",
-    "ball_volume",
     "unit_ball_volume",
     "count_reverse_neighbors",
 ]
@@ -342,24 +341,9 @@ def _window_neighbors(index: NeighborIndex, x: np.ndarray, k: int):
     return r, index._order[pos.take(order)]
 
 
-def _ball_counts(index: NeighborIndex, queries, radius: float, k: int) -> np.ndarray:
-    """Number of reference points within radius of each query; the ball is
-    sized to hold about k of them, which is what the worker gate weighs."""
-    q, _ = _as_queries(queries, index.dim)
-    return index._tree.query_ball_point(
-        q, radius, return_length=True, workers=_workers(len(q), k)
-    )
-
-
 def unit_ball_volume(d: int) -> float:
     """Volume of the Euclidean unit ball, pi^(d/2) / Gamma(d/2 + 1)."""
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
-
-
-def ball_volume(radius: float, d: int) -> float:
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    return unit_ball_volume(d) * radius**d
 
 
 def count_reverse_neighbors(points, K: int) -> np.ndarray:

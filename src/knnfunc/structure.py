@@ -26,7 +26,6 @@ from .rng import make_rng
 
 __all__ = [
     "Factorization",
-    "dimension_vector",
     "cross_entropy_estimate",
     "ModelComparison",
     "compare_models",
@@ -58,15 +57,6 @@ class Factorization:
             raise ValueError(
                 f"factors of {self.label!r} do not partition the {d} columns"
             )
-
-
-def dimension_vector(factorization: Factorization, d: int):
-    """e[i] = number of factors over i+1 variables; sum (i+1)*e[i] = d."""
-    factorization.validate_cover(d)
-    e = [0] * d
-    for f in factorization.factors:
-        e[len(f) - 1] += 1
-    return e
 
 
 def _entropy_on_slice(data, rows, cols, k, alpha_frac, config, seed):

@@ -30,7 +30,6 @@ __all__ = [
     "TheoryConstants",
     "hessian_weight",
     "constants_oracle",
-    "constants_empirical",
     "estimate_c3_boundary",
     "optimal_k",
     "rate_matched_k",
@@ -40,17 +39,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TheoryConstants:
-    """c1..c5 plus provenance.  c1/c3 are None when not estimable
-    (empirical mode has no density Hessian; oracle mode does not model
-    the boundary term and reports c3 = 0 with c3_estimated False)."""
+    """c1..c5 plus provenance.  c1/c3 are None when not estimable; the
+    oracle mode does not model the boundary term and reports c3 = 0."""
 
     c1: Optional[float]
     c2: float
     c3: Optional[float]
     c4: float
     c5: float
-    mode: str  # "oracle" | "empirical"
-    c3_estimated: bool = False
+    mode: str  # "oracle"
 
     def __post_init__(self):
         if self.c4 < 0 or self.c5 < 0:
@@ -85,7 +82,7 @@ def constants_oracle(
 
     Draws Z ~ f, evaluates h(Z) with a finite-difference Hessian trace, and
     averages.  c3 (the boundary-extrapolation term) is not modeled: it is
-    reported as 0.0 with c3_estimated False.  Warns below 10^5 draws.
+    reported as 0.0.  Warns below 10^5 draws.
     """
     if n_mc < 100_000:
         warnings.warn(
@@ -95,9 +92,9 @@ def constants_oracle(
     tr, f = _trace_hessian(density.pdf, z, hessian_step)
     d = density.dim
     h = hessian_weight(d) * f ** (-2.0 / d) * tr
-    gp = np.asarray(functional.g_prime(f, z), dtype=np.float64)
-    gpp = np.asarray(functional.g_double_prime(f, z), dtype=np.float64)
-    gv = np.asarray(functional.g(f, z), dtype=np.float64)
+    gp = np.asarray(functional.g_prime(f), dtype=np.float64)
+    gpp = np.asarray(functional.g_double_prime(f), dtype=np.float64)
+    gv = np.asarray(functional.g(f), dtype=np.float64)
     return TheoryConstants(
         c1=float(np.mean(gp * h)),
         c2=float(np.mean(f**2 * gpp / 2.0)),
@@ -105,38 +102,6 @@ def constants_oracle(
         c4=float(np.var(gv, ddof=1)),
         c5=float(np.var(f * gp, ddof=1)),
         mode="oracle",
-        c3_estimated=False,
-    )
-
-
-def constants_empirical(
-    data: Dataset,
-    split: SampleSplit,
-    functional: Functional,
-    k: int,
-    boundary_correct: bool = True,
-    config=None,
-) -> TheoryConstants:
-    """Plug-in estimates of c2, c4, c5 from the data; c1, c3 unavailable.
-
-    c2 is the plug-in of u^2 g''(u)/2 at the estimated density, c4 and c5
-    are the sample variances of the plug-in summands.
-    """
-    from .functionals import _density_values  # shared density plumbing
-
-    ev, dens = _density_values(data, split, k, boundary_correct, config)
-    u = dens.values
-    gv = np.asarray(functional.g(u, ev), dtype=np.float64)
-    gp = np.asarray(functional.g_prime(u, ev), dtype=np.float64)
-    gpp = np.asarray(functional.g_double_prime(u, ev), dtype=np.float64)
-    n = len(u)
-    return TheoryConstants(
-        c1=None,
-        c2=float(np.mean(u**2 * gpp / 2.0)),
-        c3=None,
-        c4=float(np.var(gv, ddof=1)) if n > 1 else 0.0,
-        c5=float(np.var(u * gp, ddof=1)) if n > 1 else 0.0,
-        mode="empirical",
     )
 
 
@@ -179,7 +144,7 @@ def estimate_c3_boundary(
         A = np.hstack([pts - anchor, np.ones((len(pts), 1))])
         coef, *_ = np.linalg.lstsq(A, vals, rcond=None)
         grad = coef[: index.dim]
-        gp = float(functional.g_prime(np.array([dens_ev[src]]), anchor[None, :])[0])
+        gp = float(functional.g_prime(np.array([dens_ev[src]]))[0])
         total += gp * float(grad @ (ev[b] - anchor))
     return total / split.n_eval
 

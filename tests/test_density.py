@@ -9,7 +9,6 @@ from knnfunc import (
     corrected_density,
     detect_boundary,
     knn_density,
-    uniform_kernel_density,
 )
 from knnfunc.boundary import BoundaryLabels
 from knnfunc.knn import unit_ball_volume
@@ -130,29 +129,3 @@ def test_corrected_reduces_near_boundary_error_2d_uniform():
         err_cor = np.mean(np.abs(cor[near] - 1.0))
         wins += int(err_cor < err_std)
     assert wins >= 16, f"corrected beat standard in only {wins}/20 trials"
-
-
-def test_uniform_kernel_saturation():
-    refs = np.full((50, 2), 0.5)
-    idx = build_index(refs)
-    est = uniform_kernel_density(idx, np.array([[0.5, 0.5]]), 10)
-    assert math.isclose(est.values[0], 50 / 10, rel_tol=1e-12)
-    assert not est.zero_flags[0]
-
-
-def test_uniform_kernel_zero_flagged():
-    refs = np.zeros((100, 2))
-    idx = build_index(refs)
-    est = uniform_kernel_density(idx, np.array([[50.0, 50.0]]), 5)
-    assert est.values[0] == 0.0
-    assert est.zero_flags[0]
-
-
-def test_uniform_kernel_interior_value():
-    # binomial mean l_u = M (k/M) f: average spread-out interior queries
-    rng = np.random.default_rng(8)
-    refs = rng.random((10_000, 1))
-    idx = build_index(refs)
-    queries = np.linspace(0.1, 0.9, 17)[:, None]
-    est = uniform_kernel_density(idx, queries, 100)
-    assert abs(est.values.mean() - 1.0) < 0.1

@@ -11,7 +11,6 @@ from knnfunc import (
     log_length,
     sample_projected_manifold,
 )
-from knnfunc.dimension import optimal_dim_params
 from knnfunc.rng import make_rng
 
 
@@ -81,51 +80,6 @@ def test_dimension_validation():
         estimate_dimension(data, 10, 10)
     with pytest.raises(ValueError):
         estimate_dimension(data, 10, 20, variant="bogus")
-
-
-def test_optimal_dim_params_unit_constants():
-    # unit constants, d = 2: k0 = 1, N0 = 1/2, so N = M/2 and the budget
-    # 15000 splits as M = 10000, N = 5000, k = floor(sqrt(10000)) = 100
-    k_opt, n_opt = optimal_dim_params((1.0, 1.0, 1.0), 2, 15_000)
-    assert abs(k_opt - 100) <= 1
-    assert abs(n_opt - 5000) <= 2
-    assert n_opt >= 1
-
-
-def test_optimal_dim_params_fallback_and_feasibility():
-    with pytest.warns(RuntimeWarning, match="fallback"):
-        k_opt, n_opt = optimal_dim_params((0.0, 1.0, 1.0), 2, 1000)
-    assert k_opt >= 3 and 1 <= n_opt < 1000
-    with pytest.raises(ValueError):
-        optimal_dim_params((1.0, 1.0, 1.0), 2, 4)
-
-
-def test_optimal_params_beat_arbitrary_choice():
-    # recommended (k, N, M) vs the arbitrary fixed choice k=20, N=T/50 for
-    # the independent two-sample estimator the MSE model describes
-    # (30 seeded trials, T = 6000, projected 2-manifold)
-    T = 6000
-    half = T // 2
-    kappa = 2.0 / math.log(2.0)  # gamma=1, alpha=1/d, k2=2k1, d=2
-    c_b1 = kappa * 2 ** (2.0 / 2 - 1)
-    c_b2 = kappa / 4.0
-    c_v = 2.0 * kappa**2 * 0.07  # V[log f_hat] ~ 1/k at the working k
-    k_opt, n_opt = optimal_dim_params((c_b1, c_b2, c_v), 2, half)
-    assert 3 <= k_opt and 1 <= n_opt < half
-    err_opt, err_fix = [], []
-    for t in range(30):
-        data = sample_projected_manifold(T, 2, 3, seed=600 + t)
-        alpha_opt = 1.0 - n_opt / half
-        est = estimate_dimension(data, max(3, k_opt), 2 * max(3, k_opt),
-                                 variant="independent", alpha_frac=alpha_opt,
-                                 seed=600 + t)
-        err_opt.append((est.d_hat - 2.0) ** 2)
-        n_fix = max(1, T // 50)
-        alpha_fix = 1.0 - n_fix / half
-        est2 = estimate_dimension(data, 20, 40, variant="independent",
-                                  alpha_frac=alpha_fix, seed=600 + t)
-        err_fix.append((est2.d_hat - 2.0) ** 2)
-    assert np.mean(err_opt) < np.mean(err_fix)
 
 
 def test_anomaly_scan_detects_dimension_switch():

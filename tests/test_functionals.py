@@ -9,9 +9,9 @@ from scipy import stats as scistats
 from knnfunc import (
     BoundaryConfig,
     Dataset,
+    Functional,
     bpi_estimate,
     bpi_estimate_bc,
-    custom_functional,
     mutual_information,
     renyi_entropy,
     renyi_functional,
@@ -194,8 +194,12 @@ def test_permutation_invariance_of_estimate():
 def test_bc_requires_factors():
     data = _uniform_data(500, 2, 9)
     sp = split(data, 0.6, 9)
-    f = custom_functional(
-        g=lambda u, x=None: u, g_prime=lambda u, x=None: np.ones_like(u)
+    f = Functional(
+        id="identity",
+        g=lambda u: u,
+        g_prime=np.ones_like,
+        g_double_prime=np.zeros_like,
+        bias_factors=None,
     )
     with pytest.raises(ValueError, match="bias-correction factors"):
         bpi_estimate_bc(data, sp, f, 5)

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 import knnfunc.knn
 from knnfunc import (
     BoundaryConfig,
-    ball_volume,
     build_index,
     count_reverse_neighbors,
     detect_boundary,
     knn_density,
     knn_query,
     knn_radii,
+    unit_ball_volume,
 )
 
 import oracles
@@ -325,11 +325,9 @@ def test_results_do_not_depend_on_worker_count(monkeypatch):
 
 
 def test_ball_volume_closed_forms():
-    assert math.isclose(ball_volume(1.0, 2), math.pi, rel_tol=1e-14)
-    assert math.isclose(ball_volume(1.0, 3), 4 * math.pi / 3, rel_tol=1e-14)
-    assert math.isclose(ball_volume(2.0, 1), 4.0, rel_tol=1e-14)
-    with pytest.raises(ValueError):
-        ball_volume(-1.0, 2)
+    assert math.isclose(unit_ball_volume(1), 2.0, rel_tol=1e-14)
+    assert math.isclose(unit_ball_volume(2), math.pi, rel_tol=1e-14)
+    assert math.isclose(unit_ball_volume(3), 4 * math.pi / 3, rel_tol=1e-14)
 
 
 def test_reverse_counts_two_points():

@@ -5,7 +5,6 @@ from knnfunc import (
     BoundaryConfig,
     Factorization,
     compare_models,
-    dimension_vector,
     sample_block_beta_mixture,
     shannon_functional,
     split,
@@ -17,21 +16,12 @@ from knnfunc.data import Dataset
 CFG = BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0=1.0, pk_scale=0.3)
 
 
-def test_dimension_vector_examples():
-    f = Factorization(((0, 1), (2,), (3, 4)), "m")
-    assert dimension_vector(f, 5) == [1, 2, 0, 0, 0]
-    indep = Factorization(((0,), (1,), (2,), (3,), (4,)), "i")
-    assert dimension_vector(indep, 5) == [5, 0, 0, 0, 0]
-    joint = Factorization(((0, 1, 2, 3, 4),), "j")
-    assert dimension_vector(joint, 5) == [0, 0, 0, 0, 1]
-
-
 def test_factorization_validation():
     with pytest.raises(ValueError, match="two factors"):
         Factorization(((0, 1), (1, 2)), "bad")
     incomplete = Factorization(((0, 1),), "inc")
     with pytest.raises(ValueError, match="partition"):
-        dimension_vector(incomplete, 3)
+        incomplete.validate_cover(3)
     with pytest.raises(ValueError):
         Factorization(((0,), ()), "empty")
 

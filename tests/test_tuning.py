@@ -5,10 +5,10 @@ import pytest
 
 from knnfunc import (
     BoundaryConfig,
+    Functional,
     beta_uniform_mixture_density,
-    constants_empirical,
+    bpi_estimate,
     constants_oracle,
-    custom_functional,
     optimal_k,
     predict_bias_variance,
     rate_matched_k,
@@ -30,7 +30,7 @@ def test_constants_oracle_uniform_shannon():
     assert abs(c.c2 - 0.5) < 1e-12  # f^2 g'' / 2 = 1/2 pointwise
     assert abs(c.c4) < 1e-12  # g(f) constant
     assert abs(c.c5) < 1e-12  # f g'(f) = -1 constant
-    assert c.c3 == 0.0 and not c.c3_estimated
+    assert c.c3 == 0.0
 
 
 def test_constants_oracle_mixture_shannon_fixtures():
@@ -64,6 +64,16 @@ def test_hessian_weight_d3_value():
     assert math.isclose(hessian_weight(3), expected, rel_tol=1e-14)
 
 
+# The empirical constants are bpi_estimate's plug-ins: variance_estimate is
+# c4/N + c5/M with c4 = V[g(f_hat)] and c5 = V[f_hat g'(f_hat)].  For Shannon
+# f_hat g'(f_hat) = -1, so c5 = 0 up to rounding and variance_estimate * N
+# is c4.
+
+def _empirical_c4(data, sp, k, **kwargs):
+    rep = bpi_estimate(data, sp, shannon_functional(), k, **kwargs)
+    return rep.variance_estimate * rep.N
+
+
 def test_constants_empirical_uniform_c4_shrinks():
     # true c4 is 0; the plug-in carries the estimator's own sampling noise
     # (var(log f_hat) ~ 1/k plus boundary spread), so k must be largish
@@ -73,22 +83,17 @@ def test_constants_empirical_uniform_c4_shrinks():
     for t in range(10):
         data = generate_dataset("uniform", 10_000, 100 + t, {"d": 3})
         sp = split(data, 0.7, 100 + t)
-        c = constants_empirical(data, sp, shannon_functional(), 60,
-                                boundary_correct=True, config=cfg)
-        vals.append(c.c4)
+        vals.append(_empirical_c4(data, sp, 60, boundary_correct=True, config=cfg))
     assert np.median(vals) <= 0.05
-    assert c.c1 is None and c.c3 is None
 
 
 def test_constants_empirical_constant_functional_zero_variance():
     data = generate_dataset("uniform", 2000, 5, {"d": 2})
     sp = split(data, 0.7, 5)
-    f = custom_functional(
-        g=lambda u, x=None: np.ones_like(u),
-        g_prime=lambda u, x=None: np.zeros_like(u),
-    )
-    c = constants_empirical(data, sp, f, 10, boundary_correct=False)
-    assert c.c4 == 0.0 and c.c5 == 0.0
+    f = Functional(id="constant", g=np.ones_like, g_prime=np.zeros_like,
+                   g_double_prime=np.zeros_like)
+    rep = bpi_estimate(data, sp, f, 10, boundary_correct=False)
+    assert rep.variance_estimate == 0.0
 
 
 def test_constants_empirical_mixture_c4_vs_oracle():
@@ -97,9 +102,7 @@ def test_constants_empirical_mixture_c4_vs_oracle():
         data = generate_dataset("beta_uniform_mixture", 10_000, 200 + t,
                                 {"d": 3, "a": 4, "b": 4, "eps": 0.2})
         sp = split(data, 0.7, 200 + t)
-        c = constants_empirical(data, sp, shannon_functional(), 35,
-                                boundary_correct=False)
-        vals.append(c.c4)
+        vals.append(_empirical_c4(data, sp, 35, boundary_correct=False))
     med = float(np.median(vals))
     assert abs(med - oracles.C4_SHANNON_MIX) / oracles.C4_SHANNON_MIX < 0.25
 
@@ -110,13 +113,12 @@ def test_empirical_c4_equals_two_pass_variance():
     data = generate_dataset("beta_uniform_mixture", 3000, 6,
                             {"d": 2, "a": 4, "b": 4, "eps": 0.2})
     sp = split(data, 0.7, 6)
-    c = constants_empirical(data, sp, shannon_functional(), 10,
-                            boundary_correct=False)
+    c4 = _empirical_c4(data, sp, 10, boundary_correct=False)
     dens = knn_density(build_index(sp.ref_points(data)), sp.eval_points(data), 10)
     g = -np.log(dens.values)
     mean = sum(g) / len(g)
     twopass = sum((v - mean) ** 2 for v in g) / (len(g) - 1)
-    assert abs(c.c4 - twopass) < 1e-12
+    assert abs(c4 - twopass) < 1e-12
 
 
 def test_optimal_k_mixture_fixture_value():
