@@ -11,7 +11,9 @@ One detection makes one (K+1)-NN self-query of the evaluation set: the
 "auto" constants, the reverse counts and the nearest interior points all
 read it.  Only a boundary point with no interior point among its K + 1
 nearest needs a second index, over the interior points.  When q >= 1 the
-threshold is <= 0, every point is interior and no count is taken.
+threshold is <= 0, every point is interior and no count is taken.  The
+graph is the detector's working memory, plus the N*K edge ratios while an
+"auto" L is resolved; every other pass over it goes a row block at a time.
 
 The threshold ``q`` has two parts: a Lipschitz/density term
 (L/eps0)*(K/(c_d*N*eps0))^(1/d) and a concentration term
@@ -28,7 +30,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .knn import _reverse_counts, build_index, knn_query, unit_ball_volume
+from .knn import _reverse_counts, _row_blocks, build_index, knn_query, unit_ball_volume
 
 __all__ = ["BoundaryConfig", "BoundaryLabels", "q_threshold", "p_k", "detect_boundary"]
 
@@ -46,6 +48,7 @@ class BoundaryConfig:
     pk_scale: multiplier on the 2*sqrt(6)/k^(delta/2) concentration term;
         1.0 is the literal threshold, smaller values make detection fire
         at moderate k.
+    Numeric values must be finite.
     """
 
     delta: float = 0.8
@@ -56,13 +59,13 @@ class BoundaryConfig:
     def __post_init__(self):
         if not (2.0 / 3.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (2/3, 1)")
-        if self.pk_scale < 0:
-            raise ValueError("pk_scale must be nonnegative")
-        for name in ("lipschitz_L", "eps0"):
+        for name in ("lipschitz_L", "eps0", "pk_scale"):
             v = getattr(self, name)
-            if isinstance(v, str):
+            if isinstance(v, str) and name != "pk_scale":
                 if v != "auto":
                     raise ValueError(f"{name} must be a positive real or 'auto'")
+            elif not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v!r}")
             elif v < 0:
                 raise ValueError(f"{name} must be nonnegative")
 
@@ -113,10 +116,14 @@ def _resolve_auto(graph, d, config):
     dens = max(kk - 1, 1) / ((N - 1) * cd * radii**d)
     eps0 = float(config.eps0) if not need_e else float(np.percentile(dens, 10.0))
     if need_l:
-        nbr = graph.indices[:, 1:]
-        dst = np.maximum(graph.distances[:, 1:], 1e-300)
-        ratios = np.abs(dens[nbr] - dens[:, None]) / dst
-        L = float(np.percentile(ratios, 95.0))
+        # the edge ratios are the only graph-sized array made here
+        ratios = np.empty((N, kk - 1))
+        for rows in _row_blocks(N, kk - 1):
+            r = dens.take(graph.indices[rows, 1:], out=ratios[rows])
+            r -= dens[rows, None]
+            np.abs(r, out=r)
+            r /= np.maximum(graph.distances[rows, 1:], 1e-300)
+        L = float(np.percentile(ratios, 95.0, overwrite_input=True))
     else:
         L = float(config.lipschitz_L)
     return L, eps0
@@ -185,10 +192,13 @@ def detect_boundary(eval_points, k: int, M: int, config: BoundaryConfig = Bounda
     # a graph row lists its point's K + 1 nearest in (distance, index) order,
     # so its first interior entry is the nearest interior point; only rows
     # with no interior entry need a tree over the interior points
-    rows = graph.indices[boundary]
-    hits = interior_mask[rows]
-    picks = rows[np.arange(boundary.size), hits.argmax(axis=1)]
-    lonely = ~hits.any(axis=1)
+    picks = np.empty(boundary.size, dtype=np.intp)
+    lonely = np.empty(boundary.size, dtype=bool)
+    for part in _row_blocks(boundary.size, K + 1):
+        rows = graph.indices[boundary[part]]
+        hits = interior_mask[rows]
+        picks[part] = rows[np.arange(len(rows)), hits.argmax(axis=1)]
+        lonely[part] = ~hits.any(axis=1)
     if lonely.any():
         res = knn_query(build_index(eval_points[interior]), eval_points[boundary[lonely]], 1)
         picks[lonely] = interior[res.indices[:, 0]]

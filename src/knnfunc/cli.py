@@ -195,7 +195,7 @@ def cmd_tune(args):
         "mode": consts.mode,
         "c1": consts.c1, "c2": consts.c2, "c3": consts.c3,
         "c4": consts.c4, "c5": consts.c5,
-        "k_opt": optimal_k(consts.c1 + (consts.c3 or 0.0), consts.c2, args.d, args.M),
+        "k_opt": optimal_k(consts.c1 + consts.c3, consts.c2, args.d, args.M),
         "k_rate_matched": rate_matched_k(args.M, args.d),
         "M": args.M,
     }

@@ -73,7 +73,7 @@ class SampleSplit:
         rf = np.asarray(self.ref_indices, dtype=np.intp)
         if ev.size < 1 or rf.size < 1:
             raise ValueError("both split parts must be nonempty")
-        if np.intersect1d(ev, rf).size:
+        if np.isin(ev, rf).any():
             raise ValueError("eval and reference indices overlap")
         ev.setflags(write=False)
         rf.setflags(write=False)

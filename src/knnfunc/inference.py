@@ -115,9 +115,9 @@ class TrialSpec:
         if self.k_rule == "rate":
             return rate_matched_k(M, d)
         if self.k_rule == "optimal":
-            if self.constants is None or self.constants.c1 is None:
+            if self.constants is None:
                 raise ValueError("optimal k rule requires oracle constants")
-            c0 = self.constants.c1 + (self.constants.c3 or 0.0)
+            c0 = self.constants.c1 + self.constants.c3
             return optimal_k(c0, self.constants.c2, d, M)
         raise ValueError(f"unknown k rule {self.k_rule!r}")
 

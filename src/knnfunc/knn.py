@@ -17,7 +17,10 @@ its choices changes a result:
 - at d = 1 k-NN queries use the tree only for tied rows: the k nearest of
   a point are a window of the (value, index)-sorted references, which
   gives the k-th distances directly and the full neighbour lists after
-  merging the window's two runs on either side of the query.
+  merging the window's two runs on either side of the query;
+- passes over a neighbour graph (the d = 1 lists, the re-sort of tied
+  rows, the reverse counts) go a row block at a time, so that beside the
+  graph itself they hold a few MB, whatever its size.
 """
 
 import math
@@ -58,6 +61,23 @@ _THREAD_MIN_SLOTS = 1 << 15
 
 # the CPUs a tree call may use in this thread: unset means all of _CPUS
 _budget = threading.local()
+
+
+# Passes over an (n, k) neighbour graph work in row blocks of about this
+# many slots, so their temporaries stay a few MB however large the graph
+# grows.  Measured times in ms of the detector's graph / "auto" constants /
+# reverse counts on a 2-core host (the mixture at d = 1, N = 9,000 and
+# K + 1 = 327, median of 15):
+#   unblocked 137 / 60 / 26;  2^12 113 / 52 / 20;  2^14 101 / 47 / 17;
+#   2^15 99 / 47 / 16;  2^16 104 / 49 / 17;  2^18 114 / 51 / 18
+_BLOCK_SLOTS = 1 << 15
+
+
+def _row_blocks(n: int, k: int, min_slots: int = 0):
+    """Slices covering n rows of k slots each, about max(_BLOCK_SLOTS,
+    min_slots) slots a slice."""
+    step = max(1, max(_BLOCK_SLOTS, min_slots) // max(k, 1))
+    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
 
 
 def _workers(rows: int, k: int) -> int:
@@ -224,10 +244,12 @@ def knn_query(index: NeighborIndex, query, k: int) -> NeighborResult:
         out_i[rows] = fixed_i
     # order equal distances by index; rows without a tie are already sorted
     tied = np.where((out_d[:, 1:] <= out_d[:, :-1]).any(axis=1))[0]
-    if tied.size:
-        order = np.lexsort((out_i[tied], out_d[tied]), axis=1)
-        out_d[tied] = np.take_along_axis(out_d[tied], order, axis=1)
-        out_i[tied] = np.take_along_axis(out_i[tied], order, axis=1)
+    for rows in _row_blocks(tied.size, k):
+        t = tied[rows]
+        d, i = out_d[t], out_i[t]
+        order = np.lexsort((i, d), axis=1)
+        out_d[t] = np.take_along_axis(d, order, axis=1)
+        out_i[t] = np.take_along_axis(i, order, axis=1)
     if single:
         return NeighborResult(out_d[0], out_i[0])
     return NeighborResult(out_d, out_i)
@@ -325,20 +347,27 @@ def _window_neighbors(index: NeighborIndex, x: np.ndarray, k: int):
 
     A window's distances fall to x and then rise again, two monotone runs,
     which one stable row-wise argsort merges.  Equal distances are left in
-    window order; knn_query re-sorts such rows by index.
+    window order; knn_query re-sorts such rows by index.  The rows are
+    filled a block at a time, so only the result is graph-sized.
     """
     s = index._sorted
+    n = len(x)
+    dist = np.empty((n, k))
+    idx = np.empty((n, k), dtype=np.intp)
     with np.errstate(over="ignore"):  # inf past 1e154, as the tree gives
-        pos = _window_start(s, x, k)[:, None] + np.arange(k)
-        r = s[pos]
-        r -= x[:, None]
-        np.abs(r, out=r)
-        order = np.argsort(r, axis=1, kind="stable")
-        order += np.arange(0, order.size, k)[:, None]  # flat positions
-        r = r.take(order)
-        r *= r
-        np.sqrt(r, out=r)
-    return r, index._order[pos.take(order)]
+        start = _window_start(s, x, k)
+        for rows in _row_blocks(n, k):
+            pos = start[rows, None] + np.arange(k)
+            r = s[pos]
+            r -= x[rows, None]
+            np.abs(r, out=r)
+            order = np.argsort(r, axis=1, kind="stable")
+            order += np.arange(0, order.size, k)[:, None]  # flat positions
+            d = r.take(order, out=dist[rows])
+            d *= d
+            np.sqrt(d, out=d)
+            index._order.take(pos.take(order), out=idx[rows])
+    return dist, idx
 
 
 def unit_ball_volume(d: int) -> float:
@@ -361,13 +390,17 @@ def count_reverse_neighbors(points, K: int) -> np.ndarray:
 def _reverse_counts(graph: NeighborResult) -> np.ndarray:
     """Reverse K-NN counts from a self-query of N points at K+1."""
     cols = np.atleast_2d(graph.indices)
-    N = len(cols)
-    self_mask = cols == np.arange(N)[:, None]
-    keep = ~self_mask
-    # rows whose own point was displaced from its K+1 list by duplicates:
-    # all K+1 entries are non-self, so drop the farthest instead
-    no_self = ~self_mask.any(axis=1)
-    keep[no_self, -1] = False
+    N, kk = cols.shape
     counts = np.zeros(N, dtype=np.int64)
-    np.add.at(counts, cols[keep], 1)
+    # a block's bincount costs N, so a block spans at least N slots.  At
+    # N = 10^6 and K + 1 = 3 (d = 2, median of 9) blocks of 2^16 slots took
+    # 130 ms, blocks of N slots 82 ms and one np.add.at over all 81 ms.
+    for rows in _row_blocks(N, kk, min_slots=N):
+        block = cols[rows]
+        self_mask = block == np.arange(rows.start, rows.stop)[:, None]
+        keep = ~self_mask
+        # rows whose own point was displaced from its K+1 list by duplicates:
+        # all K+1 entries are non-self, so drop the farthest instead
+        keep[~self_mask.any(axis=1), -1] = False
+        counts += np.bincount(block[keep], minlength=N)
     return counts

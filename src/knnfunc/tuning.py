@@ -16,15 +16,15 @@ h is sometimes quoted without it, which over-predicts by 2(d+2)pi.
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .data import AnalyticDensity, Dataset, SampleSplit
 from .functionals import Functional
-from .knn import build_index, knn_query, unit_ball_volume
+from .knn import build_index, knn_query, knn_radii, unit_ball_volume
 
 __all__ = [
     "TheoryConstants",
@@ -39,17 +39,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TheoryConstants:
-    """c1..c5 plus provenance.  c1/c3 are None when not estimable; the
-    oracle mode does not model the boundary term and reports c3 = 0."""
+    """c1..c5 plus provenance, each constant a finite real.  The oracle
+    mode does not model the boundary term and reports c3 = 0."""
 
-    c1: Optional[float]
+    c1: float
     c2: float
-    c3: Optional[float]
+    c3: float
     c4: float
     c5: float
     mode: str  # "oracle"
 
     def __post_init__(self):
+        for name in ("c1", "c2", "c3", "c4", "c5"):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Real) or not math.isfinite(v):
+                raise ValueError(f"{name} must be a finite real, got {v!r}")
         if self.c4 < 0 or self.c5 < 0:
             raise ValueError("variance constants must be nonnegative")
 
@@ -131,8 +135,7 @@ def estimate_c3_boundary(
         return 0.0
     dens_ev = knn_density(index, ev, k).values
     # density at the reference points themselves, self excluded
-    res = knn_query(index, rf, min(k + 1, index.size))
-    radii = res.distances[:, -1]
+    radii = knn_radii(index, rf, min(k + 1, index.size))
     cd = unit_ball_volume(index.dim)
     dens_rf = (min(k + 1, index.size) - 2) / ((index.size - 1) * cd * radii**index.dim)
     total = 0.0
@@ -184,9 +187,6 @@ def optimal_k(c0: float, c2: float, d: int, M: int) -> int:
 
 def predict_bias_variance(constants: TheoryConstants, k: int, N: int, M: int, d: int):
     """Leading-term predictions (bias, variance) at the given (k, N, M)."""
-    if constants.c1 is None:
-        raise ValueError("bias prediction requires c1 (oracle-mode constants)")
-    c3 = constants.c3 if constants.c3 is not None else 0.0
-    bias = constants.c1 * (k / M) ** (2.0 / d) + constants.c2 / k + c3
+    bias = constants.c1 * (k / M) ** (2.0 / d) + constants.c2 / k + constants.c3
     variance = constants.c4 / N + constants.c5 / M
     return bias, variance

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -21,3 +22,21 @@ def pytest_collection_modifyitems(config, items):
         for item in items:
             if "acceptance" in item.nodeid:
                 item.add_marker(marker)
+
+
+@pytest.fixture
+def traced_peak():
+    """traced_peak(func) -> (func(), the peak bytes tracemalloc counted
+    while func ran, over what was allocated when it started)."""
+
+    def run(func):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = func()
+            return out, tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    return run

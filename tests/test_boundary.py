@@ -54,6 +54,11 @@ def test_config_validation():
         BoundaryConfig(delta=0.8, eps0="bogus")
     with pytest.raises(ValueError):
         BoundaryConfig(pk_scale=-0.1)
+    # a non-finite constant would otherwise surface as "no interior points"
+    for name in ("lipschitz_L", "eps0", "pk_scale"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                BoundaryConfig(**{name: bad})
 
 
 def _counts_and_threshold(points, k, M, cfg):
@@ -255,6 +260,63 @@ def test_detect_boundary_equals_recomputation_from_public_pieces(name):
         assert labels.q_used == q, cfg
         fired += labels.n_boundary > 0
     assert fired >= 2  # the comparison covers live labels, not only q >= 1
+
+
+def test_row_blocks_do_not_change_counts_or_labels(monkeypatch):
+    # tiny row blocks, with a ragged last block, give byte-identical counts
+    # and labels: the d = 1 window graph, the "auto" constants, the counts
+    # and the nearest interior points are each computed a block at a time
+    inputs = dict(_shared_graph_inputs(),
+                  uniform1d=(np.random.default_rng(36).random((400, 1)), 20, 800))
+    out = {}
+    for block in (knnfunc.knn._BLOCK_SLOTS, 13):
+        monkeypatch.setattr(knnfunc.knn, "_BLOCK_SLOTS", block)
+        for name, (points, k, M) in inputs.items():
+            out[block, name, "counts"] = [count_reverse_neighbors(points, K) for K in (1, 5, 40)]
+            for i, cfg in enumerate(_SHARED_GRAPH_CONFIGS):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    try:
+                        out[block, name, i] = detect_boundary(points, k, M, cfg)
+                    except ValueError as exc:
+                        out[block, name, i] = str(exc)
+    fired = 0
+    for (block, name, key), want in out.items():
+        if block == 13:
+            continue
+        got = out[13, name, key]
+        if key == "counts":
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+        elif isinstance(want, str):
+            assert got == want, (name, key)
+        else:
+            assert np.array_equal(got.interior, want.interior), (name, key)
+            assert np.array_equal(got.boundary, want.boundary), (name, key)
+            assert got.nearest_interior == want.nearest_interior, (name, key)
+            assert (got.q_used, got.threshold_used) == (want.q_used, want.threshold_used)
+            fired += want.n_boundary > 0
+    assert fired >= 4  # live labels are compared, not only q >= 1
+
+
+def test_detection_memory_is_graph_and_ratios(traced_peak):
+    # the detector holds its (K+1)-NN graph and, with L = "auto", the N*K
+    # edge ratios; every other temporary is one row block, also when many
+    # points are boundary (pk_scale = 0 puts the threshold at K)
+    pts = np.random.default_rng(37).random((4000, 1))
+    K = 300
+    graph = len(pts) * (K + 1) * 16
+    ratios = len(pts) * K * 8
+    for cfg, budget in (
+        (BoundaryConfig(delta=0.9, lipschitz_L="auto", eps0="auto", pk_scale=0.1), graph + ratios),
+        (BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0=1.0, pk_scale=0.0), graph),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            labels, peak = traced_peak(lambda: detect_boundary(pts, K, len(pts), cfg))
+        assert labels.K_used == K and labels.q_used < 1.0
+        assert peak <= 1.3 * budget, cfg
+    assert labels.n_boundary > len(pts) // 5
 
 
 def _count_graph_calls(monkeypatch, points, k, M, cfg):

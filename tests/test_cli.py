@@ -206,6 +206,18 @@ def test_contradictory_or_ignored_flags_are_usage_errors(mixture_csv, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,field", [("--pk-scale", "pk_scale"),
+                                        ("--lipschitz", "lipschitz_L"),
+                                        ("--eps0", "eps0")])
+def test_non_finite_detector_constant_is_named(mixture_csv, tmp_path, capsys, flag, field):
+    out = tmp_path / "never.json"
+    rc = run(["entropy", "--input", str(mixture_csv), "--k", "8", flag, "nan",
+              "-o", str(out)])
+    assert rc == 1
+    assert f"{field} must be finite, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats costs about 0.6 s to import; the library needs only scipy.special
     env = dict(os.environ, PYTHONPATH=str(Path(knnfunc.__file__).parent.parent))

@@ -175,15 +175,27 @@ def test_knn_radii_1d_equals_brute_force():
             assert np.array_equal(got, want), (name, k)
 
 
-def test_knn_query_1d_equals_brute_force():
-    # the sorted-window lists must equal the oracle's, ties by index
-    for name, refs, queries in _1d_inputs(15):
-        idx = build_index(refs)
-        for k in (1, 2, 37, len(refs) - 1, len(refs)):
-            got = knn_query(idx, queries, k)
-            want = oracles.brute_force_knn(refs, queries, k)
-            assert np.array_equal(got.indices, want.indices), (name, k)
-            assert np.array_equal(got.distances, want.distances), (name, k)
+def test_knn_query_1d_equals_brute_force(monkeypatch):
+    # the sorted-window lists must equal the oracle's, ties by index, also
+    # when tiny row blocks leave a ragged last block
+    for block in (knnfunc.knn._BLOCK_SLOTS, 13):
+        monkeypatch.setattr(knnfunc.knn, "_BLOCK_SLOTS", block)
+        for name, refs, queries in _1d_inputs(15):
+            idx = build_index(refs)
+            for k in (1, 2, 37, len(refs) - 1, len(refs)):
+                got = knn_query(idx, queries, k)
+                want = oracles.brute_force_knn(refs, queries, k)
+                assert np.array_equal(got.indices, want.indices), (name, k, block)
+                assert np.array_equal(got.distances, want.distances), (name, k, block)
+
+
+def test_1d_knn_query_memory_is_its_result(traced_peak):
+    # the window lists are filled in row blocks: the peak is the result
+    # plus a few MB, not several graph-sized temporaries
+    rng = np.random.default_rng(19)
+    idx = build_index(rng.random((6000, 1)))
+    res, peak = traced_peak(lambda: knn_query(idx, idx.points, 400))
+    assert peak <= 1.3 * (res.distances.nbytes + res.indices.nbytes)
 
 
 def _tree_neighbors(index, x, k):

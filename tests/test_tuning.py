@@ -8,7 +8,10 @@ from knnfunc import (
     Functional,
     beta_uniform_mixture_density,
     bpi_estimate,
+    build_index,
     constants_oracle,
+    knn_query,
+    knn_radii,
     optimal_k,
     predict_bias_variance,
     rate_matched_k,
@@ -167,15 +170,19 @@ def test_predict_bias_variance():
     _, v_bigN = predict_bias_variance(c, 10, 200, 200, 3)
     _, v_bigM = predict_bias_variance(c, 10, 100, 400, 3)
     assert v_bigN < var and v_bigM < var
-    empirical = TheoryConstants(c1=None, c2=0.5, c3=None, c4=1.0, c5=0.0,
-                                mode="empirical")
+    # every constant is a float: one without c1 cannot be built
     with pytest.raises(ValueError, match="c1"):
-        predict_bias_variance(empirical, 10, 100, 200, 3)
+        TheoryConstants(c1=None, c2=0.5, c3=0.0, c4=1.0, c5=0.0, mode="oracle")
 
 
 def test_theory_constants_validation():
     with pytest.raises(ValueError):
         TheoryConstants(c1=0.0, c2=0.5, c3=0.0, c4=-1.0, c5=0.0, mode="oracle")
+    for name, bad in (("c3", None), ("c2", math.nan), ("c5", math.inf), ("c1", "0.1")):
+        values = dict(c1=0.0, c2=0.5, c3=0.0, c4=1.0, c5=0.0)
+        values[name] = bad
+        with pytest.raises(ValueError, match=f"{name} must be a finite real"):
+            TheoryConstants(**values, mode="oracle")
 
 
 def test_estimate_c3_boundary_signs():
@@ -192,3 +199,26 @@ def test_estimate_c3_boundary_signs():
     c3_m = estimate_c3_boundary(data_m, sp_m, shannon_functional(), 20, config=cfg)
     assert abs(c3_u) < 0.05
     assert np.isfinite(c3_m)
+
+
+def test_estimate_c3_boundary_reference_densities_are_kth_radii(monkeypatch):
+    # the reference densities read only the (k+1)-th distance, which
+    # knn_radii gives without the full lists: bit-identical to the lists'
+    # last column, and so is the c3 estimate built on it
+    import knnfunc.tuning
+
+    cfg = BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0=1.0, pk_scale=0.3)
+    for d in (1, 2):
+        data = generate_dataset("beta_uniform_mixture", 3000, 9,
+                                {"d": d, "a": 4, "b": 4, "eps": 0.2})
+        sp = split(data, 0.7, 9)
+        index = build_index(sp.ref_points(data))
+        for k in (20, 87):
+            lists = knn_query(index, index.points, k + 1).distances[:, -1]
+            assert np.array_equal(knn_radii(index, index.points, k + 1), lists), (d, k)
+        c3 = estimate_c3_boundary(data, sp, shannon_functional(), 20, config=cfg)
+        monkeypatch.setattr(knnfunc.tuning, "knn_radii",
+                            lambda idx, q, k: knn_query(idx, q, k).distances[:, -1])
+        assert estimate_c3_boundary(data, sp, shannon_functional(), 20, config=cfg) == c3, d
+        monkeypatch.undo()
+        assert c3 != 0.0  # the detector fired, so the sum has terms
