@@ -33,10 +33,9 @@ def main():
             k_rule="fixed", k=args.k, truth=truth,
             base_seed=args.seed + T,
         )
-        bc = monte_carlo(TrialSpec(bias_correct=True, boundary_correct=True,
-                                   boundary_config=cfg, **common), args.trials)
-        plain = monte_carlo(TrialSpec(bias_correct=False, boundary_correct=False,
-                                      **common), args.trials)
+        bc = monte_carlo(TrialSpec(bias_correct=True, boundary_config=cfg, **common),
+                         args.trials)
+        plain = monte_carlo(TrialSpec(bias_correct=False, **common), args.trials)
         mse_bc.append(bc.summary["mse"])
         mse_plain.append(plain.summary["mse"])
         print(f"T={T:6d}  mse_corrected={mse_bc[-1]:.3e}  mse_plain={mse_plain[-1]:.3e}")

@@ -1,8 +1,8 @@
 """k-NN plug-in estimation of nonlinear density functionals.
 
 Split the sample into reference and evaluation parts, estimate the density
-at the evaluation points from the references by k-NN with boundary
-correction, and average a function of the density: Shannon and Renyi
+at the evaluation points from the references by k-NN, optionally
+boundary-corrected, and average a function of the density: Shannon and Renyi
 entropy, mutual information, intrinsic dimension, and factor-graph
 cross-entropy tests, with bias-correction factors, MSE-optimal tuning, and
 CLT confidence intervals.

@@ -4,6 +4,9 @@ Every subcommand takes an explicit --seed (default 0, echoed in the
 output), writes machine-readable JSON or CSV, and is deterministic for a
 fixed argv.  Usage errors exit 2 before any output file is touched; data
 and runtime errors exit 1.
+
+The boundary detector runs only when --lipschitz and --eps0 are both
+given; without them the estimators plug in the standard k-NN density.
 """
 
 import argparse
@@ -16,17 +19,26 @@ SCHEMA_VERSION = 1
 
 
 def _boundary_config(args):
+    """The detector the flags ask for, or None when they ask for none."""
     from .boundary import BoundaryConfig
 
-    def conv(v):
-        return v if v == "auto" else float(v)
-
+    if args.lipschitz is None:
+        return None
+    tuning = {"delta": args.delta, "pk_scale": args.pk_scale}
     return BoundaryConfig(
-        delta=args.delta,
-        lipschitz_L=conv(args.lipschitz),
-        eps0=conv(args.eps0),
-        pk_scale=args.pk_scale,
+        lipschitz_L=args.lipschitz,
+        eps0=args.eps0,
+        **{name: v for name, v in tuning.items() if v is not None},
     )
+
+
+def _check_detector_flags(parser, args):
+    """--lipschitz and --eps0 come together, and --delta and --pk-scale
+    tune the detector they turn on."""
+    if (args.lipschitz is None) != (args.eps0 is None):
+        parser.error("--lipschitz and --eps0 must be given together")
+    if args.lipschitz is None and (args.delta is not None or args.pk_scale is not None):
+        parser.error("--delta and --pk-scale need --lipschitz and --eps0")
 
 
 def _add_common(p):
@@ -40,10 +52,11 @@ def _add_input(p):
 
 
 def _add_detector(p):
-    p.add_argument("--delta", type=float, default=0.8)
-    p.add_argument("--lipschitz", default="auto")
-    p.add_argument("--eps0", default="auto")
-    p.add_argument("--pk-scale", type=float, default=1.0)
+    p.add_argument("--lipschitz", type=float, default=None,
+                   help="density's Lipschitz constant; with --eps0, runs the detector")
+    p.add_argument("--eps0", type=float, default=None, help="density's lower bound")
+    p.add_argument("--delta", type=float, default=None)
+    p.add_argument("--pk-scale", type=float, default=None)
 
 
 def _add_estimator(p, ci_level=True):
@@ -110,20 +123,14 @@ def cmd_generate(args):
 
 
 def cmd_density(args):
-    from .boundary import detect_boundary
-    from .density import corrected_density, knn_density
-    from .knn import build_index
+    from .functionals import _density_values
 
     data, sp, k = _prepare(args)
+    dens = _density_values(data, sp, k, _boundary_config(args))
     ev = sp.eval_points(data)
-    index = build_index(sp.ref_points(data))
     interior_flag = np.ones(sp.n_eval, dtype=bool)
-    if args.no_boundary_correction:
-        dens = knn_density(index, ev, k)
-    else:
-        labels = detect_boundary(ev, k, sp.n_ref, _boundary_config(args))
-        dens = corrected_density(index, ev, k, labels)
-        interior_flag[labels.boundary] = False
+    if dens.labels is not None:
+        interior_flag[dens.labels.boundary] = False
     lines = [f"# seed={args.seed} k={k} N={sp.n_eval} M={sp.n_ref} kind={dens.estimator_kind}"]
     for row, val, flag in zip(ev, dens.values, interior_flag):
         coords = ",".join(format(v, ".17g") for v in row)
@@ -136,17 +143,9 @@ def cmd_entropy(args):
     from .functionals import bpi_estimate, bpi_estimate_bc, shannon_functional
 
     data, sp, k = _prepare(args)
-    cfg = _boundary_config(args)
-    if args.no_bias_correction:
-        report = bpi_estimate(
-            data, sp, shannon_functional(), k,
-            boundary_correct=not args.no_boundary_correction,
-            config=cfg, ci_level=args.ci_level,
-        )
-    else:
-        report = bpi_estimate_bc(
-            data, sp, shannon_functional(), k, config=cfg, ci_level=args.ci_level
-        )
+    estimator = bpi_estimate if args.no_bias_correction else bpi_estimate_bc
+    report = estimator(data, sp, shannon_functional(), k,
+                       config=_boundary_config(args), ci_level=args.ci_level)
     _emit(_report_payload(report, args, {"functional": "shannon"}), args)
     return 0
 
@@ -210,10 +209,12 @@ def cmd_experiment(args):
     with open(args.spec, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     bc = raw.pop("boundary_config", None)
-    spec = TrialSpec(
-        boundary_config=BoundaryConfig(**bc) if bc else BoundaryConfig(),
-        **raw,
-    )
+    try:
+        spec = TrialSpec(
+            boundary_config=None if bc is None else BoundaryConfig(**bc), **raw
+        )
+    except TypeError as exc:  # a key the spec does not have, or lacks
+        raise ValueError(f"spec {args.spec}: {exc}") from None
     results = monte_carlo(spec, args.trials)
     summary = dict(results.summary)
     summary["schema_version"] = SCHEMA_VERSION
@@ -320,15 +321,12 @@ def build_parser():
 
     dns = sub.add_parser("density", help="density estimates at the eval points")
     _add_estimator(dns, ci_level=False)
-    dns.add_argument("--no-boundary-correction", action="store_true")
     _add_common(dns)
     dns.set_defaults(fn=cmd_density)
 
     ent = sub.add_parser("entropy", help="Shannon entropy estimate")
     _add_estimator(ent)
     ent.add_argument("--no-bias-correction", action="store_true")
-    ent.add_argument("--no-boundary-correction", action="store_true",
-                     help="plain k-NN density; requires --no-bias-correction")
     _add_common(ent)
     ent.set_defaults(fn=cmd_entropy)
 
@@ -405,12 +403,8 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "entropy" and (
-            args.no_boundary_correction and not args.no_bias_correction
-        ):
-            parser.error("entropy --no-boundary-correction requires "
-                         "--no-bias-correction: the bias-corrected estimator "
-                         "always boundary-corrects")
+        if hasattr(args, "lipschitz"):
+            _check_detector_flags(parser, args)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -111,7 +111,6 @@ class EstimateReport:
     boundary_corrected: bool  # the detector relabelled at least one point
     variance_estimate: float
     ci: Optional[tuple] = None  # (lo, hi, level)
-    bias_components: Optional[dict] = None
 
     def to_dict(self) -> dict:
         out = {
@@ -125,8 +124,6 @@ class EstimateReport:
         }
         if self.ci is not None:
             out["ci"] = {"lo": self.ci[0], "hi": self.ci[1], "level": self.ci[2]}
-        if self.bias_components is not None:
-            out["bias_components"] = self.bias_components
         return out
 
 
@@ -147,14 +144,15 @@ def _attach_ci(report: EstimateReport, level: Optional[float]) -> EstimateReport
 
 # -- estimators ---------------------------------------------------------------
 
-def _density_values(data, split, k, boundary_correct, config):
+def _density_values(data, split, k, config):
+    """Density at the evaluation points: the standard k-NN estimate when
+    config is None, else the estimate corrected by config's detector."""
     ev = split.eval_points(data)
-    rf = split.ref_points(data)
-    index = build_index(rf)
-    if boundary_correct:
-        labels = detect_boundary(ev, k, split.n_ref, config or BoundaryConfig())
-        return corrected_density(index, ev, k, labels)
-    return knn_density(index, ev, k)
+    index = build_index(split.ref_points(data))
+    if config is None:
+        return knn_density(index, ev, k)
+    labels = detect_boundary(ev, k, split.n_ref, config)
+    return corrected_density(index, ev, k, labels)
 
 
 def _relabelled(dens) -> bool:
@@ -179,19 +177,19 @@ def bpi_estimate(
     split: SampleSplit,
     functional: Functional,
     k: int,
-    boundary_correct: bool = True,
     config: Optional[BoundaryConfig] = None,
     ci_level: Optional[float] = None,
 ) -> EstimateReport:
     """Plain plug-in estimate (1/N) sum g(f_tilde(X_i)).
 
-    boundary_correct selects the corrected density f_tilde; otherwise the
-    standard k-NN estimate is plugged in.  The report's boundary_corrected
-    is true only when the detector relabelled at least one point.  The
+    With config = None the standard k-NN density is plugged in; a
+    BoundaryConfig runs its detector on the evaluation points and plugs in
+    the corrected density f_tilde.  The report's boundary_corrected is
+    true only when the detector relabelled at least one point.  The
     variance estimate is the empirical c4/N + c5/M (sample variances of g
     and of u*g'(u)).
     """
-    dens = _density_values(data, split, k, boundary_correct, config)
+    dens = _density_values(data, split, k, config)
     u = dens.values
     gv = _evaluate_g(functional, u)
     est = float(np.mean(gv))
@@ -222,17 +220,16 @@ def bpi_estimate_bc(
 ) -> EstimateReport:
     """Bias-corrected plug-in estimate (plain - g2(k,M)) / g1(k,M).
 
-    Boundary correction is always on; the report's boundary_corrected says
-    whether it relabelled any point.  Raises when the functional carries
-    no bias factors (no general correction exists) or when g1 = 0.
+    The density is the one bpi_estimate plugs in for the same config: a
+    detector runs only when config is a BoundaryConfig.  Raises when the
+    functional carries no bias factors (no general correction exists) or
+    when g1 = 0.
     """
     if functional.bias_factors is None:
         raise ValueError(
             f"functional {functional.id!r} has no bias-correction factors"
         )
-    plain = bpi_estimate(
-        data, split, functional, k, boundary_correct=True, config=config
-    )
+    plain = bpi_estimate(data, split, functional, k, config=config)
     g1, g2 = functional.bias_factors(k, split.n_ref)
     if g1 == 0:
         raise ValueError("bias factor g1 is zero")
@@ -282,9 +279,17 @@ def mutual_information(
     The variance estimate is the empirical variance of
     log(f_X * f_Y / f_XY) times (1/N + 1/M).  boundary_corrected is true
     when the detector relabelled a point in any of the three entropies.
+    Raises when a column index is outside [0, d), repeated within a block,
+    or shared by the two blocks.
     """
     x_cols = list(x_cols)
     y_cols = list(y_cols)
+    for name, cols in (("x", x_cols), ("y", y_cols)):
+        for i, c in enumerate(cols):
+            if not 0 <= c < data.dim:
+                raise ValueError(f"{name} column {c} outside 0..{data.dim - 1}")
+            if c in cols[:i]:
+                raise ValueError(f"{name} column {c} repeated")
     if set(x_cols) & set(y_cols):
         raise ValueError("x and y column blocks overlap")
     shannon = shannon_functional()
@@ -293,7 +298,7 @@ def mutual_information(
     relabelled = False
     for name, cols in (("x", x_cols), ("y", y_cols), ("joint", x_cols + y_cols)):
         sub = Dataset(data.points[:, cols])
-        dens = _density_values(sub, split, k, True, config)
+        dens = _density_values(sub, split, k, config)
         logs[name] = np.log(dens.values)
         relabelled = relabelled or _relabelled(dens)
         g1, g2 = shannon.bias_factors(k, split.n_ref)

@@ -7,7 +7,7 @@ for a fixed (spec, n_trials) and independent of execution order.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -77,9 +77,10 @@ class TrialSpec:
     """One reproducible experiment configuration.
 
     k_rule is "fixed" (uses k), "rate" (rate-matched in M), or "optimal"
-    (needs oracle constants).  When constants are present the confidence
-    interval uses the oracle c4/c5; otherwise the per-trial empirical
-    variance estimate.
+    (needs oracle constants).  boundary_config is passed to the estimator
+    as its config: None plugs in the standard k-NN density.  When
+    constants are present the confidence interval uses the oracle c4/c5;
+    otherwise the per-trial empirical variance estimate.
     """
 
     generator: str
@@ -90,20 +91,14 @@ class TrialSpec:
     k_rule: str = "rate"
     k: Optional[int] = None
     alpha: Optional[float] = None
-    boundary_correct: bool = True
     bias_correct: bool = True
-    boundary_config: BoundaryConfig = field(default_factory=BoundaryConfig)
+    boundary_config: Optional[BoundaryConfig] = None
     constants: Optional[TheoryConstants] = None
     truth: Optional[float] = None
     ci_level: float = 0.95
     base_seed: int = 0
 
     def __post_init__(self):
-        if self.bias_correct and not self.boundary_correct:
-            raise ValueError(
-                "bias_correct=True with boundary_correct=False is not supported: "
-                "the bias-corrected estimator always boundary-corrects"
-            )
         if not 0.0 < self.ci_level < 1.0:
             raise ValueError("ci level must lie in (0, 1)")
 
@@ -161,16 +156,8 @@ def run_trial(spec: TrialSpec, trial: int):
     data = generate_dataset(spec.generator, spec.T, seed, spec.generator_params)
     sp = make_split(data, spec.alpha_frac, seed)
     k = spec.resolve_k(sp.n_ref, data.dim)
-    func = spec.functional()
-    if spec.bias_correct:
-        report = bpi_estimate_bc(data, sp, func, k, config=spec.boundary_config)
-    else:
-        report = bpi_estimate(
-            data, sp, func, k,
-            boundary_correct=spec.boundary_correct,
-            config=spec.boundary_config,
-        )
-    return report
+    estimator = bpi_estimate_bc if spec.bias_correct else bpi_estimate
+    return estimator(data, sp, spec.functional(), k, config=spec.boundary_config)
 
 
 def monte_carlo(spec: TrialSpec, n_trials: int) -> TrialResults:

@@ -22,15 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import AnalyticDensity, Dataset, SampleSplit
+from .data import AnalyticDensity
 from .functionals import Functional
-from .knn import build_index, knn_query, knn_radii, unit_ball_volume
 
 __all__ = [
     "TheoryConstants",
     "hessian_weight",
     "constants_oracle",
-    "estimate_c3_boundary",
     "optimal_k",
     "rate_matched_k",
     "predict_bias_variance",
@@ -109,49 +107,6 @@ def constants_oracle(
     )
 
 
-def estimate_c3_boundary(
-    data: Dataset,
-    split: SampleSplit,
-    functional: Functional,
-    k: int,
-    config=None,
-) -> float:
-    """Boundary-term estimate from detected boundary points.
-
-    c3_hat = (1/N) sum over boundary i of
-             g'(f_hat(X_n(i))) <grad_hat f(X_n(i)), X_i - X_n(i)>
-    with the gradient from a least-squares linear fit of the reference
-    points' own density estimates over the k nearest references.  The
-    gradient estimator is a self-contained choice, not a prescribed one.
-    """
-    from .boundary import BoundaryConfig, detect_boundary
-    from .density import knn_density
-
-    ev = split.eval_points(data)
-    rf = split.ref_points(data)
-    index = build_index(rf)
-    labels = detect_boundary(ev, k, split.n_ref, config or BoundaryConfig())
-    if labels.n_boundary == 0:
-        return 0.0
-    dens_ev = knn_density(index, ev, k).values
-    # density at the reference points themselves, self excluded
-    radii = knn_radii(index, rf, min(k + 1, index.size))
-    cd = unit_ball_volume(index.dim)
-    dens_rf = (min(k + 1, index.size) - 2) / ((index.size - 1) * cd * radii**index.dim)
-    total = 0.0
-    for b, src in labels.nearest_interior.items():
-        anchor = ev[src]
-        near = knn_query(index, anchor, min(k, index.size))
-        pts = index.points[near.indices]
-        vals = dens_rf[near.indices]
-        A = np.hstack([pts - anchor, np.ones((len(pts), 1))])
-        coef, *_ = np.linalg.lstsq(A, vals, rcond=None)
-        grad = coef[: index.dim]
-        gp = float(functional.g_prime(np.array([dens_ev[src]]))[0])
-        total += gp * float(grad @ (ev[b] - anchor))
-    return total / split.n_eval
-
-
 def rate_matched_k(M: int, d: int) -> int:
     """k = M^(2/(2+d)) rounded, floored at 3: balances the two bias rates
     without knowing the density's constants."""
@@ -165,9 +120,9 @@ def optimal_k(c0: float, c2: float, d: int, M: int) -> int:
 
     k0 = (|c2| d / (2 |c0|))^(d/(d+2)) when c0*c2 > 0 (interior optimum of
     |bias|), and (|c2|/|c0|)^(d/(d+2)) when the signs differ (bias zero
-    crossing).  c0 should include any boundary contribution the caller can
-    supply (c0 = c1 + c3-normalized); c0 = 0 falls back to the rate-matched
-    rule with a warning.
+    crossing).  c0 is the constant bias coefficient c1 + c3 (the oracle
+    reports c3 = 0); c0 = 0 falls back to the rate-matched rule with a
+    warning.
     """
     if M < 2:
         raise ValueError("M must be >= 2")

@@ -132,7 +132,7 @@ def mixture_k_sweep():
         spec = TrialSpec(
             generator="beta_uniform_mixture", generator_params=MIX_PARAMS,
             T=10_000, alpha_frac=0.7, functional_id="shannon",
-            k_rule="fixed", k=k, bias_correct=False, boundary_correct=True,
+            k_rule="fixed", k=k, bias_correct=False,
             boundary_config=CFG_SWEEP, base_seed=20_000 + k,
         )
         res = monte_carlo(spec, N_TRIALS_SWEEP)
@@ -262,14 +262,12 @@ def test_criterion_4_renyi_mse_ordering():
             k_rule="fixed", k=8, base_seed=40_000 + T,
         )
         res_bc = monte_carlo(
-            TrialSpec(bias_correct=True, boundary_correct=True,
-                      boundary_config=CFG_ORDERING, truth=oracles.I_RENYI05_MIX,
-                      **common),
+            TrialSpec(bias_correct=True, boundary_config=CFG_ORDERING,
+                      truth=oracles.I_RENYI05_MIX, **common),
             50,
         )
         res_plain = monte_carlo(
-            TrialSpec(bias_correct=False, boundary_correct=False,
-                      truth=oracles.I_RENYI05_MIX, **common),
+            TrialSpec(bias_correct=False, truth=oracles.I_RENYI05_MIX, **common),
             50,
         )
         mse_bc.append(res_bc.summary["mse"])
@@ -298,7 +296,7 @@ def test_criterion_5_variance_law():
         spec = TrialSpec(
             generator="beta_uniform_mixture", generator_params=MIX_PARAMS,
             T=T, alpha_frac=M / T, functional_id="shannon",
-            k_rule="rate", bias_correct=False, boundary_correct=True,
+            k_rule="rate", bias_correct=False,
             boundary_config=CFG_SWEEP, base_seed=50_000 + M,
         )
         res = monte_carlo(spec, 200)
@@ -316,7 +314,7 @@ def test_criterion_6_clt_ks():
     spec = TrialSpec(
         generator="beta_uniform_mixture", generator_params=MIX_PARAMS,
         T=10_000, alpha_frac=0.7, functional_id="shannon",
-        k_rule="fixed", k=52, bias_correct=False, boundary_correct=True,
+        k_rule="fixed", k=52, bias_correct=False,
         boundary_config=CFG_SWEEP, base_seed=60_000,
     )
     res = monte_carlo(spec, 200)

@@ -5,16 +5,25 @@ import numpy as np
 import pytest
 
 import knnfunc.boundary
+import knnfunc.cli
 import knnfunc.knn
 from knnfunc import (
     BoundaryConfig,
+    Factorization,
+    bpi_estimate_bc,
     build_index,
+    compare_models,
     count_reverse_neighbors,
     detect_boundary,
     knn_query,
+    mutual_information,
     q_threshold,
+    renyi_entropy,
+    shannon_functional,
+    split,
 )
 from knnfunc.boundary import p_k
+from knnfunc.inference import generate_dataset
 from knnfunc.knn import unit_ball_volume
 
 import oracles
@@ -353,6 +362,36 @@ def test_degenerate_configs_build_one_evaluation_graph(monkeypatch):
         calls, labels = _count_graph_calls(monkeypatch, pts, 20, 1000, cfg)
         assert labels.q_used >= 1.0 and labels.n_boundary == 0, cfg
         assert calls == {"build_index": 1, "knn_query": 1, "self_queries": 1}, cfg
+
+
+def test_default_config_builds_no_evaluation_graph(monkeypatch, tmp_path):
+    # with config None the estimators read only the k-th radii into the
+    # references; knn_query, which builds the detector's graph, never runs
+    calls = []
+    real_query = knnfunc.knn.knn_query
+
+    def query(index, q, kk):
+        calls.append(kk)
+        return real_query(index, q, kk)
+
+    for module in (knnfunc.boundary, knnfunc.knn):
+        monkeypatch.setattr(module, "knn_query", query)
+    data = generate_dataset("beta_uniform_mixture", 4000, 3,
+                            {"d": 3, "a": 4, "b": 4, "eps": 0.2})
+    sp = split(data, 0.7, 3)
+    csv = tmp_path / "mix.csv"
+    np.savetxt(csv, data.points, delimiter=",")
+    bpi_estimate_bc(data, sp, shannon_functional(), 20)
+    renyi_entropy(data, sp, 0.5, 20)
+    mutual_information(data, sp, [0], [1, 2], 20)
+    compare_models(data, Factorization(((0,), (1, 2)), "a"),
+                   Factorization(((0, 1), (2,)), "b"), 12)
+    assert knnfunc.cli.run(["entropy", "--input", str(csv),
+                            "-o", str(tmp_path / "entropy.json")]) == 0
+    assert calls == []
+    live = BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0=1.0, pk_scale=0.3)
+    bpi_estimate_bc(data, sp, shannon_functional(), 20, config=live)
+    assert calls  # the counter sees a live detector's graph
 
 
 def test_live_configs_share_one_evaluation_graph(monkeypatch):

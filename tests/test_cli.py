@@ -61,8 +61,7 @@ def test_entropy_pipeline(mixture_csv, tmp_path):
 def test_entropy_plain_variant(mixture_csv, tmp_path):
     out = tmp_path / "p.json"
     assert run(["entropy", "--input", str(mixture_csv), "--k", "10",
-                "--no-bias-correction", "--no-boundary-correction",
-                "--seed", "3", "-o", str(out)]) == 0
+                "--no-bias-correction", "--seed", "3", "-o", str(out)]) == 0
     assert _read_json(out)["estimator_variant"] == "bpi"
 
 
@@ -190,14 +189,40 @@ def test_runtime_error_exit_1(tmp_path):
     assert rc == 1
 
 
+def test_mi_column_outside_the_data_is_named(mixture_csv, tmp_path, capsys):
+    out = tmp_path / "never.json"
+    rc = run(["mi", "--input", str(mixture_csv), "--x-cols", "5", "--y-cols", "1",
+              "--k", "12", "-o", str(out)])
+    assert rc == 1
+    assert "error: x column 5 outside 0..2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["bogus", "boundary_correct"])
+def test_experiment_spec_key_the_spec_lacks_is_named(tmp_path, capsys, key):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "generator": "uniform", "generator_params": {"d": 2}, "T": 600,
+        "alpha_frac": 0.7, "functional_id": "shannon", key: 1}))
+    out = tmp_path / "never.json"
+    rc = run(["experiment", "--spec", str(spec), "--trials", "2", "-o", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"'{key}'" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
-    # the bias-corrected estimator always boundary-corrects
+    # flags these subcommands do not take
     ["entropy", "--no-boundary-correction"],
-    # flags these subcommands would parse and then ignore
     ["renyi", "--alpha", "0.5", "--no-boundary-correction"],
     ["mi", "--x-cols", "0", "--y-cols", "1", "--no-boundary-correction"],
     ["density", "--ci-level", "0.9"],
     ["entropy", "--threads", "2"],
+    # the detector runs on both constants; its tuning flags need them
+    ["entropy", "--lipschitz", "0"],
+    ["entropy", "--pk-scale", "0.3"],
+    ["entropy", "--lipschitz", "auto", "--eps0", "1"],
 ])
 def test_contradictory_or_ignored_flags_are_usage_errors(mixture_csv, tmp_path, argv):
     out = tmp_path / "never.json"
@@ -211,8 +236,8 @@ def test_contradictory_or_ignored_flags_are_usage_errors(mixture_csv, tmp_path, 
                                         ("--eps0", "eps0")])
 def test_non_finite_detector_constant_is_named(mixture_csv, tmp_path, capsys, flag, field):
     out = tmp_path / "never.json"
-    rc = run(["entropy", "--input", str(mixture_csv), "--k", "8", flag, "nan",
-              "-o", str(out)])
+    rc = run(["entropy", "--input", str(mixture_csv), "--k", "8", *LIVE_DETECTOR,
+              flag, "nan", "-o", str(out)])
     assert rc == 1
     assert f"{field} must be finite, got nan" in capsys.readouterr().err
     assert not out.exists()
@@ -280,18 +305,16 @@ def test_json_outputs_match_their_schemas(mixture_csv, tmp_path):
 
 
 def test_boundary_corrected_false_when_detector_relabels_nothing(tmp_path):
-    # d = 3 mixture at T = 10^4: the default detector's q is about 31.7, so
-    # it relabels none of the 3000 evaluation points
+    # d = 3 mixture at T = 10^4: with no detector flags no point is
+    # relabelled; the live detector relabels points near the faces
     csv = tmp_path / "mix.csv"
     assert run(["generate", "--dist", "beta-uniform", "--T", "10000", "--d", "3",
                 "--a", "4", "--b", "4", "--eps", "0.2", "--seed", "7",
                 "-o", str(csv)]) == 0
     default = tmp_path / "default.json"
     live = tmp_path / "live.json"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert run(["entropy", "--input", str(csv), "--seed", "7",
-                    "-o", str(default)]) == 0
+    assert run(["entropy", "--input", str(csv), "--seed", "7",
+                "-o", str(default)]) == 0
     assert run(["entropy", "--input", str(csv), "--seed", "7", *LIVE_DETECTOR,
                 "-o", str(live)]) == 0
     assert _read_json(default)["boundary_corrected"] is False

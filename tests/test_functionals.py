@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -127,7 +126,7 @@ def test_bpi_single_eval_point():
     data = Dataset(np.array([[0.1], [0.4], [0.8], [0.9]]))
     sp = split(data, 0.75, 3)
     assert sp.n_eval == 1
-    rep = bpi_estimate(data, sp, shannon_functional(), 3, boundary_correct=False)
+    rep = bpi_estimate(data, sp, shannon_functional(), 3)
     from knnfunc import build_index, knn_density
 
     dens = knn_density(build_index(sp.ref_points(data)), sp.eval_points(data), 3)
@@ -165,10 +164,8 @@ def test_shannon_scale_law_at_small_scales(s):
     data = generate_dataset("beta_uniform_mixture", 2000, 9,
                             {"d": 3, "a": 4, "b": 4, "eps": 0.2})
     sp = split(data, 0.7, 9)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # default q >= 1
-        base = bpi_estimate_bc(data, sp, shannon_functional(), 10)
-        scaled = bpi_estimate_bc(Dataset(data.points * s), sp, shannon_functional(), 10)
+    base = bpi_estimate_bc(data, sp, shannon_functional(), 10)
+    scaled = bpi_estimate_bc(Dataset(data.points * s), sp, shannon_functional(), 10)
     assert abs(scaled.estimate - (base.estimate + 3 * math.log(s))) < 1e-10
 
 
@@ -176,7 +173,7 @@ def test_permutation_invariance_of_estimate():
     data = generate_dataset("beta_uniform_mixture", 1500, 8,
                             {"d": 2, "a": 4, "b": 4, "eps": 0.2})
     sp = split(data, 0.6, 8)
-    rep = bpi_estimate(data, sp, shannon_functional(), 6, boundary_correct=False)
+    rep = bpi_estimate(data, sp, shannon_functional(), 6)
     # permute rows but keep the same physical eval/ref sets
     rng = np.random.default_rng(0)
     perm = rng.permutation(data.count)
@@ -187,7 +184,7 @@ def test_permutation_invariance_of_estimate():
     sp2 = SampleSplit(
         eval_indices=inv[sp.eval_indices], ref_indices=inv[sp.ref_indices], seed=0
     )
-    rep2 = bpi_estimate(data2, sp2, shannon_functional(), 6, boundary_correct=False)
+    rep2 = bpi_estimate(data2, sp2, shannon_functional(), 6)
     assert abs(rep.estimate - rep2.estimate) < 1e-12
 
 
@@ -212,7 +209,7 @@ def test_bc_plain_converge_for_large_k():
     sp = split(data, 0.7, 10)
     diffs = []
     for k in (10, 40, 160):
-        plain = bpi_estimate(data, sp, shannon_functional(), k, boundary_correct=False)
+        plain = bpi_estimate(data, sp, shannon_functional(), k)
         bc_est = plain.estimate + math.log(k - 1) - sps.psi(k)
         diffs.append(abs(bc_est - plain.estimate))
     assert diffs[0] > diffs[1] > diffs[2]
@@ -276,22 +273,26 @@ def test_mi_overlapping_blocks_rejected():
     sp = split(data, 0.6, 16)
     with pytest.raises(ValueError, match="overlap"):
         mutual_information(data, sp, [0], [0], 5)
+    for x_cols, message in (([2], "x column 2 outside 0..1"),
+                            ([-1], "x column -1 outside 0..1"),
+                            ([0, 0], "x column 0 repeated")):
+        with pytest.raises(ValueError, match=message):
+            mutual_information(data, sp, x_cols, [1], 5)
+    with pytest.raises(ValueError, match="y column 1 repeated"):
+        mutual_information(data, sp, [0], [1, 1], 5)
 
 
 def test_boundary_corrected_reports_whether_points_were_relabelled():
-    # default detector on the d = 3 mixture degenerates (q >> 1) and
-    # relabels nothing; the live one relabels points near the faces
+    # with no config no detector runs; the live one relabels points near
+    # the faces of the d = 3 mixture
     data = generate_dataset("beta_uniform_mixture", 4000, 3,
                             {"d": 3, "a": 4, "b": 4, "eps": 0.2})
     sp = split(data, 0.7, 3)
     shannon = shannon_functional()
-    with pytest.warns(RuntimeWarning, match="degenerates"):
-        assert not bpi_estimate_bc(data, sp, shannon, 20).boundary_corrected
-    with pytest.warns(RuntimeWarning, match="degenerates"):
-        assert not renyi_entropy(data, sp, 0.5, 20).boundary_corrected
-    with pytest.warns(RuntimeWarning, match="degenerates"):
-        assert not mutual_information(data, sp, [0], [1, 2], 20).boundary_corrected
-    assert not bpi_estimate(data, sp, shannon, 20, boundary_correct=False).boundary_corrected
+    assert not bpi_estimate_bc(data, sp, shannon, 20).boundary_corrected
+    assert not renyi_entropy(data, sp, 0.5, 20).boundary_corrected
+    assert not mutual_information(data, sp, [0], [1, 2], 20).boundary_corrected
+    assert not bpi_estimate(data, sp, shannon, 20).boundary_corrected
     assert bpi_estimate(data, sp, shannon, 20, config=FIRING).boundary_corrected
     assert bpi_estimate_bc(data, sp, shannon, 20, config=FIRING).boundary_corrected
     assert renyi_entropy(data, sp, 0.5, 20, config=FIRING).boundary_corrected
@@ -301,8 +302,7 @@ def test_boundary_corrected_reports_whether_points_were_relabelled():
 def test_report_ci_ordering_and_serialization():
     data = _uniform_data(2000, 2, 17)
     sp = split(data, 0.7, 17)
-    rep = bpi_estimate(data, sp, shannon_functional(), 10,
-                       boundary_correct=False, ci_level=0.9)
+    rep = bpi_estimate(data, sp, shannon_functional(), 10, ci_level=0.9)
     lo, hi, level = rep.ci
     assert lo <= rep.estimate <= hi and level == 0.9
     payload = rep.to_dict()

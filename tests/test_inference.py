@@ -181,7 +181,6 @@ def test_monte_carlo_coverage_and_summary():
         functional_id="shannon",
         k_rule="fixed",
         k=10,
-        boundary_correct=False,
         bias_correct=False,
         truth=0.0,
         base_seed=7,
@@ -222,16 +221,16 @@ def test_trial_spec_validation():
 
 
 def test_trial_spec_rejects_bias_correction_without_boundary_correction():
-    # the bias-corrected estimator always boundary-corrects, so this pair
-    # would silently run something other than what it names
-    with pytest.raises(ValueError, match="bias_correct=True with boundary_correct=False"):
-        TrialSpec(generator="uniform", generator_params={"d": 2}, T=100,
-                  alpha_frac=0.5, functional_id="shannon",
-                  bias_correct=True, boundary_correct=False)
-    for bias, boundary in ((True, True), (False, True), (False, False)):
-        TrialSpec(generator="uniform", generator_params={"d": 2}, T=100,
-                  alpha_frac=0.5, functional_id="shannon",
-                  bias_correct=bias, boundary_correct=boundary)
+    # bias correction with no detector is a valid estimate: the default
+    # boundary_config None runs the BC estimator on the standard density
+    spec = dataclasses.replace(_SPEC, boundary_config=None)
+    seed = derive_key(4242, "trial", 0) % (2**63)
+    data = generate_dataset("uniform", 2000, seed, {"d": 2})
+    sp = split(data, 0.7, seed)
+    direct = bpi_estimate_bc(data, sp, shannon_functional(), 8, config=None)
+    assert run_trial(spec, 0) == direct
+    assert TrialSpec(generator="uniform", generator_params={"d": 2}, T=100,
+                     alpha_frac=0.5, functional_id="shannon").boundary_config is None
 
 
 def test_normality_self_check():

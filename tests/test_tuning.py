@@ -8,10 +8,7 @@ from knnfunc import (
     Functional,
     beta_uniform_mixture_density,
     bpi_estimate,
-    build_index,
     constants_oracle,
-    knn_query,
-    knn_radii,
     optimal_k,
     predict_bias_variance,
     rate_matched_k,
@@ -21,7 +18,7 @@ from knnfunc import (
     uniform_density,
 )
 from knnfunc.inference import generate_dataset
-from knnfunc.tuning import TheoryConstants, estimate_c3_boundary, hessian_weight
+from knnfunc.tuning import TheoryConstants, hessian_weight
 
 import oracles
 
@@ -86,7 +83,7 @@ def test_constants_empirical_uniform_c4_shrinks():
     for t in range(10):
         data = generate_dataset("uniform", 10_000, 100 + t, {"d": 3})
         sp = split(data, 0.7, 100 + t)
-        vals.append(_empirical_c4(data, sp, 60, boundary_correct=True, config=cfg))
+        vals.append(_empirical_c4(data, sp, 60, config=cfg))
     assert np.median(vals) <= 0.05
 
 
@@ -95,7 +92,7 @@ def test_constants_empirical_constant_functional_zero_variance():
     sp = split(data, 0.7, 5)
     f = Functional(id="constant", g=np.ones_like, g_prime=np.zeros_like,
                    g_double_prime=np.zeros_like)
-    rep = bpi_estimate(data, sp, f, 10, boundary_correct=False)
+    rep = bpi_estimate(data, sp, f, 10)
     assert rep.variance_estimate == 0.0
 
 
@@ -105,7 +102,7 @@ def test_constants_empirical_mixture_c4_vs_oracle():
         data = generate_dataset("beta_uniform_mixture", 10_000, 200 + t,
                                 {"d": 3, "a": 4, "b": 4, "eps": 0.2})
         sp = split(data, 0.7, 200 + t)
-        vals.append(_empirical_c4(data, sp, 35, boundary_correct=False))
+        vals.append(_empirical_c4(data, sp, 35))
     med = float(np.median(vals))
     assert abs(med - oracles.C4_SHANNON_MIX) / oracles.C4_SHANNON_MIX < 0.25
 
@@ -116,7 +113,7 @@ def test_empirical_c4_equals_two_pass_variance():
     data = generate_dataset("beta_uniform_mixture", 3000, 6,
                             {"d": 2, "a": 4, "b": 4, "eps": 0.2})
     sp = split(data, 0.7, 6)
-    c4 = _empirical_c4(data, sp, 10, boundary_correct=False)
+    c4 = _empirical_c4(data, sp, 10)
     dens = knn_density(build_index(sp.ref_points(data)), sp.eval_points(data), 10)
     g = -np.log(dens.values)
     mean = sum(g) / len(g)
@@ -183,42 +180,3 @@ def test_theory_constants_validation():
         values[name] = bad
         with pytest.raises(ValueError, match=f"{name} must be a finite real"):
             TheoryConstants(**values, mode="oracle")
-
-
-def test_estimate_c3_boundary_signs():
-    cfg = BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0=1.0, pk_scale=0.3)
-    # uniform density: gradients vanish, c3_hat should be near zero
-    data_u = generate_dataset("uniform", 4000, 7, {"d": 2})
-    sp_u = split(data_u, 0.7, 7)
-    c3_u = estimate_c3_boundary(data_u, sp_u, shannon_functional(), 20, config=cfg)
-    # mixture: density increases inward, g' < 0, offsets point outward:
-    # the boundary term is negative and larger in magnitude
-    data_m = generate_dataset("beta_uniform_mixture", 4000, 7,
-                              {"d": 2, "a": 4, "b": 4, "eps": 0.2})
-    sp_m = split(data_m, 0.7, 7)
-    c3_m = estimate_c3_boundary(data_m, sp_m, shannon_functional(), 20, config=cfg)
-    assert abs(c3_u) < 0.05
-    assert np.isfinite(c3_m)
-
-
-def test_estimate_c3_boundary_reference_densities_are_kth_radii(monkeypatch):
-    # the reference densities read only the (k+1)-th distance, which
-    # knn_radii gives without the full lists: bit-identical to the lists'
-    # last column, and so is the c3 estimate built on it
-    import knnfunc.tuning
-
-    cfg = BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0=1.0, pk_scale=0.3)
-    for d in (1, 2):
-        data = generate_dataset("beta_uniform_mixture", 3000, 9,
-                                {"d": d, "a": 4, "b": 4, "eps": 0.2})
-        sp = split(data, 0.7, 9)
-        index = build_index(sp.ref_points(data))
-        for k in (20, 87):
-            lists = knn_query(index, index.points, k + 1).distances[:, -1]
-            assert np.array_equal(knn_radii(index, index.points, k + 1), lists), (d, k)
-        c3 = estimate_c3_boundary(data, sp, shannon_functional(), 20, config=cfg)
-        monkeypatch.setattr(knnfunc.tuning, "knn_radii",
-                            lambda idx, q, k: knn_query(idx, q, k).distances[:, -1])
-        assert estimate_c3_boundary(data, sp, shannon_functional(), 20, config=cfg) == c3, d
-        monkeypatch.undo()
-        assert c3 != 0.0  # the detector fired, so the sum has terms
