@@ -7,13 +7,16 @@ estimator's).  A point is labeled boundary when its count falls below
 (1 - q(K,N))*K; every boundary point is mapped to its nearest interior
 point so the density layer can extrapolate.
 
-One detection makes one (K+1)-NN self-query of the evaluation set: the
-"auto" constants, the reverse counts and the nearest interior points all
-read it.  Only a boundary point with no interior point among its K + 1
-nearest needs a second index, over the interior points.  When q >= 1 the
-threshold is <= 0, every point is interior and no count is taken.  The
-graph is the detector's working memory, plus the N*K edge ratios while an
-"auto" L is resolved; every other pass over it goes a row block at a time.
+One detection makes one (K+1)-NN self-query of the evaluation set, by
+one knn_query per row block, and keeps its indices as an (N, K+1) int32
+graph: the reverse counts and the nearest interior points read it.  The
+"auto" constants read each block's distances before they are dropped: the
+(K+1)-th radii, and the edge lengths that become the N*K edge ratios.  Only
+a boundary point with no interior point among its K + 1 nearest needs a
+second index, over the interior points.  When q >= 1 the threshold is
+<= 0, every point is interior and no count is taken.  The detector's
+working memory is the int32 graph, plus the edge ratios when L is "auto",
+plus one block; every pass over the graph goes a row block at a time.
 
 The threshold ``q`` has two parts: a Lipschitz/density term
 (L/eps0)*(K/(c_d*N*eps0))^(1/d) and a concentration term
@@ -26,11 +29,14 @@ detector that actually fires at practical sample sizes.
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Union
 
 import numpy as np
 
-from .knn import _reverse_counts, _row_blocks, build_index, knn_query, unit_ball_volume
+from .knn import (
+    _reverse_counts, _row_blocks, _self_graph, build_index, knn_query, unit_ball_volume,
+)
 
 __all__ = ["BoundaryConfig", "BoundaryLabels", "q_threshold", "p_k", "detect_boundary"]
 
@@ -99,34 +105,37 @@ def p_k(k: int, delta: float) -> float:
     return math.sqrt(6.0) / k ** (delta / 2.0)
 
 
-def _resolve_auto(graph, d, config):
+def _keep_distances(radii, edges, rows, block):
+    """Keep what "auto" reads of a block of the (K+1)-NN self-query: each
+    point's (K+1)-th radius and, when edges is given, its K edge lengths
+    (the first column, the point itself, left out), floored at 1e-300."""
+    radii[rows] = block.distances[:, -1]
+    if edges is not None:
+        np.maximum(block.distances[:, 1:], 1e-300, out=edges[rows])
+
+
+def _resolve_auto(graph, radii, edges, d, config):
     """Estimate (L, eps0) from the evaluation sample when set to "auto".
 
-    graph is the (K+1)-NN self-query of the N evaluation points.  eps0:
-    10th percentile of standard K-NN density estimates computed within the
-    evaluation set (self excluded).  L: 95th percentile of
-    |f_i - f_j| / ||X_i - X_j|| over the K-NN graph edges.
+    graph holds the (K+1)-NN self-query indices of the N evaluation points,
+    radii and edges what _keep_distances kept of it.  eps0: 10th percentile
+    of standard K-NN density estimates computed within the evaluation set
+    (self excluded).  L: 95th percentile of |f_i - f_j| / ||X_i - X_j||
+    over the K-NN graph edges, computed in place of the edge lengths.
     """
-    need_l = config.lipschitz_L == "auto"
-    need_e = config.eps0 == "auto"
-    N, kk = graph.distances.shape
-    radii = graph.distances[:, -1]
+    N, kk = graph.shape
     radii = np.maximum(radii, 1e-300)
     cd = unit_ball_volume(d)
     dens = max(kk - 1, 1) / ((N - 1) * cd * radii**d)
-    eps0 = float(config.eps0) if not need_e else float(np.percentile(dens, 10.0))
-    if need_l:
-        # the edge ratios are the only graph-sized array made here
-        ratios = np.empty((N, kk - 1))
-        for rows in _row_blocks(N, kk - 1):
-            r = dens.take(graph.indices[rows, 1:], out=ratios[rows])
-            r -= dens[rows, None]
-            np.abs(r, out=r)
-            r /= np.maximum(graph.distances[rows, 1:], 1e-300)
-        L = float(np.percentile(ratios, 95.0, overwrite_input=True))
-    else:
-        L = float(config.lipschitz_L)
-    return L, eps0
+    eps0 = float(config.eps0) if config.eps0 != "auto" else float(np.percentile(dens, 10.0))
+    if edges is None:
+        return float(config.lipschitz_L), eps0
+    for rows in _row_blocks(N, kk - 1):
+        r = dens.take(graph[rows, 1:])
+        r -= dens[rows, None]
+        np.abs(r, out=r)
+        np.divide(r, edges[rows], out=edges[rows])
+    return float(np.percentile(edges, 95.0, overwrite_input=True)), eps0
 
 
 def q_threshold(K: int, N: int, k: int, d: int, config: BoundaryConfig,
@@ -174,10 +183,15 @@ def detect_boundary(eval_points, k: int, M: int, config: BoundaryConfig = Bounda
         raise ValueError(f"K={K} must be < N={N}; adjust k or the split")
     if np.all(eval_points == eval_points[0]):
         raise ValueError("all evaluation points identical; k-NN radii are zero")
-    graph = knn_query(build_index(eval_points), eval_points, K + 1)
-    L = e0 = None
+    L = e0 = keep = None
     if "auto" in (config.lipschitz_L, config.eps0):
-        L, e0 = _resolve_auto(graph, d, config)
+        radii = np.empty(N)
+        # the edge ratios are the only graph-sized array beside the graph
+        edges = np.empty((N, K)) if config.lipschitz_L == "auto" else None
+        keep = partial(_keep_distances, radii, edges)
+    graph = _self_graph(build_index(eval_points), K + 1, keep)
+    if keep is not None:
+        L, e0 = _resolve_auto(graph, radii, edges, d, config)
     q = q_threshold(K, N, k, d, config, lipschitz_L=L, eps0=e0)
     threshold = (1.0 - q) * K
     if q >= 1.0:
@@ -195,7 +209,7 @@ def detect_boundary(eval_points, k: int, M: int, config: BoundaryConfig = Bounda
     picks = np.empty(boundary.size, dtype=np.intp)
     lonely = np.empty(boundary.size, dtype=bool)
     for part in _row_blocks(boundary.size, K + 1):
-        rows = graph.indices[boundary[part]]
+        rows = graph[boundary[part]]
         hits = interior_mask[rows]
         picks[part] = rows[np.arange(len(rows)), hits.argmax(axis=1)]
         lonely[part] = ~hits.any(axis=1)

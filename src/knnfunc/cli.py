@@ -208,6 +208,9 @@ def cmd_experiment(args):
 
     with open(args.spec, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"spec {args.spec}: expected a JSON object of TrialSpec "
+                         f"fields, got {type(raw).__name__}")
     bc = raw.pop("boundary_config", None)
     try:
         spec = TrialSpec(
@@ -270,21 +273,41 @@ def cmd_dimension_scan(args):
     return 0
 
 
-def cmd_structure(args):
-    from .data import load_csv
-    from .structure import Factorization, compare_models
+def _load_models(path):
+    """The models and the pairs to compare of a --models file: an object
+    whose "models" maps names to lists of column lists, and whose optional
+    "pairs" lists [name, name] pairs (default: every pair, by name)."""
+    from .structure import Factorization
 
-    data = load_csv(args.input, header=args.header)
-    with open(args.models, "r", encoding="utf-8") as fh:
-        model_spec = json.load(fh)
-    models = {
-        name: Factorization(tuple(tuple(f) for f in factors), name)
-        for name, factors in model_spec["models"].items()
-    }
-    pairs = model_spec.get("pairs")
+    with open(path, "r", encoding="utf-8") as fh:
+        spec = json.load(fh)
+    if not isinstance(spec, dict) or not isinstance(spec.get("models"), dict):
+        raise ValueError(f'models {path}: expected an object whose "models" '
+                         "maps names to lists of column lists")
+    models = {}
+    for name, factors in spec["models"].items():
+        if not (isinstance(factors, list) and all(
+                isinstance(f, list) and all(type(c) is int for c in f) for f in factors)):
+            raise ValueError(f"models {path}: model {name!r} is not a list of column lists")
+        models[name] = Factorization(tuple(tuple(f) for f in factors), name)
+    pairs = spec.get("pairs")
     if pairs is None:
         names = sorted(models)
-        pairs = [[a, b] for i, a in enumerate(names) for b in names[i + 1 :]]
+        return models, [[a, b] for i, a in enumerate(names) for b in names[i + 1 :]]
+    if not (isinstance(pairs, list) and all(isinstance(p, list) and len(p) == 2 for p in pairs)):
+        raise ValueError(f'models {path}: "pairs" must be a list of [name, name] pairs')
+    for name in (n for p in pairs for n in p):
+        if not isinstance(name, str) or name not in models:
+            raise ValueError(f"models {path}: a pair names unknown model {name!r}")
+    return models, pairs
+
+
+def cmd_structure(args):
+    from .data import load_csv
+    from .structure import compare_models
+
+    models, pairs = _load_models(args.models)
+    data = load_csv(args.input, header=args.header)
     out = []
     for a, b in pairs:
         cmp_ = compare_models(

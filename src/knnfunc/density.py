@@ -69,8 +69,10 @@ def corrected_density(
     vals = base.values.copy()
     if labels.n_interior + labels.n_boundary != len(vals):
         raise ValueError("labels were computed for a different evaluation set")
-    for b, src in labels.nearest_interior.items():
-        vals[b] = base.values[src]
+    nearest = labels.nearest_interior
+    boundary = np.fromiter(nearest.keys(), dtype=np.intp, count=len(nearest))
+    source = np.fromiter(nearest.values(), dtype=np.intp, count=len(nearest))
+    vals[boundary] = base.values[source]
     return DensityEstimates(
         values=vals, estimator_kind="corrected", k=k, M=index.size, labels=labels
     )

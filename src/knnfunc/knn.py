@@ -18,11 +18,17 @@ its choices changes a result:
   a point are a window of the (value, index)-sorted references, which
   gives the k-th distances directly and the full neighbour lists after
   merging the window's two runs on either side of the query;
+- tied rows are ranked from their ball-point candidates by one lexsort
+  per block of rows, not one row at a time;
 - passes over a neighbour graph (the d = 1 lists, the re-sort of tied
   rows, the reverse counts) go a row block at a time, so that beside the
-  graph itself they hold a few MB, whatever its size.
+  graph itself they hold a few MB, whatever its size;
+- a self-query graph, such as the boundary detector's, is built by one
+  knn_query per row block and kept as int32 indices (4 bytes a slot); each
+  block's distances are read by the caller, if at all, and dropped.
 """
 
+import itertools
 import math
 import os
 import threading
@@ -71,6 +77,24 @@ _budget = threading.local()
 #   unblocked 137 / 60 / 26;  2^12 113 / 52 / 20;  2^14 101 / 47 / 17;
 #   2^15 99 / 47 / 16;  2^16 104 / 49 / 17;  2^18 114 / 51 / 18
 _BLOCK_SLOTS = 1 << 15
+
+# A self-query graph (_self_graph) is built by one knn_query per row block
+# of about this many slots and keeps only the int32 indices, so beside the
+# graph a block's distances and indices take 16 bytes a slot.  Measured
+# detect_boundary time and tracemalloc peak with a numeric config on a
+# 2-core host, the sizes interleaved, median of 9 (the mixture's evaluation
+# sets: d = 1, N = 9,000, K + 1 = 327; d = 3, N = 30,000, K + 1 = 38;
+# d = 1, N = 30,000, K + 1 = 728):
+#   2^14       136 ms 13.8 MB;  319 ms  5.5 MB;  1058 ms  90.0 MB
+#   2^16       127 ms 14.3 MB;  244 ms  6.1 MB;   869 ms  90.5 MB
+#   2^18       120 ms 17.5 MB;  213 ms  9.5 MB;   884 ms  93.6 MB
+#   2^20       121 ms 30.1 MB;  196 ms 23.2 MB;   841 ms 106.2 MB
+#   one block  129 ms 62.3 MB;  194 ms 24.8 MB;   941 ms 460.0 MB
+# Each block is one more tree call, which costs the most at d >= 2.  A
+# process that has not yet freed a large array hands each block's arrays
+# back to the system and pays their page faults again: there the last case
+# took 1.1-1.5 s at 2^18, 1.0-1.1 s at 2^20 and 0.8-1.1 s as one block.
+_GRAPH_BLOCK_SLOTS = 1 << 18
 
 
 def _row_blocks(n: int, k: int, min_slots: int = 0):
@@ -176,17 +200,29 @@ def _as_queries(query, dim):
 
 
 def _lexsorted_neighbors(points, queries, cand_indices, k):
-    """Order candidate indices by (squared distance, index), truncate to k."""
+    """Order each row's candidate indices by (squared distance, index) and
+    keep the first k.  Each row's candidates come in ascending index order,
+    so one stable lexsort on (row, squared distance) ranks those of a block
+    of consecutive rows, about _BLOCK_SLOTS candidates, at once."""
     n = len(queries)
     dist = np.empty((n, k))
     idx = np.empty((n, k), dtype=np.intp)
-    for i in range(n):
-        cand = np.asarray(cand_indices[i], dtype=np.intp)
-        diff = points[cand] - queries[i]
+    lens = np.fromiter(map(len, cand_indices), dtype=np.intp, count=n)
+    ends = np.cumsum(lens)
+    # a block starts at each row holding a multiple of _BLOCK_SLOTS
+    starts = np.unique(np.searchsorted(ends, np.arange(0, ends[-1], _BLOCK_SLOTS), side="right"))
+    for a, b in zip(starts, [*starts[1:], n]):
+        base = ends[a] - lens[a]
+        cand = np.fromiter(itertools.chain.from_iterable(cand_indices[a:b]),
+                           dtype=np.intp, count=ends[b - 1] - base)
+        diff = points[cand]
+        diff -= np.repeat(queries[a:b], lens[a:b], axis=0)
         d2 = np.einsum("ij,ij->i", diff, diff)
-        order = np.lexsort((cand, d2))[:k]
-        dist[i] = np.sqrt(d2[order])
-        idx[i] = cand[order]
+        order = np.lexsort((d2, np.repeat(np.arange(b - a), lens[a:b])))
+        # sorting keeps the rows in place: row i's ranks start where its candidates did
+        first = order[(ends[a:b] - lens[a:b] - base)[:, None] + np.arange(k)]
+        dist[a:b] = np.sqrt(d2[first])
+        idx[a:b] = cand[first]
     return dist, idx
 
 
@@ -231,13 +267,13 @@ def knn_query(index: NeighborIndex, query, k: int) -> NeighborResult:
         rows = np.where(ambiguous)[0]
         radii = dist[rows, min(k, kk - 1)] * (1 + 1e-12) + 1e-300
         cands = index._tree.query_ball_point(
-            q[rows], radii, workers=_workers(len(rows), kk)
+            q[rows], radii, workers=_workers(len(rows), kk), return_sorted=True
         )
         # ball query can undershoot k on exotic float edge cases; widen once
         for j, c in enumerate(cands):
             if len(c) < k:
                 cands[j] = index._tree.query_ball_point(
-                    q[rows[j]], dist[rows[j], kk - 1] * (1 + 1e-9)
+                    q[rows[j]], dist[rows[j], kk - 1] * (1 + 1e-9), return_sorted=True
                 )
         fixed_d, fixed_i = _lexsorted_neighbors(index.points, q[rows], cands, k)
         out_d[rows] = fixed_d
@@ -384,19 +420,37 @@ def count_reverse_neighbors(points, K: int) -> np.ndarray:
         raise ValueError("K must be < number of points")
     if K < 1:
         raise ValueError("K must be >= 1")
-    return _reverse_counts(knn_query(build_index(points), points, K + 1))
+    return _reverse_counts(_self_graph(build_index(points), K + 1))
 
 
-def _reverse_counts(graph: NeighborResult) -> np.ndarray:
-    """Reverse K-NN counts from a self-query of N points at K+1."""
-    cols = np.atleast_2d(graph.indices)
-    N, kk = cols.shape
+def _self_graph(index: NeighborIndex, k: int, each_block=None) -> np.ndarray:
+    """The (N, k) int32 knn_query indices of the index's own N points.
+
+    knn_query runs on one row block of about _GRAPH_BLOCK_SLOTS slots at a
+    time, and each block's distances are dropped once each_block(rows,
+    result), if given, has read them.
+    """
+    if index.size > np.iinfo(np.int32).max:
+        raise ValueError("a self-query graph holds fewer than 2^31 points")
+    graph = np.empty((index.size, k), dtype=np.int32)
+    for rows in _row_blocks(index.size, k, min_slots=_GRAPH_BLOCK_SLOTS):
+        res = knn_query(index, index.points[rows], k)
+        graph[rows] = res.indices
+        if each_block is not None:
+            each_block(rows, res)
+        del res  # before the next block's query
+    return graph
+
+
+def _reverse_counts(graph: np.ndarray) -> np.ndarray:
+    """Reverse K-NN counts from the (N, K+1) indices of a self-query."""
+    N, kk = graph.shape
     counts = np.zeros(N, dtype=np.int64)
     # a block's bincount costs N, so a block spans at least N slots.  At
     # N = 10^6 and K + 1 = 3 (d = 2, median of 9) blocks of 2^16 slots took
     # 130 ms, blocks of N slots 82 ms and one np.add.at over all 81 ms.
     for rows in _row_blocks(N, kk, min_slots=N):
-        block = cols[rows]
+        block = graph[rows]
         self_mask = block == np.arange(rows.start, rows.stop)[:, None]
         keep = ~self_mask
         # rows whose own point was displaced from its K+1 list by duplicates:

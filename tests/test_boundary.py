@@ -273,13 +273,16 @@ def test_detect_boundary_equals_recomputation_from_public_pieces(name):
 
 def test_row_blocks_do_not_change_counts_or_labels(monkeypatch):
     # tiny row blocks, with a ragged last block, give byte-identical counts
-    # and labels: the d = 1 window graph, the "auto" constants, the counts
-    # and the nearest interior points are each computed a block at a time
+    # and labels: the graph's own knn_query blocks (tree path at d = 2, 3,
+    # window path at d = 1), the d = 1 window lists, the "auto" constants,
+    # the counts and the nearest interior points are each made a block at a time
     inputs = dict(_shared_graph_inputs(),
                   uniform1d=(np.random.default_rng(36).random((400, 1)), 20, 800))
     out = {}
-    for block in (knnfunc.knn._BLOCK_SLOTS, 13):
+    sizes = {13: 997, knnfunc.knn._BLOCK_SLOTS: knnfunc.knn._GRAPH_BLOCK_SLOTS}
+    for block, graph_block in sizes.items():
         monkeypatch.setattr(knnfunc.knn, "_BLOCK_SLOTS", block)
+        monkeypatch.setattr(knnfunc.knn, "_GRAPH_BLOCK_SLOTS", graph_block)
         for name, (points, k, M) in inputs.items():
             out[block, name, "counts"] = [count_reverse_neighbors(points, K) for K in (1, 5, 40)]
             for i, cfg in enumerate(_SHARED_GRAPH_CONFIGS):
@@ -309,23 +312,40 @@ def test_row_blocks_do_not_change_counts_or_labels(monkeypatch):
 
 
 def test_detection_memory_is_graph_and_ratios(traced_peak):
-    # the detector holds its (K+1)-NN graph and, with L = "auto", the N*K
-    # edge ratios; every other temporary is one row block, also when many
-    # points are boundary (pk_scale = 0 puts the threshold at K)
-    pts = np.random.default_rng(37).random((4000, 1))
-    K = 300
-    graph = len(pts) * (K + 1) * 16
-    ratios = len(pts) * K * 8
-    for cfg, budget in (
-        (BoundaryConfig(delta=0.9, lipschitz_L="auto", eps0="auto", pk_scale=0.1), graph + ratios),
-        (BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0=1.0, pk_scale=0.0), graph),
-    ):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            labels, peak = traced_peak(lambda: detect_boundary(pts, K, len(pts), cfg))
-        assert labels.K_used == K and labels.q_used < 1.0
-        assert peak <= 1.3 * budget, cfg
-    assert labels.n_boundary > len(pts) // 5
+    # the detector holds its (K+1)-NN graph as int32 indices and, with
+    # L = "auto", the N*K edge ratios; beside them it holds one block of the
+    # graph's query (16 bytes a slot), also when many points are boundary
+    # (pk_scale = 0 puts the threshold at K); d = 1 takes the window path,
+    # d = 3 the tree, where an "auto" eps0 would put q above 1
+    block = 16 * knnfunc.knn._GRAPH_BLOCK_SLOTS
+    for pts, K, eps0 in ((np.random.default_rng(37).random((4000, 1)), 300, "auto"),
+                         (np.random.default_rng(38).random((20000, 3)), 60, 4.0)):
+        graph = len(pts) * (K + 1) * 4
+        ratios = len(pts) * K * 8
+        for cfg, budget in (
+            (BoundaryConfig(delta=0.9, lipschitz_L="auto", eps0=eps0, pk_scale=0.1),
+             graph + ratios + block),
+            (BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0=1.0, pk_scale=0.0), graph + block),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                labels, peak = traced_peak(lambda: detect_boundary(pts, K, len(pts), cfg))
+            assert labels.K_used == K and labels.q_used < 1.0
+            assert peak <= 1.3 * budget, (pts.shape, cfg, peak)
+        assert labels.n_boundary > len(pts) // 5
+
+
+def test_live_renyi_estimate_memory_is_the_int32_graph(traced_peak):
+    # a live-config Renyi estimate at d = 1 (N = 9,000, K = 326): its peak is
+    # the detector's int32 graph and one block of the graph's query
+    data = generate_dataset("beta_uniform_mixture", 30000, 2024,
+                            {"d": 1, "a": 4, "b": 4, "eps": 0.2})
+    sp = split(data, 0.7, 2024)
+    live = BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0=1.0, pk_scale=0.3)
+    report, peak = traced_peak(lambda: renyi_entropy(data, sp, 0.5, 761, config=live))
+    N, K = report.N, int(761 * report.N / report.M)
+    assert (N, K) == (9000, 326) and report.boundary_corrected
+    assert peak <= 1.3 * (4 * N * (K + 1) + 16 * knnfunc.knn._GRAPH_BLOCK_SLOTS)
 
 
 def _count_graph_calls(monkeypatch, points, k, M, cfg):

@@ -212,6 +212,39 @@ def test_experiment_spec_key_the_spec_lacks_is_named(tmp_path, capsys, key):
     assert not out.exists()
 
 
+def test_experiment_spec_that_is_not_an_object_is_named(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text("[1, 2]")
+    out = tmp_path / "never.json"
+    rc = run(["experiment", "--spec", str(spec), "--trials", "2", "-o", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: spec {spec}: expected a JSON object") and "list" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("models,problem", [
+    ([["a", [[0], [1, 2]]]], 'expected an object whose "models"'),
+    ({"models": [[0]]}, 'expected an object whose "models"'),
+    ({"models": {"a": [0, 1, 2]}}, "model 'a' is not a list of column lists"),
+    ({"models": {"a": [[0], [1, 2]], "b": [[0, 1], [2]]}, "pairs": [["a", "zz"]]},
+     "a pair names unknown model 'zz'"),
+    ({"models": {"a": [[0], [1, 2]], "b": [[0, 1], [2]]}, "pairs": "ab"},
+     '"pairs" must be a list of [name, name] pairs'),
+], ids=["top-level-list", "models-list", "model-of-columns", "unknown-model", "pairs-string"])
+def test_structure_models_of_the_wrong_shape_are_named(mixture_csv, tmp_path, capsys,
+                                                        models, problem):
+    path = tmp_path / "models.json"
+    path.write_text(json.dumps(models))
+    out = tmp_path / "never.json"
+    rc = run(["structure", "--input", str(mixture_csv), "--models", str(path),
+              "--k", "8", "-o", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: models {path}: {problem}") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     # flags these subcommands do not take
     ["entropy", "--no-boundary-correction"],

@@ -88,15 +88,31 @@ def test_index_brute_force_equivalence_random():
         assert np.allclose(fast.distances, slow.distances, rtol=0, atol=1e-12)
 
 
-def test_equivalence_with_duplicate_heavy_grid():
+def test_equivalence_with_duplicate_heavy_grid(monkeypatch):
+    # duplicate-heavy grids at d = 2 and 3, queried at grid points and half
+    # way between them: many rows have more than k references tied at their
+    # k-th distance, and their ball-point candidates are ranked a block of
+    # rows at a time (13-slot blocks make one row a block).  Coordinates are
+    # multiples of 1/2, so every squared distance is exact.
     rng = np.random.default_rng(7)
     base = rng.integers(0, 4, size=(120, 2)).astype(float)  # many exact ties
-    idx = build_index(base)
-    queries = rng.integers(0, 4, size=(15, 2)).astype(float)
-    for k in (1, 3, 8):
-        fast = knn_query(idx, queries, k)
-        slow = oracles.brute_force_knn(base, queries, k)
-        assert np.array_equal(fast.indices, slow.indices)
+    cases = [(base, rng.integers(0, 4, size=(15, 2)).astype(float), (1, 3, 8))]
+    for d, values in ((2, 5), (3, 3)):
+        refs = rng.integers(0, values, (400, d)).astype(float)
+        queries = np.concatenate([refs[:60], rng.integers(0, 2 * values - 1, (60, d)) / 2.0])
+        cases.append((refs, queries, (1, 7, 50, 200)))
+    for block in (knnfunc.knn._BLOCK_SLOTS, 13):
+        monkeypatch.setattr(knnfunc.knn, "_BLOCK_SLOTS", block)
+        for refs, queries, ks in cases:
+            idx = build_index(refs)
+            every = oracles.brute_force_knn(refs, queries, len(refs)).distances
+            for k in ks:
+                fast = knn_query(idx, queries, k)
+                slow = oracles.brute_force_knn(refs, queries, k)
+                assert np.array_equal(fast.indices, slow.indices), (refs.shape, k, block)
+                assert np.array_equal(fast.distances, slow.distances), (refs.shape, k, block)
+                # more references than the row keeps lie at its k-th distance
+                assert ((every <= slow.distances[:, -1:]).sum(axis=1) > k).any(), k
 
 
 @given(st.integers(min_value=1, max_value=12), st.data())
