@@ -1,21 +1,33 @@
 """Command-line front end.
 
-Every subcommand takes an explicit --seed (default 0, echoed in the
-output), writes machine-readable JSON or CSV, and is deterministic for a
-fixed argv.  Usage errors exit 2 before any output file is touched; data
-and runtime errors exit 1.
+Each subcommand writes JSON or CSV, deterministic for a fixed argv.  All
+but `experiment` take --seed (default 0); `experiment` seeds its trials
+from the spec's base_seed.  JSON outputs carry schema_version and, but for
+`experiment`'s, the seed; of the CSV outputs (`generate`, `density`,
+`dimension-scan`) only `density`'s header echoes it.  Usage errors exit 2
+before any output file is touched; data and runtime errors exit 1.
 
-The boundary detector runs only when --lipschitz and --eps0 are both
-given; without them the estimators plug in the standard k-NN density.
+Estimators take the rate-matched k = M^(2/(2+d)) unless --k is given, and
+run the boundary detector only when --lipschitz and --eps0 are both
+given; without them they plug in the standard k-NN density.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
+from functools import partial
 
 import numpy as np
 
 SCHEMA_VERSION = 1
+
+# generate --dist: the generate_dataset name, and the flags its params come from
+DISTRIBUTIONS = {
+    "beta-uniform": ("beta_uniform_mixture", ("d", "a", "b", "eps")),
+    "uniform": ("uniform", ("d",)),
+    "manifold": ("projected_manifold", ("intrinsic_d", "ambient_D")),
+}
 
 
 def _boundary_config(args):
@@ -41,9 +53,9 @@ def _check_detector_flags(parser, args):
         parser.error("--delta and --pk-scale need --lipschitz and --eps0")
 
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=0, help="base seed (echoed in output)")
-    p.add_argument("--output", "-o", default=None, help="output path (default stdout)")
+def _flag(*names, **kwargs):
+    """One flag, as a group that _subcommand adds."""
+    return lambda p: p.add_argument(*names, **kwargs)
 
 
 def _add_input(p):
@@ -59,25 +71,46 @@ def _add_detector(p):
     p.add_argument("--pk-scale", type=float, default=None)
 
 
-def _add_estimator(p, ci_level=True):
+def _add_estimator(p):
     _add_input(p)
     p.add_argument("--alpha-frac", type=float, default=0.7,
                    help="reference fraction M/T of the split")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--k", type=int, default=None, help="fixed neighbor count")
-    group.add_argument("--k-rule", choices=["rate"], default=None,
-                       help="rate-matched k = M^(2/(2+d))")
+    p.add_argument("--k", type=int, default=None,
+                   help="neighbor count (default: rate-matched M^(2/(2+d)))")
     _add_detector(p)
-    if ci_level:
-        p.add_argument("--ci-level", type=float, default=0.95)
+
+
+_add_ci_level = _flag("--ci-level", type=float, default=0.95)
+
+
+def _add_mixture(p):
+    """The dimension, and the Beta-uniform mixture's a, b and eps."""
+    p.add_argument("--d", type=int, default=3)
+    p.add_argument("--a", type=float, default=4.0)
+    p.add_argument("--b", type=float, default=4.0)
+    p.add_argument("--eps", type=float, default=0.2)
+
+
+def _add_dimension(p, k1):
+    _add_input(p)
+    p.add_argument("--k1", type=int, default=k1)
+    p.add_argument("--k2", type=int, default=None)
+    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--alpha-frac", type=float, default=0.7)
+
+
+def _load(args):
+    from .data import load_csv
+
+    return load_csv(args.input, header=args.header)
 
 
 def _prepare(args):
     """Load the input, split it, and resolve k: (data, split, k)."""
-    from .data import load_csv, split
+    from .data import split
     from .tuning import rate_matched_k
 
-    data = load_csv(args.input, header=args.header)
+    data = _load(args)
     sp = split(data, args.alpha_frac, args.seed)
     k = args.k if args.k is not None else rate_matched_k(sp.n_ref, data.dim)
     return data, sp, k
@@ -95,31 +128,22 @@ def _emit(payload, args):
     _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args)
 
 
-def _report_payload(report, args, extra=None):
-    payload = {"schema_version": SCHEMA_VERSION, "seed": args.seed}
-    payload.update(report.to_dict())
-    if extra:
-        payload.update(extra)
-    return payload
+def _emit_seeded(payload, args):
+    """Emit payload with the schema version and the seed."""
+    _emit({"schema_version": SCHEMA_VERSION, "seed": args.seed, **payload}, args)
+
+
+def _csv_row(values):
+    return ",".join(format(v, ".17g") for v in values)
 
 
 def cmd_generate(args):
     from .inference import generate_dataset
 
-    params = {}
-    if args.dist == "beta-uniform":
-        params = {"d": args.d, "a": args.a, "b": args.b, "eps": args.eps}
-        name = "beta_uniform_mixture"
-    elif args.dist == "uniform":
-        params = {"d": args.d}
-        name = "uniform"
-    elif args.dist == "manifold":
-        params = {"intrinsic_d": args.intrinsic_d, "ambient_D": args.ambient_D}
-        name = "projected_manifold"
+    name, flags = DISTRIBUTIONS[args.dist]
+    params = {flag: getattr(args, flag) for flag in flags}
     data = generate_dataset(name, args.T, args.seed, params)
-    rows = "\n".join(",".join(format(v, ".17g") for v in row) for row in data.points)
-    _write(rows + "\n", args)
-    return 0
+    _write("\n".join(_csv_row(row) for row in data.points) + "\n", args)
 
 
 def cmd_density(args):
@@ -127,54 +151,51 @@ def cmd_density(args):
 
     data, sp, k = _prepare(args)
     dens = _density_values(data, sp, k, _boundary_config(args))
-    ev = sp.eval_points(data)
     interior_flag = np.ones(sp.n_eval, dtype=bool)
     if dens.labels is not None:
         interior_flag[dens.labels.boundary] = False
     lines = [f"# seed={args.seed} k={k} N={sp.n_eval} M={sp.n_ref} kind={dens.estimator_kind}"]
-    for row, val, flag in zip(ev, dens.values, interior_flag):
-        coords = ",".join(format(v, ".17g") for v in row)
-        lines.append(f"{coords},{val:.17g},{'interior' if flag else 'boundary'}")
+    for row, val, flag in zip(sp.eval_points(data), dens.values, interior_flag):
+        lines.append(f"{_csv_row(row)},{val:.17g},{'interior' if flag else 'boundary'}")
     _write("\n".join(lines) + "\n", args)
-    return 0
 
 
-def cmd_entropy(args):
+def cmd_estimate(estimate, args):
+    """entropy, renyi and mi: estimate(args, data, split, k) returns the
+    report and the keys the subcommand adds to its JSON."""
+    data, sp, k = _prepare(args)
+    report, extra = estimate(args, data, sp, k)
+    _emit_seeded({**report.to_dict(), **extra}, args)
+
+
+def _shannon(args, data, sp, k):
     from .functionals import bpi_estimate, bpi_estimate_bc, shannon_functional
 
-    data, sp, k = _prepare(args)
     estimator = bpi_estimate if args.no_bias_correction else bpi_estimate_bc
     report = estimator(data, sp, shannon_functional(), k,
                        config=_boundary_config(args), ci_level=args.ci_level)
-    _emit(_report_payload(report, args, {"functional": "shannon"}), args)
-    return 0
+    return report, {"functional": "shannon"}
 
 
-def cmd_renyi(args):
+def _renyi(args, data, sp, k):
     from .functionals import renyi_entropy
 
-    data, sp, k = _prepare(args)
     report = renyi_entropy(
         data, sp, args.alpha, k, config=_boundary_config(args), ci_level=args.ci_level
     )
-    _emit(_report_payload(report, args, {"functional": "renyi_entropy",
-                                         "alpha": args.alpha}), args)
-    return 0
+    return report, {"functional": "renyi_entropy", "alpha": args.alpha}
 
 
-def cmd_mi(args):
+def _mi(args, data, sp, k):
     from .functionals import mutual_information
 
-    data, sp, k = _prepare(args)
     x_cols = [int(c) for c in args.x_cols.split(",")]
     y_cols = [int(c) for c in args.y_cols.split(",")]
     report = mutual_information(
         data, sp, x_cols, y_cols, k,
         config=_boundary_config(args), ci_level=args.ci_level,
     )
-    _emit(_report_payload(report, args, {"functional": "mutual_information",
-                                         "x_cols": x_cols, "y_cols": y_cols}), args)
-    return 0
+    return report, {"functional": "mutual_information", "x_cols": x_cols, "y_cols": y_cols}
 
 
 def cmd_tune(args):
@@ -188,18 +209,12 @@ def cmd_tune(args):
         dens = uniform_density(args.d)
     func = shannon_functional() if args.functional == "shannon" else renyi_functional(args.alpha)
     consts = constants_oracle(dens, func, args.n_mc, args.seed)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "seed": args.seed,
-        "mode": consts.mode,
-        "c1": consts.c1, "c2": consts.c2, "c3": consts.c3,
-        "c4": consts.c4, "c5": consts.c5,
+    _emit_seeded({
+        **dataclasses.asdict(consts),  # c1..c5 and mode
         "k_opt": optimal_k(consts.c1 + consts.c3, consts.c2, args.d, args.M),
         "k_rate_matched": rate_matched_k(args.M, args.d),
         "M": args.M,
-    }
-    _emit(payload, args)
-    return 0
+    }, args)
 
 
 def cmd_experiment(args):
@@ -219,58 +234,39 @@ def cmd_experiment(args):
     except TypeError as exc:  # a key the spec does not have, or lacks
         raise ValueError(f"spec {args.spec}: {exc}") from None
     results = monte_carlo(spec, args.trials)
-    summary = dict(results.summary)
-    summary["schema_version"] = SCHEMA_VERSION
+    summary = {**results.summary, "schema_version": SCHEMA_VERSION}
     if results.estimates.size >= 20 and np.std(results.estimates) > 0:
-        ks, p, _ = normality_diagnostics(results.estimates)
-        summary["ks_statistic"] = ks
-        summary["ks_p"] = p
+        summary["ks_statistic"], summary["ks_p"], _ = normality_diagnostics(results.estimates)
     if args.trials_csv:
         with open(args.trials_csv, "w", encoding="utf-8") as fh:
             fh.write("trial,k,estimate\n")
             for t, (k, e) in enumerate(zip(results.ks, results.estimates)):
                 fh.write(f"{t},{k},{e:.17g}\n")
     _emit(summary, args)
-    return 0
 
 
 def cmd_dimension(args):
-    from .data import load_csv
     from .dimension import estimate_dimension
 
-    data = load_csv(args.input, header=args.header)
     est = estimate_dimension(
-        data, args.k1, args.k2, gamma=args.gamma, variant=args.variant,
+        _load(args), args.k1, args.k2, gamma=args.gamma, variant=args.variant,
         alpha_frac=args.alpha_frac, seed=args.seed,
     )
-    payload = {
-        "schema_version": SCHEMA_VERSION, "seed": args.seed,
-        "d_hat": est.d_hat, "d_rounded": est.d_rounded,
-        "alpha_hat": est.alpha_hat, "k1": est.k1, "k2": est.k2,
-        "gamma": est.gamma, "variant": est.variant,
-        "variance_estimate": est.variance_estimate,
-    }
-    _emit(payload, args)
-    return 0
+    _emit_seeded(dataclasses.asdict(est), args)
 
 
 def cmd_dimension_scan(args):
-    from .data import load_csv
     from .dimension import anomaly_scan
 
-    data = load_csv(args.input, header=args.header)
     results = anomaly_scan(
-        data, args.window, args.stride, args.k1, args.k2,
+        _load(args), args.window, args.stride, args.k1, args.k2,
         gamma=args.gamma, alpha_frac=args.alpha_frac, seed=args.seed,
     )
     lines = ["window_start,d_hat,d_rounded"]
     for start, est in results:
-        if est is None:
-            lines.append(f"{start},,")
-        else:
-            lines.append(f"{start},{est.d_hat:.17g},{est.d_rounded}")
+        cells = "," if est is None else f"{est.d_hat:.17g},{est.d_rounded}"
+        lines.append(f"{start},{cells}")
     _write("\n".join(lines) + "\n", args)
-    return 0
 
 
 def _load_models(path):
@@ -303,22 +299,29 @@ def _load_models(path):
 
 
 def cmd_structure(args):
-    from .data import load_csv
     from .structure import compare_models
 
     models, pairs = _load_models(args.models)
-    data = load_csv(args.input, header=args.header)
-    out = []
-    for a, b in pairs:
-        cmp_ = compare_models(
-            data, models[a], models[b], args.k,
-            budget=args.budget, alpha_frac=args.alpha_frac,
-            config=_boundary_config(args), seed=args.seed,
-        )
-        out.append(cmp_.to_dict())
-    _emit({"schema_version": SCHEMA_VERSION, "seed": args.seed,
-           "comparisons": out}, args)
-    return 0
+    data = _load(args)
+    comparisons = [
+        compare_models(data, models[a], models[b], args.k, budget=args.budget,
+                       alpha_frac=args.alpha_frac, config=_boundary_config(args),
+                       seed=args.seed).to_dict()
+        for a, b in pairs
+    ]
+    _emit_seeded({"comparisons": comparisons}, args)
+
+
+def _subcommand(sub, name, about, fn, *groups, seed=True):
+    """Subcommand `name` runs fn(args).  Its flags are each group's in
+    turn, then --seed (unless seed is False) and --output."""
+    p = sub.add_parser(name, help=about)
+    for add in groups:
+        add(p)
+    if seed:
+        p.add_argument("--seed", type=int, default=0, help="base seed")
+    p.add_argument("--output", "-o", default=None, help="output path (default stdout)")
+    p.set_defaults(fn=fn)
 
 
 def build_parser():
@@ -327,98 +330,48 @@ def build_parser():
         description="k-NN plug-in estimation of entropy, mutual information, "
                     "intrinsic dimension, and factor-graph cross-entropy tests",
     )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("generate", help="write a synthetic dataset as CSV")
-    g.add_argument("--dist", choices=["beta-uniform", "uniform", "manifold"],
-                   required=True)
-    g.add_argument("--T", type=int, required=True)
-    g.add_argument("--d", type=int, default=3)
-    g.add_argument("--a", type=float, default=4.0)
-    g.add_argument("--b", type=float, default=4.0)
-    g.add_argument("--eps", type=float, default=0.2)
-    g.add_argument("--intrinsic-d", type=int, default=2)
-    g.add_argument("--ambient-D", type=int, default=3)
-    _add_common(g)
-    g.set_defaults(fn=cmd_generate)
-
-    dns = sub.add_parser("density", help="density estimates at the eval points")
-    _add_estimator(dns, ci_level=False)
-    _add_common(dns)
-    dns.set_defaults(fn=cmd_density)
-
-    ent = sub.add_parser("entropy", help="Shannon entropy estimate")
-    _add_estimator(ent)
-    ent.add_argument("--no-bias-correction", action="store_true")
-    _add_common(ent)
-    ent.set_defaults(fn=cmd_entropy)
-
-    ren = sub.add_parser("renyi", help="Renyi entropy estimate")
-    _add_estimator(ren)
-    ren.add_argument("--alpha", type=float, required=True)
-    _add_common(ren)
-    ren.set_defaults(fn=cmd_renyi)
-
-    mi = sub.add_parser("mi", help="Shannon mutual information estimate")
-    _add_estimator(mi)
-    mi.add_argument("--x-cols", required=True, help="comma-separated column indices")
-    mi.add_argument("--y-cols", required=True)
-    _add_common(mi)
-    mi.set_defaults(fn=cmd_mi)
-
-    tn = sub.add_parser("tune", help="oracle theory constants and recommended k")
-    tn.add_argument("--density", choices=["beta-uniform", "uniform"], required=True)
-    tn.add_argument("--d", type=int, default=3)
-    tn.add_argument("--a", type=float, default=4.0)
-    tn.add_argument("--b", type=float, default=4.0)
-    tn.add_argument("--eps", type=float, default=0.2)
-    tn.add_argument("--functional", choices=["shannon", "renyi"], default="shannon")
-    tn.add_argument("--alpha", type=float, default=0.5)
-    tn.add_argument("--n-mc", type=int, default=200_000)
-    tn.add_argument("--M", type=int, required=True)
-    _add_common(tn)
-    tn.set_defaults(fn=cmd_tune)
-
-    ex = sub.add_parser("experiment", help="Monte Carlo trials from a JSON spec")
-    ex.add_argument("--spec", required=True, help="TrialSpec as JSON")
-    ex.add_argument("--trials", type=int, required=True)
-    ex.add_argument("--trials-csv", default=None, help="per-trial CSV output path")
-    _add_common(ex)
-    ex.set_defaults(fn=cmd_experiment)
-
-    dm = sub.add_parser("dimension", help="intrinsic dimension estimate")
-    _add_input(dm)
-    dm.add_argument("--k1", type=int, default=25)
-    dm.add_argument("--k2", type=int, default=None)
-    dm.add_argument("--gamma", type=float, default=1.0)
-    dm.add_argument("--variant", choices=["independent", "correlated"],
-                    default="correlated")
-    dm.add_argument("--alpha-frac", type=float, default=0.7)
-    _add_common(dm)
-    dm.set_defaults(fn=cmd_dimension)
-
-    ds = sub.add_parser("dimension-scan", help="sliding-window dimension trace")
-    _add_input(ds)
-    ds.add_argument("--window", type=int, required=True)
-    ds.add_argument("--stride", type=int, default=1)
-    ds.add_argument("--k1", type=int, default=5)
-    ds.add_argument("--k2", type=int, default=None)
-    ds.add_argument("--gamma", type=float, default=1.0)
-    ds.add_argument("--alpha-frac", type=float, default=0.7)
-    _add_common(ds)
-    ds.set_defaults(fn=cmd_dimension_scan)
-
-    st = sub.add_parser("structure", help="factor-graph cross-entropy comparisons")
-    _add_input(st)
-    st.add_argument("--models", required=True,
-                    help='JSON: {"models": {name: [[cols], ...]}, "pairs": [[a,b], ...]}')
-    st.add_argument("--k", type=int, default=20)
-    st.add_argument("--budget", type=int, default=None)
-    st.add_argument("--alpha-frac", type=float, default=0.5)
-    _add_detector(st)
-    _add_common(st)
-    st.set_defaults(fn=cmd_structure)
-
+    add = partial(_subcommand, p.add_subparsers(dest="command", required=True))
+    add("generate", "write a synthetic dataset as CSV", cmd_generate,
+        _flag("--dist", choices=list(DISTRIBUTIONS), required=True),
+        _flag("--T", type=int, required=True), _add_mixture,
+        _flag("--intrinsic-d", type=int, default=2),
+        _flag("--ambient-D", type=int, default=3))
+    add("density", "density estimates at the eval points", cmd_density, _add_estimator)
+    add("entropy", "Shannon entropy estimate", partial(cmd_estimate, _shannon),
+        _add_estimator, _add_ci_level, _flag("--no-bias-correction", action="store_true"))
+    add("renyi", "Renyi entropy estimate", partial(cmd_estimate, _renyi),
+        _add_estimator, _add_ci_level, _flag("--alpha", type=float, required=True))
+    add("mi", "Shannon mutual information estimate", partial(cmd_estimate, _mi),
+        _add_estimator, _add_ci_level,
+        _flag("--x-cols", required=True, help="comma-separated column indices"),
+        _flag("--y-cols", required=True))
+    add("tune", "oracle theory constants and recommended k", cmd_tune,
+        _flag("--density", choices=["beta-uniform", "uniform"], required=True),
+        _add_mixture,
+        _flag("--functional", choices=["shannon", "renyi"], default="shannon"),
+        _flag("--alpha", type=float, default=0.5),
+        _flag("--n-mc", type=int, default=200_000),
+        _flag("--M", type=int, required=True))
+    add("experiment", "Monte Carlo trials from a JSON spec", cmd_experiment,
+        _flag("--spec", required=True, help="TrialSpec as JSON; base_seed seeds the trials"),
+        _flag("--trials", type=int, required=True),
+        _flag("--trials-csv", default=None, help="per-trial CSV output path"),
+        seed=False)
+    add("dimension", "intrinsic dimension estimate", cmd_dimension,
+        partial(_add_dimension, k1=25),
+        _flag("--variant", choices=["independent", "correlated"], default="correlated"))
+    add("dimension-scan", "sliding-window dimension trace", cmd_dimension_scan,
+        partial(_add_dimension, k1=5),
+        _flag("--window", type=int, required=True),
+        _flag("--stride", type=int, default=1))
+    add("structure", "factor-graph cross-entropy comparisons", cmd_structure,
+        _add_input,
+        _flag("--models", required=True,
+              help='JSON: {"models": {name: [[cols], ...]}, "pairs": [[a,b], ...]}'),
+        _flag("--k", type=int, default=20),
+        _flag("--budget", type=int, default=None),
+        _flag("--alpha-frac", type=float, default=0.5),
+        _add_detector)
     return p
 
 
@@ -431,10 +384,11 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.fn(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+        args.fn(args)
+    except (ValueError, OSError, KeyError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main():  # console-script entry point

@@ -10,7 +10,7 @@ comparisons.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -216,29 +216,20 @@ def sample_projected_manifold(
     return Dataset(base.points @ u.T)
 
 
-def sample_block_beta_mixture(
-    count: int,
-    block_sizes,
-    seed: int,
-    a1: float = 5.0,
-    b1: float = 2.0,
-    a2: float = 2.0,
-    b2: float = 5.0,
-    weight: float = 0.5,
-) -> Dataset:
+def sample_block_beta_mixture(count: int, block_sizes, seed: int) -> Dataset:
     """Blockwise-dependent Beta mixture for factor-graph experiments.
 
     Each block of columns draws a shared component label per sample, then
-    fills its coordinates i.i.d. from Beta(a1,b1) or Beta(a2,b2).  Columns
-    in different blocks are independent; columns within a multi-column
-    block are dependent through the shared label.
+    fills its coordinates i.i.d. from Beta(5,2) or Beta(2,5), each with
+    probability 1/2.  Columns in different blocks are independent; columns
+    within a multi-column block are dependent through the shared label.
     """
     rng = make_rng(seed, "block-beta", count, tuple(block_sizes))
     cols = []
     for j, m in enumerate(block_sizes):
-        pick_first = rng.random(count) < weight
-        first = rng.beta(a1, b1, size=(count, m))
-        second = rng.beta(a2, b2, size=(count, m))
+        pick_first = rng.random(count) < 0.5
+        first = rng.beta(5.0, 2.0, size=(count, m))
+        second = rng.beta(2.0, 5.0, size=(count, m))
         cols.append(np.where(pick_first[:, None], first, second))
     return Dataset(np.hstack(cols))
 
@@ -255,7 +246,10 @@ class AnalyticDensity:
     dim: int
     pdf: callable
     sampler: callable
-    params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError(f"density dimension must be >= 1, got {self.dim}")
 
     def sample(self, n: int, seed: int, *tags) -> np.ndarray:
         return self.sampler(n, make_rng(seed, "analytic-density", *tags))
@@ -285,9 +279,7 @@ def beta_uniform_mixture_density(
             use_uniform[:, None], rng.random((n, dim)), rng.beta(a, b, size=(n, dim))
         )
 
-    return AnalyticDensity(
-        dim=dim, pdf=pdf, sampler=sampler, params={"a": a, "b": b, "eps": eps}
-    )
+    return AnalyticDensity(dim=dim, pdf=pdf, sampler=sampler)
 
 
 def uniform_density(dim: int) -> AnalyticDensity:
@@ -298,7 +290,7 @@ def uniform_density(dim: int) -> AnalyticDensity:
     def sampler(n, rng):
         return rng.random((n, dim))
 
-    return AnalyticDensity(dim=dim, pdf=pdf, sampler=sampler, params={})
+    return AnalyticDensity(dim=dim, pdf=pdf, sampler=sampler)
 
 
 def true_functional(

@@ -29,8 +29,6 @@ class DensityEstimates:
 
     values: np.ndarray
     estimator_kind: str  # "standard" | "corrected"
-    k: int
-    M: int
     labels: Optional[BoundaryLabels] = None
 
     def __post_init__(self):
@@ -57,7 +55,7 @@ def knn_density(index: NeighborIndex, queries, k: int) -> DensityEstimates:
         )
     cd = unit_ball_volume(index.dim)
     vals = (k - 1) / (index.size * cd * r**index.dim)
-    return DensityEstimates(values=vals, estimator_kind="standard", k=k, M=index.size)
+    return DensityEstimates(values=vals, estimator_kind="standard")
 
 
 def corrected_density(
@@ -73,7 +71,5 @@ def corrected_density(
     boundary = np.fromiter(nearest.keys(), dtype=np.intp, count=len(nearest))
     source = np.fromiter(nearest.values(), dtype=np.intp, count=len(nearest))
     vals[boundary] = base.values[source]
-    return DensityEstimates(
-        values=vals, estimator_kind="corrected", k=k, M=index.size, labels=labels
-    )
+    return DensityEstimates(values=vals, estimator_kind="corrected", labels=labels)
 

@@ -78,7 +78,6 @@ def constants_oracle(
     functional: Functional,
     n_mc: int,
     seed: int,
-    hessian_step: float = 1e-4,
 ) -> TheoryConstants:
     """Monte Carlo theory constants using the analytic density.
 
@@ -91,7 +90,7 @@ def constants_oracle(
             f"n_mc = {n_mc} < 1e5: oracle constants will be noisy", RuntimeWarning
         )
     z = density.sample(n_mc, seed, "oracle-constants", functional.id)
-    tr, f = _trace_hessian(density.pdf, z, hessian_step)
+    tr, f = _trace_hessian(density.pdf, z, 1e-4)
     d = density.dim
     h = hessian_weight(d) * f ** (-2.0 / d) * tr
     gp = np.asarray(functional.g_prime(f), dtype=np.float64)
@@ -112,6 +111,8 @@ def rate_matched_k(M: int, d: int) -> int:
     without knowing the density's constants."""
     if M < 2:
         raise ValueError("M must be >= 2")
+    if d < 1:
+        raise ValueError(f"dimension d must be >= 1, got {d}")
     return max(3, int(round(M ** (2.0 / (2.0 + d)))))
 
 
@@ -126,6 +127,8 @@ def optimal_k(c0: float, c2: float, d: int, M: int) -> int:
     """
     if M < 2:
         raise ValueError("M must be >= 2")
+    if d < 1:
+        raise ValueError(f"dimension d must be >= 1, got {d}")
     if c0 == 0.0:
         warnings.warn("c0 = 0: falling back to rate-matched k", RuntimeWarning)
         return rate_matched_k(M, d)

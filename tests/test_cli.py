@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -9,9 +11,11 @@ import numpy as np
 import pytest
 
 import knnfunc
-from knnfunc.cli import run
+from knnfunc.cli import _check_detector_flags, build_parser, run
+from knnfunc.tuning import rate_matched_k
 
-SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMA_DIR = ROOT / "docs" / "schemas"
 LIVE_DETECTOR = ["--pk-scale", "0.3", "--delta", "0.9", "--lipschitz", "0",
                  "--eps0", "1"]
 
@@ -44,7 +48,7 @@ def test_generate_deterministic(tmp_path):
 def test_entropy_pipeline(mixture_csv, tmp_path):
     out = tmp_path / "ent.json"
     args = ["entropy", "--input", str(mixture_csv), "--alpha-frac", "0.7",
-            "--k-rule", "rate", "--seed", "7", "--pk-scale", "0.3",
+            "--seed", "7", "--pk-scale", "0.3",
             "--delta", "0.9", "--lipschitz", "0", "--eps0", "1",
             "-o", str(out)]
     assert run(args) == 0
@@ -52,6 +56,7 @@ def test_entropy_pipeline(mixture_csv, tmp_path):
     assert payload["schema_version"] == 1
     assert payload["seed"] == 7
     assert {"estimate", "k", "N", "M", "variance_estimate", "ci"} <= set(payload)
+    assert payload["k"] == rate_matched_k(payload["M"], 3)  # the default k
     # determinism: byte-identical on repeat
     out2 = tmp_path / "ent2.json"
     assert run(args[:-1] + [str(out2)]) == 0
@@ -264,6 +269,46 @@ def test_contradictory_or_ignored_flags_are_usage_errors(mixture_csv, tmp_path, 
     assert not out.exists()
 
 
+def test_deleted_flags_are_usage_errors(mixture_csv, tmp_path):
+    # --k-rule's one value was the default k; experiment's --seed was never
+    # read, as the spec's base_seed seeds the trials
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "generator": "uniform", "generator_params": {"d": 2}, "T": 600,
+        "alpha_frac": 0.7, "functional_id": "shannon", "k_rule": "fixed", "k": 6}))
+    for argv in (["entropy", "--input", str(mixture_csv), "--k-rule", "rate"],
+                 ["experiment", "--spec", str(spec), "--trials", "2", "--seed", "3"]):
+        out = tmp_path / "never.json"
+        assert run(argv + ["-o", str(out)]) == 2, argv
+        assert not out.exists()
+
+
+def test_non_positive_dimension_is_named(tmp_path, capsys):
+    out = tmp_path / "never.json"
+    rc = run(["tune", "--density", "uniform", "--d", "0", "--M", "100", "-o", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: density dimension must be >= 1, got 0\n"
+    assert not out.exists()
+
+
+def test_readme_cli_examples_parse():
+    # every knnfunc line of the README's CLI block parses, with the
+    # detector flag checks run() adds; nothing is run
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## CLI\n\n```\n(.*?)```", readme, re.S).group(1)
+    lines = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    examples = [argv[1:] for argv in lines if argv and argv[0] == "knnfunc"]
+    assert len(examples) == len(lines) >= 9
+    parser = build_parser()
+    for argv in examples:
+        try:
+            args = parser.parse_args(argv)
+            if hasattr(args, "lipschitz"):
+                _check_detector_flags(parser, args)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: knnfunc {shlex.join(argv)}")
+
+
 @pytest.mark.parametrize("flag,field", [("--pk-scale", "pk_scale"),
                                         ("--lipschitz", "lipschitz_L"),
                                         ("--eps0", "eps0")])
@@ -324,6 +369,7 @@ def test_json_outputs_match_their_schemas(mixture_csv, tmp_path):
                       "dimension_result"),
         "structure": (["structure", "--input", str(blocks), "--models", str(models),
                        "--k", "12"] + LIVE_DETECTOR, "model_comparison"),
+        # experiment takes no --seed: the spec's base_seed seeds its trials
         "experiment": (["experiment", "--spec", str(spec), "--trials", "20"],
                        "experiment_summary"),
         "tune": (["tune", "--density", "uniform", "--d", "3", "--n-mc", "20000",
@@ -331,9 +377,10 @@ def test_json_outputs_match_their_schemas(mixture_csv, tmp_path):
     }
     for name, (argv, schema) in commands.items():
         out = tmp_path / f"{name}.json"
+        seed = [] if name == "experiment" else ["--seed", "3"]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            assert run(argv + ["--seed", "3", "-o", str(out)]) == 0, name
+            assert run(argv + seed + ["-o", str(out)]) == 0, name
         _validate(_read_json(out), schema)
 
 

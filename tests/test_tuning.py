@@ -156,6 +156,18 @@ def test_rate_matched_values():
     assert rate_matched_k(3, 5) == 3
 
 
+@pytest.mark.parametrize("d", [0, -2])
+def test_non_positive_dimension_is_named(d):
+    # otherwise d = 0 gives k = M silently, and d = -2 divides by zero
+    with pytest.raises(ValueError, match=f"dimension d must be >= 1, got {d}"):
+        rate_matched_k(100, d)
+    with pytest.raises(ValueError, match=f"dimension d must be >= 1, got {d}"):
+        optimal_k(1.0, 1.0, d, 100)
+    for make in (uniform_density, lambda dim: beta_uniform_mixture_density(dim, 4, 4, 0.2)):
+        with pytest.raises(ValueError, match=f"density dimension must be >= 1, got {d}"):
+            make(d)
+
+
 def test_predict_bias_variance():
     c = TheoryConstants(c1=0.0, c2=0.5, c3=0.0, c4=1.0, c5=2.0, mode="oracle")
     bias, var = predict_bias_variance(c, k=10, N=100, M=200, d=3)
