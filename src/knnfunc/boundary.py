@@ -10,10 +10,10 @@ point so the density layer can extrapolate.
 One detection makes one (K+1)-NN self-query of the evaluation set, by
 one knn_query per row block, and keeps its indices as an (N, K+1) int32
 graph: the reverse counts and the nearest interior points read it.  The
-"auto" constants read each block's distances before they are dropped: the
-(K+1)-th radii, and the edge lengths that become the N*K edge ratios.  Only
-a boundary point with no interior point among its K + 1 nearest needs a
-second index, over the interior points.  When q >= 1 the threshold is
+"auto" constants read what the self-query keeps beside it: the (K+1)-th
+radii and, for an "auto" L, the edge lengths that become the N*K edge
+ratios.  Only a boundary point with no interior point among its K + 1
+nearest needs a second index, over the interior points.  When q >= 1 the threshold is
 <= 0, every point is interior and no count is taken.  The detector's
 working memory is the int32 graph, plus the edge ratios when L is "auto",
 plus one block; every pass over the graph goes a row block at a time.
@@ -29,7 +29,6 @@ detector that actually fires at practical sample sizes.
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional, Union
 
 import numpy as np
@@ -54,7 +53,7 @@ class BoundaryConfig:
     pk_scale: multiplier on the 2*sqrt(6)/k^(delta/2) concentration term;
         1.0 is the literal threshold, smaller values make detection fire
         at moderate k.
-    Numeric values must be finite.
+    Numeric values must be finite and nonnegative, and eps0 positive.
     """
 
     delta: float = 0.8
@@ -72,6 +71,8 @@ class BoundaryConfig:
                     raise ValueError(f"{name} must be a positive real or 'auto'")
             elif not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v!r}")
+            elif name == "eps0" and v <= 0:  # q divides by it
+                raise ValueError("eps0 must be positive")
             elif v < 0:
                 raise ValueError(f"{name} must be nonnegative")
 
@@ -80,13 +81,13 @@ class BoundaryConfig:
 class BoundaryLabels:
     """Interior/boundary partition of the N evaluation points.
 
-    nearest_interior maps each boundary index to the interior index whose
-    point is closest (ties by index).  threshold_used is (1-q)*K.
+    nearest_interior[i] is the interior index whose point is closest to
+    boundary[i] (ties by index).  threshold_used is (1-q)*K.
     """
 
     interior: np.ndarray
     boundary: np.ndarray
-    nearest_interior: dict
+    nearest_interior: np.ndarray
     threshold_used: float
     K_used: int
     q_used: float
@@ -105,23 +106,14 @@ def p_k(k: int, delta: float) -> float:
     return math.sqrt(6.0) / k ** (delta / 2.0)
 
 
-def _keep_distances(radii, edges, rows, block):
-    """Keep what "auto" reads of a block of the (K+1)-NN self-query: each
-    point's (K+1)-th radius and, when edges is given, its K edge lengths
-    (the first column, the point itself, left out), floored at 1e-300."""
-    radii[rows] = block.distances[:, -1]
-    if edges is not None:
-        np.maximum(block.distances[:, 1:], 1e-300, out=edges[rows])
-
-
 def _resolve_auto(graph, radii, edges, d, config):
     """Estimate (L, eps0) from the evaluation sample when set to "auto".
 
-    graph holds the (K+1)-NN self-query indices of the N evaluation points,
-    radii and edges what _keep_distances kept of it.  eps0: 10th percentile
-    of standard K-NN density estimates computed within the evaluation set
-    (self excluded).  L: 95th percentile of |f_i - f_j| / ||X_i - X_j||
-    over the K-NN graph edges, computed in place of the edge lengths.
+    graph, radii and edges are what _self_graph returned and filled for the
+    N evaluation points.  eps0: 10th percentile of standard K-NN density
+    estimates computed within the evaluation set (self excluded).  L: 95th
+    percentile of |f_i - f_j| / ||X_i - X_j|| over the K-NN graph edges,
+    computed in place of the edge lengths.
     """
     N, kk = graph.shape
     radii = np.maximum(radii, 1e-300)
@@ -183,14 +175,11 @@ def detect_boundary(eval_points, k: int, M: int, config: BoundaryConfig = Bounda
         raise ValueError(f"K={K} must be < N={N}; adjust k or the split")
     if np.all(eval_points == eval_points[0]):
         raise ValueError("all evaluation points identical; k-NN radii are zero")
-    L = e0 = keep = None
+    # the edge ratios are the only graph-sized array beside the graph
+    edges = np.empty((N, K)) if config.lipschitz_L == "auto" else None
+    graph, radii = _self_graph(build_index(eval_points), K + 1, edges)
+    L = e0 = None
     if "auto" in (config.lipschitz_L, config.eps0):
-        radii = np.empty(N)
-        # the edge ratios are the only graph-sized array beside the graph
-        edges = np.empty((N, K)) if config.lipschitz_L == "auto" else None
-        keep = partial(_keep_distances, radii, edges)
-    graph = _self_graph(build_index(eval_points), K + 1, keep)
-    if keep is not None:
         L, e0 = _resolve_auto(graph, radii, edges, d, config)
     q = q_threshold(K, N, k, d, config, lipschitz_L=L, eps0=e0)
     threshold = (1.0 - q) * K
@@ -216,11 +205,10 @@ def detect_boundary(eval_points, k: int, M: int, config: BoundaryConfig = Bounda
     if lonely.any():
         res = knn_query(build_index(eval_points[interior]), eval_points[boundary[lonely]], 1)
         picks[lonely] = interior[res.indices[:, 0]]
-    nearest = {int(b): int(p) for b, p in zip(boundary, picks)}
     return BoundaryLabels(
         interior=interior,
         boundary=boundary,
-        nearest_interior=nearest,
+        nearest_interior=picks,
         threshold_used=float(threshold),
         K_used=K,
         q_used=float(q),

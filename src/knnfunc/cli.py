@@ -53,6 +53,14 @@ def _check_detector_flags(parser, args):
         parser.error("--delta and --pk-scale need --lipschitz and --eps0")
 
 
+def _columns(text):
+    """--x-cols/--y-cols: comma-separated column indices."""
+    try:
+        return [int(c) for c in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
+
+
 def _flag(*names, **kwargs):
     """One flag, as a group that _subcommand adds."""
     return lambda p: p.add_argument(*names, **kwargs)
@@ -154,7 +162,8 @@ def cmd_density(args):
     interior_flag = np.ones(sp.n_eval, dtype=bool)
     if dens.labels is not None:
         interior_flag[dens.labels.boundary] = False
-    lines = [f"# seed={args.seed} k={k} N={sp.n_eval} M={sp.n_ref} kind={dens.estimator_kind}"]
+    kind = "standard" if dens.labels is None else "corrected"
+    lines = [f"# seed={args.seed} k={k} N={sp.n_eval} M={sp.n_ref} kind={kind}"]
     for row, val, flag in zip(sp.eval_points(data), dens.values, interior_flag):
         lines.append(f"{_csv_row(row)},{val:.17g},{'interior' if flag else 'boundary'}")
     _write("\n".join(lines) + "\n", args)
@@ -189,13 +198,12 @@ def _renyi(args, data, sp, k):
 def _mi(args, data, sp, k):
     from .functionals import mutual_information
 
-    x_cols = [int(c) for c in args.x_cols.split(",")]
-    y_cols = [int(c) for c in args.y_cols.split(",")]
     report = mutual_information(
-        data, sp, x_cols, y_cols, k,
+        data, sp, args.x_cols, args.y_cols, k,
         config=_boundary_config(args), ci_level=args.ci_level,
     )
-    return report, {"functional": "mutual_information", "x_cols": x_cols, "y_cols": y_cols}
+    return report, {"functional": "mutual_information",
+                    "x_cols": args.x_cols, "y_cols": args.y_cols}
 
 
 def cmd_tune(args):
@@ -343,8 +351,8 @@ def build_parser():
         _add_estimator, _add_ci_level, _flag("--alpha", type=float, required=True))
     add("mi", "Shannon mutual information estimate", partial(cmd_estimate, _mi),
         _add_estimator, _add_ci_level,
-        _flag("--x-cols", required=True, help="comma-separated column indices"),
-        _flag("--y-cols", required=True))
+        _flag("--x-cols", type=_columns, required=True, help="comma-separated column indices"),
+        _flag("--y-cols", type=_columns, required=True))
     add("tune", "oracle theory constants and recommended k", cmd_tune,
         _flag("--density", choices=["beta-uniform", "uniform"], required=True),
         _add_mixture,

@@ -25,15 +25,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DensityEstimates:
-    """Per-evaluation-point density values plus estimator provenance."""
+    """Per-evaluation-point density values, and the boundary labels that
+    corrected them (None for the standard estimate)."""
 
     values: np.ndarray
-    estimator_kind: str  # "standard" | "corrected"
     labels: Optional[BoundaryLabels] = None
-
-    def __post_init__(self):
-        if self.estimator_kind == "corrected" and self.labels is None:
-            raise ValueError("corrected estimates require boundary labels")
 
 
 def knn_density(index: NeighborIndex, queries, k: int) -> DensityEstimates:
@@ -55,7 +51,7 @@ def knn_density(index: NeighborIndex, queries, k: int) -> DensityEstimates:
         )
     cd = unit_ball_volume(index.dim)
     vals = (k - 1) / (index.size * cd * r**index.dim)
-    return DensityEstimates(values=vals, estimator_kind="standard")
+    return DensityEstimates(values=vals)
 
 
 def corrected_density(
@@ -63,13 +59,10 @@ def corrected_density(
 ) -> DensityEstimates:
     """Boundary-corrected estimate: interior points keep their standard
     value, boundary points take the value at their nearest interior point."""
-    base = knn_density(index, queries, k)
-    vals = base.values.copy()
+    vals = knn_density(index, queries, k).values
     if labels.n_interior + labels.n_boundary != len(vals):
         raise ValueError("labels were computed for a different evaluation set")
-    nearest = labels.nearest_interior
-    boundary = np.fromiter(nearest.keys(), dtype=np.intp, count=len(nearest))
-    source = np.fromiter(nearest.values(), dtype=np.intp, count=len(nearest))
-    vals[boundary] = base.values[source]
-    return DensityEstimates(values=vals, estimator_kind="corrected", labels=labels)
+    # in place: every source is an interior point, which no write touches
+    vals[labels.boundary] = vals[labels.nearest_interior]
+    return DensityEstimates(values=vals, labels=labels)
 

@@ -51,24 +51,25 @@ def log_length(eval_points, ref_index: NeighborIndex, k: int, gamma: float) -> f
     """(gamma/N) * sum of log k-NN radii from eval points into the refs."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    r = np.atleast_1d(knn_radii(ref_index, eval_points, k))
-    if np.any(r == 0.0):
-        raise ValueError("zero k-NN radius (duplicate points)")
-    return gamma * float(np.mean(np.log(r)))
+    return gamma * float(np.mean(_log_radii((eval_points, ref_index), k)))
 
 
-def _length_pair(points, alpha_frac, k1, k2):
-    """Split one half into eval/ref and return (L-summands at k1, at k2)."""
+def _half(points, alpha_frac, k2):
+    """Split one half into (eval rows, index over the ref rows), with at
+    least k2 refs."""
     n = len(points)
     M = int(round(alpha_frac * n))
     M = min(max(M, max(k2, 1)), n - 1)
-    ev, rf = points[: n - M], points[n - M :]
-    index = build_index(rf)
-    r1 = np.atleast_1d(knn_radii(index, ev, k1))
-    r2 = np.atleast_1d(knn_radii(index, ev, k2))
-    if np.any(r1 == 0.0) or np.any(r2 == 0.0):
+    return points[: n - M], build_index(points[n - M :])
+
+
+def _log_radii(half, k):
+    """Log k-NN radii from a half's eval rows into its refs: the L-summands."""
+    ev, index = half
+    r = np.atleast_1d(knn_radii(index, ev, k))
+    if np.any(r == 0.0):
         raise ValueError("zero k-NN radius (duplicate points)")
-    return np.log(r1), np.log(r2)
+    return np.log(r)
 
 
 def estimate_dimension(
@@ -100,14 +101,12 @@ def estimate_dimension(
     rng = make_rng(seed, "dimension-partition", T)
     perm = rng.permutation(T)
     half = T // 2
-    x_half = data.points[perm[:half]]
-    z_half = data.points[perm[half : 2 * half]]
-    logs1_x, logs2_x = _length_pair(x_half, alpha_frac, k1, k2)
+    x_half = _half(data.points[perm[:half]], alpha_frac, k2)
+    logs1 = _log_radii(x_half, k1)
     if variant == "independent":
-        _, logs2 = _length_pair(z_half, alpha_frac, k1, k2)
-        logs1 = logs1_x
+        logs2 = _log_radii(_half(data.points[perm[half : 2 * half]], alpha_frac, k2), k2)
     else:
-        logs1, logs2 = logs1_x, logs2_x
+        logs2 = _log_radii(x_half, k2)
     denom = math.log(k2 - 1) - math.log(k1 - 1)
     L1 = gamma * float(np.mean(logs1))
     L2 = gamma * float(np.mean(logs2))

@@ -13,9 +13,8 @@ removes the O(1/k) bias term; the corrected estimator is
 (plain - g2) / g1.
 """
 
-import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -113,17 +112,10 @@ class EstimateReport:
     ci: Optional[tuple] = None  # (lo, hi, level)
 
     def to_dict(self) -> dict:
-        out = {
-            "estimate": self.estimate,
-            "k": self.k,
-            "N": self.N,
-            "M": self.M,
-            "estimator_variant": self.estimator_variant,
-            "boundary_corrected": self.boundary_corrected,
-            "variance_estimate": self.variance_estimate,
-        }
-        if self.ci is not None:
-            out["ci"] = {"lo": self.ci[0], "hi": self.ci[1], "level": self.ci[2]}
+        out = asdict(self)
+        ci = out.pop("ci")
+        if ci is not None:
+            out["ci"] = {"lo": ci[0], "hi": ci[1], "level": ci[2]}
         return out
 
 
@@ -135,11 +127,15 @@ def normal_interval(estimate: float, variance: float, level: float):
     return estimate - half, estimate + half
 
 
-def _attach_ci(report: EstimateReport, level: Optional[float]) -> EstimateReport:
-    if level is None:
-        return report
-    lo, hi = normal_interval(report.estimate, report.variance_estimate, level)
-    return dataclasses.replace(report, ci=(lo, hi, level))
+def _report(estimate, variance, relabelled, k, split, variant, ci_level) -> EstimateReport:
+    """The report of an estimate on split, with its CLT interval when
+    ci_level is given."""
+    ci = None
+    if ci_level is not None:
+        ci = (*normal_interval(estimate, variance, ci_level), ci_level)
+    return EstimateReport(estimate=estimate, k=k, N=split.n_eval, M=split.n_ref,
+                          estimator_variant=variant, boundary_corrected=relabelled,
+                          variance_estimate=variance, ci=ci)
 
 
 # -- estimators ---------------------------------------------------------------
@@ -155,21 +151,37 @@ def _density_values(data, split, k, config):
     return corrected_density(index, ev, k, labels)
 
 
-def _relabelled(dens) -> bool:
-    """True when the detector mapped at least one point to an interior one."""
-    return dens.labels is not None and dens.labels.n_boundary > 0
-
-
-def _evaluate_g(functional, values):
+def _plug_in(functional, dens, M):
+    """(estimate, variance, relabelled) of the plain plug-in over the N
+    density values: the mean of g, the empirical c4/N + c5/M (sample
+    variances of g and of u*g'(u)), and whether the detector mapped at
+    least one point to an interior one.  Raises where g is not finite."""
+    u = dens.values
+    N = len(u)
     with np.errstate(all="ignore"):
-        gv = np.asarray(functional.g(values), dtype=np.float64)
+        gv = np.asarray(functional.g(u), dtype=np.float64)
     if not np.all(np.isfinite(gv)):
         bad = int(np.argmax(~np.isfinite(gv)))
         raise ValueError(
             f"g({functional.id}) non-finite at evaluation point {bad} "
-            f"(density estimate {values[bad]!r})"
+            f"(density estimate {u[bad]!r})"
         )
-    return gv
+    c4 = float(np.var(gv, ddof=1)) if N > 1 else 0.0
+    with np.errstate(all="ignore"):
+        fg = u * np.asarray(functional.g_prime(u), dtype=np.float64)
+    c5 = float(np.var(fg, ddof=1)) if N > 1 else 0.0
+    relabelled = dens.labels is not None and dens.labels.n_boundary > 0
+    return float(np.mean(gv)), c4 / N + c5 / M, relabelled
+
+
+def _bias_corrected(functional, dens, M, factors):
+    """_plug_in corrected by factors = (g1, g2): the estimate (plain - g2) / g1
+    and the variance over g1^2."""
+    g1, g2 = factors
+    if g1 == 0:
+        raise ValueError("bias factor g1 is zero")
+    plain, variance, relabelled = _plug_in(functional, dens, M)
+    return (plain - g2) / g1, variance / g1**2, relabelled
 
 
 def bpi_estimate(
@@ -190,24 +202,7 @@ def bpi_estimate(
     and of u*g'(u)).
     """
     dens = _density_values(data, split, k, config)
-    u = dens.values
-    gv = _evaluate_g(functional, u)
-    est = float(np.mean(gv))
-    N, M = split.n_eval, split.n_ref
-    c4 = float(np.var(gv, ddof=1)) if N > 1 else 0.0
-    with np.errstate(all="ignore"):
-        fg = u * np.asarray(functional.g_prime(u), dtype=np.float64)
-    c5 = float(np.var(fg, ddof=1)) if N > 1 else 0.0
-    report = EstimateReport(
-        estimate=est,
-        k=k,
-        N=N,
-        M=M,
-        estimator_variant="bpi",
-        boundary_corrected=_relabelled(dens),
-        variance_estimate=c4 / N + c5 / M,
-    )
-    return _attach_ci(report, ci_level)
+    return _report(*_plug_in(functional, dens, split.n_ref), k, split, "bpi", ci_level)
 
 
 def bpi_estimate_bc(
@@ -229,17 +224,10 @@ def bpi_estimate_bc(
         raise ValueError(
             f"functional {functional.id!r} has no bias-correction factors"
         )
-    plain = bpi_estimate(data, split, functional, k, config=config)
-    g1, g2 = functional.bias_factors(k, split.n_ref)
-    if g1 == 0:
-        raise ValueError("bias factor g1 is zero")
-    report = dataclasses.replace(
-        plain,
-        estimate=(plain.estimate - g2) / g1,
-        estimator_variant="bpi_bias_corrected",
-        variance_estimate=plain.variance_estimate / g1**2,
-    )
-    return _attach_ci(report, ci_level)
+    dens = _density_values(data, split, k, config)
+    factors = functional.bias_factors(k, split.n_ref)
+    return _report(*_bias_corrected(functional, dens, split.n_ref, factors),
+                   k, split, "bpi_bias_corrected", ci_level)
 
 
 def renyi_entropy(
@@ -254,13 +242,15 @@ def renyi_entropy(
 
     Variance propagated by the delta method: Var(H) = Var(I) / ((1-alpha)*I)^2.
     """
-    integral = bpi_estimate_bc(data, split, renyi_functional(alpha), k, config=config)
-    if integral.estimate <= 0:
-        raise ValueError(f"nonpositive Renyi integral estimate {integral.estimate}")
-    ent = math.log(integral.estimate) / (1.0 - alpha)
-    var = integral.variance_estimate / ((1.0 - alpha) * integral.estimate) ** 2
-    report = dataclasses.replace(integral, estimate=ent, variance_estimate=var)
-    return _attach_ci(report, ci_level)
+    functional = renyi_functional(alpha)
+    dens = _density_values(data, split, k, config)
+    factors = functional.bias_factors(k, split.n_ref)
+    integral, var, relabelled = _bias_corrected(functional, dens, split.n_ref, factors)
+    if integral <= 0:
+        raise ValueError(f"nonpositive Renyi integral estimate {integral}")
+    ent = math.log(integral) / (1.0 - alpha)
+    var = var / ((1.0 - alpha) * integral) ** 2
+    return _report(ent, var, relabelled, k, split, "bpi_bias_corrected", ci_level)
 
 
 def mutual_information(
@@ -292,28 +282,16 @@ def mutual_information(
                 raise ValueError(f"{name} column {c} repeated")
     if set(x_cols) & set(y_cols):
         raise ValueError("x and y column blocks overlap")
+    dens = [_density_values(Dataset(data.points[:, cols]), split, k, config)
+            for cols in (x_cols, y_cols, x_cols + y_cols)]
     shannon = shannon_functional()
-    logs = {}
-    entropies = {}
-    relabelled = False
-    for name, cols in (("x", x_cols), ("y", y_cols), ("joint", x_cols + y_cols)):
-        sub = Dataset(data.points[:, cols])
-        dens = _density_values(sub, split, k, config)
-        logs[name] = np.log(dens.values)
-        relabelled = relabelled or _relabelled(dens)
-        g1, g2 = shannon.bias_factors(k, split.n_ref)
-        entropies[name] = float(np.mean(-logs[name])) - g2
-    est = entropies["x"] + entropies["y"] - entropies["joint"]
-    ratio = logs["x"] + logs["y"] - logs["joint"]
-    c_v = float(np.var(ratio, ddof=1)) if split.n_eval > 1 else 0.0
-    N, M = split.n_eval, split.n_ref
-    report = EstimateReport(
-        estimate=est,
-        k=k,
-        N=N,
-        M=M,
-        estimator_variant="bpi_bias_corrected",
-        boundary_corrected=relabelled,
-        variance_estimate=c_v * (1.0 / N + 1.0 / M),
+    factors = shannon.bias_factors(k, split.n_ref)
+    (hx, _, rx), (hy, _, ry), (hxy, _, rxy) = (
+        _bias_corrected(shannon, f, split.n_ref, factors) for f in dens
     )
-    return _attach_ci(report, ci_level)
+    lx, ly, lxy = (np.log(f.values) for f in dens)
+    ratio = lx + ly - lxy
+    N, M = split.n_eval, split.n_ref
+    c_v = float(np.var(ratio, ddof=1)) if N > 1 else 0.0
+    return _report(hx + hy - hxy, c_v * (1.0 / N + 1.0 / M), rx or ry or rxy,
+                   k, split, "bpi_bias_corrected", ci_level)

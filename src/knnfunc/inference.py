@@ -6,12 +6,11 @@ n_trials times with per-trial derived seeds, so results are reproducible
 for a fixed (spec, n_trials) and independent of execution order.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import kolmogorov, ndtr, ndtri
+from scipy.special import ndtri
 
 from .boundary import BoundaryConfig
 from .data import (
@@ -210,6 +209,9 @@ def normality_diagnostics(estimates):
     estimated from the sample it is conservative (biased large), which is
     the safe direction for a p > threshold acceptance check.
     """
+    # here, not at the top: scipy.stats takes about 0.5 s to import
+    from scipy.stats import kstest
+
     x = np.asarray(estimates, dtype=np.float64)
     if x.size < 20:
         raise ValueError("need at least 20 samples")
@@ -218,14 +220,9 @@ def normality_diagnostics(estimates):
         raise ValueError("zero sample variance")
     z = np.sort((x - np.mean(x)) / sd)
     n = z.size
-    cdf = ndtr(z)
-    i = np.arange(1, n + 1)
-    d_plus = np.max(i / n - cdf)
-    d_minus = np.max(cdf - (i - 1) / n)
-    ks = max(d_plus, d_minus)
-    p = kolmogorov(math.sqrt(n) * ks)
-    theo = ndtri((i - 0.5) / n)
-    return float(ks), float(p), np.column_stack([theo, z])
+    ks = kstest(z, "norm", method="asymp")
+    theo = ndtri((np.arange(1, n + 1) - 0.5) / n)
+    return float(ks.statistic), float(ks.pvalue), np.column_stack([theo, z])
 
 
 def rate_fit(sizes, errors):

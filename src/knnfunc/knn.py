@@ -24,8 +24,8 @@ its choices changes a result:
   rows, the reverse counts) go a row block at a time, so that beside the
   graph itself they hold a few MB, whatever its size;
 - a self-query graph, such as the boundary detector's, is built by one
-  knn_query per row block and kept as int32 indices (4 bytes a slot); each
-  block's distances are read by the caller, if at all, and dropped.
+  knn_query per row block and kept as int32 indices (4 bytes a slot) and
+  k-th radii; a block's other distances are dropped or, if asked, floored.
 """
 
 import itertools
@@ -79,8 +79,8 @@ _budget = threading.local()
 _BLOCK_SLOTS = 1 << 15
 
 # A self-query graph (_self_graph) is built by one knn_query per row block
-# of about this many slots and keeps only the int32 indices, so beside the
-# graph a block's distances and indices take 16 bytes a slot.  Measured
+# of about this many slots and keeps the int32 indices and k-th radii, so
+# beside them a block's distances and indices take 16 bytes a slot.  Measured
 # detect_boundary time and tracemalloc peak with a numeric config on a
 # 2-core host, the sizes interleaved, median of 9 (the mixture's evaluation
 # sets: d = 1, N = 9,000, K + 1 = 327; d = 3, N = 30,000, K + 1 = 38;
@@ -420,26 +420,28 @@ def count_reverse_neighbors(points, K: int) -> np.ndarray:
         raise ValueError("K must be < number of points")
     if K < 1:
         raise ValueError("K must be >= 1")
-    return _reverse_counts(_self_graph(build_index(points), K + 1))
+    return _reverse_counts(_self_graph(build_index(points), K + 1)[0])
 
 
-def _self_graph(index: NeighborIndex, k: int, each_block=None) -> np.ndarray:
-    """The (N, k) int32 knn_query indices of the index's own N points.
-
-    knn_query runs on one row block of about _GRAPH_BLOCK_SLOTS slots at a
-    time, and each block's distances are dropped once each_block(rows,
-    result), if given, has read them.
+def _self_graph(index: NeighborIndex, k: int, edges=None):
+    """(graph, radii): the (N, k) int32 knn_query indices of the index's own
+    N points and each point's k-th distance, one row block of about
+    _GRAPH_BLOCK_SLOTS slots at a time.  An (N, k - 1) edges array, if given,
+    gets each point's distances past itself, floored at 1e-300; the rest of
+    a block's distances is dropped before the next block's query.
     """
     if index.size > np.iinfo(np.int32).max:
         raise ValueError("a self-query graph holds fewer than 2^31 points")
     graph = np.empty((index.size, k), dtype=np.int32)
+    radii = np.empty(index.size)
     for rows in _row_blocks(index.size, k, min_slots=_GRAPH_BLOCK_SLOTS):
         res = knn_query(index, index.points[rows], k)
         graph[rows] = res.indices
-        if each_block is not None:
-            each_block(rows, res)
+        radii[rows] = res.distances[:, -1]
+        if edges is not None:
+            np.maximum(res.distances[:, 1:], 1e-300, out=edges[rows])
         del res  # before the next block's query
-    return graph
+    return graph, radii
 
 
 def _reverse_counts(graph: np.ndarray) -> np.ndarray:

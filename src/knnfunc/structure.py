@@ -13,7 +13,7 @@ reliable than cross-dimension ones.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -109,15 +109,7 @@ class ModelComparison:
     predicted_error_prob: Optional[float] = None
 
     def to_dict(self) -> dict:
-        return {
-            "model_n": self.model_n,
-            "model_l": self.model_l,
-            "statistic": self.statistic,
-            "decision": self.decision,
-            "predicted_mean": self.predicted_mean,
-            "predicted_variance": self.predicted_variance,
-            "predicted_error_prob": self.predicted_error_prob,
-        }
+        return asdict(self)
 
 
 def compare_models(

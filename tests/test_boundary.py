@@ -68,6 +68,13 @@ def test_config_validation():
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 BoundaryConfig(**{name: bad})
+    # q divides by eps0, so eps0 <= 0 fails where the config is made, before
+    # detect_boundary builds its graph; q_threshold still checks an override
+    for bad in (0.0, -0.0, -1.0):
+        with pytest.raises(ValueError, match="eps0 must be positive"):
+            BoundaryConfig(lipschitz_L=1.0, eps0=bad)
+    with pytest.raises(ValueError, match="eps0 must be positive"):
+        q_threshold(5, 100, 10, 2, BoundaryConfig(lipschitz_L=1.0, eps0=1.0), eps0=0.0)
 
 
 def _counts_and_threshold(points, k, M, cfg):
@@ -163,7 +170,7 @@ def test_nearest_interior_against_brute_force():
     cfg = BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0=1.0, pk_scale=0.2)
     labels = detect_boundary(pts, 25, 500, cfg)
     assert labels.n_boundary > 0
-    for b, src in labels.nearest_interior.items():
+    for b, src in zip(labels.boundary, labels.nearest_interior):
         dists = np.linalg.norm(pts[labels.interior] - pts[b], axis=1)
         best = dists.min()
         got = np.linalg.norm(pts[src] - pts[b])
@@ -223,12 +230,12 @@ def _recompute_labels(points, k, M, cfg):
     boundary = np.where(~interior_mask)[0]
     if interior.size == 0:
         return "no interior"
-    nearest = {}
+    nearest = np.empty(0, dtype=np.intp)
     if boundary.size:
         picks = oracles.brute_force_knn(
             points[interior], points[boundary], 1
         ).indices[:, 0]
-        nearest = {int(b): int(interior[p]) for b, p in zip(boundary, picks)}
+        nearest = interior[picks]
     return interior, boundary, nearest, q
 
 
@@ -265,7 +272,7 @@ def test_detect_boundary_equals_recomputation_from_public_pieces(name):
         interior, boundary, nearest, q = want
         assert np.array_equal(labels.interior, interior), cfg
         assert np.array_equal(labels.boundary, boundary), cfg
-        assert labels.nearest_interior == nearest, cfg
+        assert np.array_equal(labels.nearest_interior, nearest), cfg
         assert labels.q_used == q, cfg
         fired += labels.n_boundary > 0
     assert fired >= 2  # the comparison covers live labels, not only q >= 1
@@ -305,7 +312,7 @@ def test_row_blocks_do_not_change_counts_or_labels(monkeypatch):
         else:
             assert np.array_equal(got.interior, want.interior), (name, key)
             assert np.array_equal(got.boundary, want.boundary), (name, key)
-            assert got.nearest_interior == want.nearest_interior, (name, key)
+            assert np.array_equal(got.nearest_interior, want.nearest_interior), (name, key)
             assert (got.q_used, got.threshold_used) == (want.q_used, want.threshold_used)
             fired += want.n_boundary > 0
     assert fired >= 4  # live labels are compared, not only q >= 1
@@ -443,6 +450,4 @@ def test_nearest_interior_fallback_queries_only_rows_without_an_interior_neighbo
         # one more index build and query, for the lonely rows
         assert calls == {"build_index": 2, "knn_query": 2, "self_queries": 1}
         want = oracles.brute_force_knn(pts[labels.interior], pts[labels.boundary], 1)
-        assert labels.nearest_interior == {
-            int(b): int(labels.interior[p]) for b, p in zip(labels.boundary, want.indices[:, 0])
-        }
+        assert np.array_equal(labels.nearest_interior, labels.interior[want.indices[:, 0]])

@@ -269,6 +269,30 @@ def test_contradictory_or_ignored_flags_are_usage_errors(mixture_csv, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,value", [("--x-cols", "a"), ("--x-cols", "0,"),
+                                        ("--y-cols", "1,b")])
+def test_malformed_mi_columns_are_usage_errors(tmp_path, capsys, flag, value):
+    # a usage error, named and raised before the (here missing) input is read
+    cols = {"--x-cols": "0", "--y-cols": "1", flag: value}
+    out = tmp_path / "never.json"
+    rc = run(["mi", "--input", str(tmp_path / "missing.csv"),
+              *(arg for item in cols.items() for arg in item), "-o", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: not comma-separated integers: '{value}'" in err
+    assert "missing.csv" not in err
+    assert not out.exists()
+
+
+def test_zero_eps0_is_named(mixture_csv, tmp_path, capsys):
+    out = tmp_path / "never.json"
+    rc = run(["entropy", "--input", str(mixture_csv), "--lipschitz", "1", "--eps0", "0",
+              "-o", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: eps0 must be positive\n"
+    assert not out.exists()
+
+
 def test_deleted_flags_are_usage_errors(mixture_csv, tmp_path):
     # --k-rule's one value was the default k; experiment's --seed was never
     # read, as the spec's base_seed seeds the trials
@@ -322,12 +346,16 @@ def test_non_finite_detector_constant_is_named(mixture_csv, tmp_path, capsys, fl
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about 0.6 s to import; the library needs only scipy.special
+    # scipy.stats costs about 0.6 s to import, which every CLI call would pay;
+    # only normality_diagnostics needs it, and imports it when called
     env = dict(os.environ, PYTHONPATH=str(Path(knnfunc.__file__).parent.parent))
-    code = "import sys, knnfunc, knnfunc.cli; print('scipy.stats' in sys.modules)"
+    code = ("import sys, numpy, knnfunc, knnfunc.cli, knnfunc.inference as inf\n"
+            "before = 'scipy.stats' in sys.modules\n"
+            "inf.normality_diagnostics(numpy.arange(30.0) ** 2)\n"
+            "print(before, 'scipy.stats' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.split() == ["False", "True"]
 
 
 def _validate(payload, schema):

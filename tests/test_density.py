@@ -85,7 +85,7 @@ def test_corrected_identity_when_all_interior():
     idx = build_index(refs)
     labels = BoundaryLabels(
         interior=np.arange(100), boundary=np.array([], dtype=int),
-        nearest_interior={}, threshold_used=0.0, K_used=5, q_used=0.5,
+        nearest_interior=np.array([], dtype=np.intp), threshold_used=0.0, K_used=5, q_used=0.5,
     )
     a = knn_density(idx, ev, 6).values
     b = corrected_density(idx, ev, 6, labels).values
@@ -99,7 +99,7 @@ def test_corrected_single_boundary_copies_source():
     idx = build_index(refs)
     labels = BoundaryLabels(
         interior=np.arange(1, 50), boundary=np.array([0]),
-        nearest_interior={0: 17}, threshold_used=1.0, K_used=5, q_used=0.5,
+        nearest_interior=np.array([17]), threshold_used=1.0, K_used=5, q_used=0.5,
     )
     est = corrected_density(idx, ev, 6, labels)
     base = knn_density(idx, ev, 6)

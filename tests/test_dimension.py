@@ -72,6 +72,31 @@ def test_dimension_scale_invariance_exact():
     assert abs(a.alpha_hat - b.alpha_hat) < 1e-12
 
 
+def test_each_variant_queries_one_radius_per_bandwidth(monkeypatch):
+    # L_k1 and L_k2 take one knn_radii call each: both from the first half
+    # (correlated), or k1 from the first and k2 from the second (independent)
+    import knnfunc.dimension
+
+    data = sample_projected_manifold(2000, 2, 3, seed=12)
+    perm = make_rng(6, "dimension-partition", 2000).permutation(2000)
+    halves = [data.points[perm[:1000]], data.points[perm[1000:]]]
+    for variant, (h1, h2) in (("correlated", (0, 0)), ("independent", (0, 1))):
+        calls = []
+
+        def counted(index, queries, k, real=knnfunc.dimension.knn_radii):
+            calls.append(k)
+            return real(index, queries, k)
+
+        with monkeypatch.context() as m:
+            m.setattr(knnfunc.dimension, "knn_radii", counted)
+            est = estimate_dimension(data, 8, 20, variant=variant, alpha_frac=0.6, seed=6)
+        assert calls == [8, 20], variant
+        # the same numbers from log_length on each half's eval/ref split
+        L1, L2 = (log_length(halves[h][:400], build_index(halves[h][400:]), k, 1.0)
+                  for h, k in ((h1, 8), (h2, 20)))
+        assert est.alpha_hat == (L2 - L1) / (math.log(19) - math.log(7)), variant
+
+
 def test_dimension_validation():
     data = sample_projected_manifold(500, 2, 3, seed=11)
     with pytest.raises(ValueError):

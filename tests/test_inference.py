@@ -95,7 +95,7 @@ def test_results_do_not_depend_on_worker_count(monkeypatch):
     assert la.n_boundary > 0
     assert np.array_equal(la.interior, lb.interior)
     assert np.array_equal(la.boundary, lb.boundary)
-    assert la.nearest_interior == lb.nearest_interior
+    assert np.array_equal(la.nearest_interior, lb.nearest_interior)
     assert (la.q_used, la.threshold_used) == (lb.q_used, lb.threshold_used)
     assert ra == rb
     assert np.array_equal(ta.estimates, tb.estimates)
@@ -257,6 +257,21 @@ def test_normality_statistic_matches_scipy():
     assert 0.0 <= ks <= 1.0
     assert qq.shape == (500, 2)
     assert np.allclose(qq[:, 0], scipy.stats.norm.ppf((np.arange(500) + 0.5) / 500))
+
+
+def test_normality_equals_the_asymptotic_kolmogorov_formula():
+    # the statistic is max(D+, D-) of the sorted standardized sample and the
+    # p-value the Kolmogorov survival function at sqrt(n) * D, to the bit
+    rng = np.random.default_rng(41)
+    for n in (20, 21, 57, 200, 1000):
+        for x in (rng.normal(size=n), rng.standard_t(3, size=n), rng.random(n) * 9 - 4):
+            ks, p, qq = normality_diagnostics(x)
+            z = np.sort((x - np.mean(x)) / np.std(x, ddof=1))
+            cdf = sps.ndtr(z)
+            i = np.arange(1, n + 1)
+            d = max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n))
+            assert (ks, p) == (float(d), float(sps.kolmogorov(math.sqrt(n) * d)))
+            assert np.array_equal(qq, np.column_stack([sps.ndtri((i - 0.5) / n), z]))
 
 
 def test_normality_affine_invariance_and_errors():
