@@ -228,6 +228,7 @@ def cmd_tune(args):
 def cmd_experiment(args):
     from .boundary import BoundaryConfig
     from .inference import TrialSpec, monte_carlo, normality_diagnostics
+    from .tuning import TheoryConstants
 
     with open(args.spec, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -235,13 +236,18 @@ def cmd_experiment(args):
         raise ValueError(f"spec {args.spec}: expected a JSON object of TrialSpec "
                          f"fields, got {type(raw).__name__}")
     bc = raw.pop("boundary_config", None)
+    c = raw.pop("constants", None)
     try:
         spec = TrialSpec(
-            boundary_config=None if bc is None else BoundaryConfig(**bc), **raw
+            boundary_config=None if bc is None else BoundaryConfig(**bc),
+            constants=None if c is None else TheoryConstants(**c), **raw
         )
     except TypeError as exc:  # a key the spec does not have, or lacks
         raise ValueError(f"spec {args.spec}: {exc}") from None
-    results = monte_carlo(spec, args.trials)
+    try:
+        results = monte_carlo(spec, args.trials)
+    except RuntimeError as exc:  # "trial t failed: <its error>"
+        raise ValueError(str(exc)) from None
     summary = {**results.summary, "schema_version": SCHEMA_VERSION}
     if results.estimates.size >= 20 and np.std(results.estimates) > 0:
         summary["ks_statistic"], summary["ks_p"], _ = normality_diagnostics(results.estimates)

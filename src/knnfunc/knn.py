@@ -14,21 +14,21 @@ its choices changes a result:
 - against a large index, k-th-radius queries at d >= 2 visit the queries
   in Z-order (a Morton key), so consecutive queries walk the same part of
   the tree, and the radii are scattered back to input order;
-- at d = 1 k-NN queries use the tree only for tied rows: the k nearest of
-  a point are a window of the (value, index)-sorted references, which
-  gives the k-th distances directly and the full neighbour lists after
-  merging the window's two runs on either side of the query;
-- tied rows are ranked from their ball-point candidates by one lexsort
-  per block of rows, not one row at a time;
-- passes over a neighbour graph (the d = 1 lists, the re-sort of tied
-  rows, the reverse counts) go a row block at a time, so that beside the
-  graph itself they hold a few MB, whatever its size;
+- at d = 1 no tree is built: the k nearest of a point are a window of the
+  (value, index)-sorted references, which gives the k-th distances
+  directly and the full neighbour lists after merging the window's two
+  runs on either side of the query;
+- a row whose k-th distance ties its (k+1)-th is asked again, twice as
+  wide each time, until the tie is passed; one row-wise lexsort on
+  (distance, index) ranks it, as it orders every row holding a tie;
+- passes over a neighbour graph (the d = 1 lists, the widened queries,
+  the re-sort of tied rows, the reverse counts) go a row block at a time,
+  so that beside the graph itself they hold a few MB, whatever its size;
 - a self-query graph, such as the boundary detector's, is built by one
   knn_query per row block and kept as int32 indices (4 bytes a slot) and
   k-th radii; a block's other distances are dropped or, if asked, floored.
 """
 
-import itertools
 import math
 import os
 import threading
@@ -172,12 +172,14 @@ class NeighborIndex:
         self.points = points
         self.size = points.shape[0]
         self.dim = points.shape[1]
-        self._tree = cKDTree(points)
-        # at d = 1 neighbours come from a copy sorted by (value, index)
-        self._sorted = self._order = None
+        # at d = 1 neighbours come from a copy sorted by (value, index), and
+        # no tree is built
+        self._tree = self._sorted = self._order = None
         if self.dim == 1:
             self._order = np.argsort(points[:, 0], kind="stable")
             self._sorted = points[self._order, 0]
+        else:
+            self._tree = cKDTree(points)
 
     def __repr__(self):
         return f"NeighborIndex(size={self.size}, dim={self.dim})"
@@ -199,55 +201,39 @@ def _as_queries(query, dim):
     return q, single
 
 
-def _lexsorted_neighbors(points, queries, cand_indices, k):
-    """Order each row's candidate indices by (squared distance, index) and
-    keep the first k.  Each row's candidates come in ascending index order,
-    so one stable lexsort on (row, squared distance) ranks those of a block
-    of consecutive rows, about _BLOCK_SLOTS candidates, at once."""
-    n = len(queries)
-    dist = np.empty((n, k))
-    idx = np.empty((n, k), dtype=np.intp)
-    lens = np.fromiter(map(len, cand_indices), dtype=np.intp, count=n)
-    ends = np.cumsum(lens)
-    # a block starts at each row holding a multiple of _BLOCK_SLOTS
-    starts = np.unique(np.searchsorted(ends, np.arange(0, ends[-1], _BLOCK_SLOTS), side="right"))
-    for a, b in zip(starts, [*starts[1:], n]):
-        base = ends[a] - lens[a]
-        cand = np.fromiter(itertools.chain.from_iterable(cand_indices[a:b]),
-                           dtype=np.intp, count=ends[b - 1] - base)
-        diff = points[cand]
-        diff -= np.repeat(queries[a:b], lens[a:b], axis=0)
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        order = np.lexsort((d2, np.repeat(np.arange(b - a), lens[a:b])))
-        # sorting keeps the rows in place: row i's ranks start where its candidates did
-        first = order[(ends[a:b] - lens[a:b] - base)[:, None] + np.arange(k)]
-        dist[a:b] = np.sqrt(d2[first])
-        idx[a:b] = cand[first]
-    return dist, idx
+def _nearest(index: NeighborIndex, q: np.ndarray, k: int):
+    """(distances, indices), each (n, k), of the k nearest of each query
+    row as cKDTree.query gives them: rows nondecreasing in distance, equal
+    distances in no set order.  At d = 1 they come from the sorted window."""
+    if index._sorted is not None:
+        return _window_neighbors(index, q[:, 0], k)
+    dist, idx = index._tree.query(q, k=k, workers=_workers(len(q), k))
+    return dist.reshape(len(q), k), idx.reshape(len(q), k)
+
+
+def _by_distance_then_index(d, i, k):
+    """The first k of each row of (d, i) in (distance, index) order."""
+    order = np.lexsort((i, d), axis=1)[:, :k]
+    return np.take_along_axis(d, order, axis=1), np.take_along_axis(i, order, axis=1)
 
 
 def knn_query(index: NeighborIndex, query, k: int) -> NeighborResult:
     """Exact k nearest neighbors with (distance, index) tie-breaking.
 
-    Fast path: a plain tree query.  Whenever the k-th distance is tied with
-    the (k+1)-th (duplicates, grids), the candidate set within that radius
-    is re-ranked lexicographically so the returned set is deterministic.
-    Tree rows come back sorted by distance, so only rows holding two equal
-    adjacent distances are re-sorted by index.  At d = 1 the k + 1 nearest
-    come from the sorted references instead of the tree (_window_neighbors)
-    and take the same tie path.  A neighbour whose squared distance
-    overflows float64 cannot be ranked, so it raises ValueError.
+    One lookup of the k + 1 nearest (_nearest) settles every row whose k-th
+    distance is below its (k+1)-th.  A row where the two are equal may have
+    left out a reference at the k-th distance with a lower index, so it is
+    asked again with twice as many neighbours, a row block at a time, until
+    its last distance passes the k-th or the width reaches the index size.
+    Every row holding equal distances is then ordered by index.  A
+    neighbour whose squared distance overflows float64 cannot be ranked, so
+    it raises ValueError.
     """
     if not 1 <= k <= index.size:
         raise ValueError(f"k={k} outside [1, {index.size}]")
     q, single = _as_queries(query, index.dim)
     kk = min(k + 1, index.size)
-    if index._sorted is not None:
-        dist, idx = _window_neighbors(index, q[:, 0], kk)
-    else:
-        dist, idx = index._tree.query(q, k=kk, workers=_workers(len(q), kk))
-        dist = dist.reshape(len(q), kk)
-        idx = idx.reshape(len(q), kk)
+    dist, idx = _nearest(index, q, kk)
     # points and queries are finite, so an infinite distance is an overflowed
     # square, which the tree also marks with index size (its sentinel)
     if np.isinf(dist[:, :k]).any():
@@ -255,37 +241,29 @@ def knn_query(index: NeighborIndex, query, k: int) -> NeighborResult:
             "squared neighbour distances overflow float64 (coordinates "
             "differ by more than about 1e154); rescale the points"
         )
-    if kk > k:
-        ambiguous = dist[:, k - 1] >= dist[:, k] * (1 - 1e-12)
-    else:
-        ambiguous = np.zeros(len(q), dtype=bool)
-    # views, not copies: dist and idx belong to this call, and dist is read
-    # only before the tie paths below write into them
+    # views, not copies: dist and idx belong to this call, and the passes
+    # below write into them
     out_d = dist[:, :k]
     out_i = idx[:, :k].astype(np.intp, copy=False)
-    if ambiguous.any():
-        rows = np.where(ambiguous)[0]
-        radii = dist[rows, min(k, kk - 1)] * (1 + 1e-12) + 1e-300
-        cands = index._tree.query_ball_point(
-            q[rows], radii, workers=_workers(len(rows), kk), return_sorted=True
-        )
-        # ball query can undershoot k on exotic float edge cases; widen once
-        for j, c in enumerate(cands):
-            if len(c) < k:
-                cands[j] = index._tree.query_ball_point(
-                    q[rows[j]], dist[rows[j], kk - 1] * (1 + 1e-9), return_sorted=True
-                )
-        fixed_d, fixed_i = _lexsorted_neighbors(index.points, q[rows], cands, k)
-        out_d[rows] = fixed_d
-        out_i[rows] = fixed_i
-    # order equal distances by index; rows without a tie are already sorted
-    tied = np.where((out_d[:, 1:] <= out_d[:, :-1]).any(axis=1))[0]
-    for rows in _row_blocks(tied.size, k):
-        t = tied[rows]
-        d, i = out_d[t], out_i[t]
-        order = np.lexsort((i, d), axis=1)
-        out_d[t] = np.take_along_axis(d, order, axis=1)
-        out_i[t] = np.take_along_axis(i, order, axis=1)
+    # widened rows come back ordered; the rest with equal distances are
+    # re-sorted by index where they stand
+    wide = dist[:, k - 1] == dist[:, k] if kk > k else np.zeros(len(q), dtype=bool)
+    tied = np.where((out_d[:, 1:] <= out_d[:, :-1]).any(axis=1) & ~wide)[0]
+    for block in _row_blocks(tied.size, k):
+        t = tied[block]
+        out_d[t], out_i[t] = _by_distance_then_index(out_d[t], out_i[t], k)
+    rows, width = np.where(wide)[0], kk
+    while rows.size:
+        width = min(2 * width, index.size)
+        left = []
+        for block in _row_blocks(rows.size, width, min_slots=_GRAPH_BLOCK_SLOTS):
+            r = rows[block]
+            d, i = _nearest(index, q[r], width)
+            done = (d[:, -1] > d[:, k - 1]) | (width == index.size)
+            d, i = _by_distance_then_index(d, i, k)
+            out_d[r[done]], out_i[r[done]] = d[done], i[done]
+            left.append(r[~done])
+        rows = np.concatenate(left)
     if single:
         return NeighborResult(out_d[0], out_i[0])
     return NeighborResult(out_d, out_i)

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .boundary import BoundaryConfig
-from .data import Dataset, SampleSplit
+from .data import Dataset, SampleSplit, split
 from .functionals import bpi_estimate_bc, shannon_functional
 from .rng import make_rng
 
@@ -61,9 +61,7 @@ class Factorization:
 
 def _entropy_on_slice(data, rows, cols, k, alpha_frac, config, seed):
     sub = Dataset(data.points[np.ix_(rows, list(cols))])
-    from .data import split as make_split
-
-    sp = make_split(sub, alpha_frac, seed)
+    sp = split(sub, alpha_frac, seed)
     if k >= sp.n_ref:
         raise ValueError(
             f"k={k} >= slice reference count {sp.n_ref}; shrink k or factors"

@@ -217,6 +217,38 @@ def test_experiment_spec_key_the_spec_lacks_is_named(tmp_path, capsys, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fields,problem", [
+    ({"T": 40, "k_rule": "fixed", "k": 30}, "k=30 outside [3, 28]"),
+    ({"generator": "nope"}, "unknown generator 'nope'"),
+])
+def test_experiment_failing_trial_is_named(tmp_path, capsys, fields, problem):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "generator": "uniform", "generator_params": {"d": 2}, "T": 600,
+        "alpha_frac": 0.7, "functional_id": "shannon", **fields}))
+    out = tmp_path / "never.json"
+    rc = run(["experiment", "--spec", str(spec), "--trials", "2", "-o", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: trial 0 failed: {problem}\n"
+    assert not out.exists()
+
+
+def test_experiment_spec_constants_are_theory_constants(tmp_path, capsys):
+    # oracle constants give the trials' intervals; a bad value is named
+    constants = {"c1": 1.0, "c2": 0.5, "c3": 0.0, "c4": 1.0, "c5": 0.5, "mode": "oracle"}
+    spec = tmp_path / "spec.json"
+    out = tmp_path / "summary.json"
+    for c4, rc_want in ((1.0, 0), (-1.0, 1)):
+        spec.write_text(json.dumps({
+            "generator": "uniform", "generator_params": {"d": 2}, "T": 600,
+            "alpha_frac": 0.7, "functional_id": "shannon", "k_rule": "fixed",
+            "k": 6, "truth": 0.0, "constants": {**constants, "c4": c4}}))
+        rc = run(["experiment", "--spec", str(spec), "--trials", "2", "-o", str(out)])
+        assert rc == rc_want
+    assert capsys.readouterr().err == "error: variance constants must be nonnegative\n"
+    assert "coverage" in _read_json(out)
+
+
 def test_experiment_spec_that_is_not_an_object_is_named(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text("[1, 2]")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 import knnfunc.knn
 from knnfunc import (
@@ -91,9 +92,10 @@ def test_index_brute_force_equivalence_random():
 def test_equivalence_with_duplicate_heavy_grid(monkeypatch):
     # duplicate-heavy grids at d = 2 and 3, queried at grid points and half
     # way between them: many rows have more than k references tied at their
-    # k-th distance, and their ball-point candidates are ranked a block of
-    # rows at a time (13-slot blocks make one row a block).  Coordinates are
-    # multiples of 1/2, so every squared distance is exact.
+    # k-th distance, and are asked again ever wider, a row block at a time
+    # (997-slot blocks leave a ragged last block; 13-slot index re-sorts
+    # make one row a block).  Coordinates are multiples of 1/2, so every
+    # squared distance is exact.
     rng = np.random.default_rng(7)
     base = rng.integers(0, 4, size=(120, 2)).astype(float)  # many exact ties
     cases = [(base, rng.integers(0, 4, size=(15, 2)).astype(float), (1, 3, 8))]
@@ -101,8 +103,10 @@ def test_equivalence_with_duplicate_heavy_grid(monkeypatch):
         refs = rng.integers(0, values, (400, d)).astype(float)
         queries = np.concatenate([refs[:60], rng.integers(0, 2 * values - 1, (60, d)) / 2.0])
         cases.append((refs, queries, (1, 7, 50, 200)))
-    for block in (knnfunc.knn._BLOCK_SLOTS, 13):
+    sizes = {13: 997, knnfunc.knn._BLOCK_SLOTS: knnfunc.knn._GRAPH_BLOCK_SLOTS}
+    for block, graph_block in sizes.items():
         monkeypatch.setattr(knnfunc.knn, "_BLOCK_SLOTS", block)
+        monkeypatch.setattr(knnfunc.knn, "_GRAPH_BLOCK_SLOTS", graph_block)
         for refs, queries, ks in cases:
             idx = build_index(refs)
             every = oracles.brute_force_knn(refs, queries, len(refs)).distances
@@ -214,9 +218,21 @@ def test_1d_knn_query_memory_is_its_result(traced_peak):
     assert peak <= 1.3 * (res.distances.nbytes + res.indices.nbytes)
 
 
+@pytest.mark.parametrize("d,values", [(1, 100), (2, 10)])
+def test_tied_knn_query_memory_is_its_result(traced_peak, d, values):
+    # every row of a duplicate-heavy self-query ties its k-th distance with
+    # the (k+1)-th and is asked again ever wider: beside the result it holds
+    # one widened row block, its distances and indices and their sort order
+    rng = np.random.default_rng(20)
+    idx = build_index(rng.integers(0, values, (20000, d)).astype(float))
+    res, peak = traced_peak(lambda: knn_query(idx, idx.points, 50))
+    block = 24 * knnfunc.knn._GRAPH_BLOCK_SLOTS
+    assert peak <= 1.3 * (res.distances.nbytes + res.indices.nbytes + block)
+
+
 def _tree_neighbors(index, x, k):
     """The tree's answer in place of knnfunc.knn._window_neighbors."""
-    dist, idx = index._tree.query(x[:, None], k=k)
+    dist, idx = cKDTree(index.points).query(x[:, None], k=k)
     return dist.reshape(len(x), k), idx.reshape(len(x), k)
 
 
