@@ -66,7 +66,6 @@ class SampleSplit:
 
     eval_indices: np.ndarray
     ref_indices: np.ndarray
-    seed: int
 
     def __post_init__(self):
         ev = np.asarray(self.eval_indices, dtype=np.intp)
@@ -178,7 +177,7 @@ def split(data: Dataset, alpha_frac: float, seed: int) -> SampleSplit:
     M = min(max(M, 1), T - 1)
     rng = make_rng(seed, "split", T, format(alpha_frac, ".17g"))
     perm = rng.permutation(T)
-    return SampleSplit(eval_indices=perm[M:], ref_indices=perm[:M], seed=seed)
+    return SampleSplit(eval_indices=perm[M:], ref_indices=perm[:M])
 
 
 def sample_beta_uniform_mixture(

@@ -54,6 +54,20 @@ def log_length(eval_points, ref_index: NeighborIndex, k: int, gamma: float) -> f
     return gamma * float(np.mean(_log_radii((eval_points, ref_index), k)))
 
 
+def _check_params(k1, k2, gamma, alpha_frac):
+    """k2 (2*k1 when None) after checking the estimate's parameters."""
+    if k1 < 3:
+        raise ValueError(f"k1 must be >= 3, got {k1}")
+    k2 = 2 * k1 if k2 is None else k2
+    if k2 <= k1:
+        raise ValueError(f"k2 must exceed k1, got k1={k1} and k2={k2}")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be finite and > 0, got {gamma}")
+    if not 0.0 < alpha_frac < 1.0:
+        raise ValueError(f"alpha_frac must lie in (0, 1), got {alpha_frac}")
+    return k2
+
+
 def _half(points, alpha_frac, k2):
     """Split one half into (eval rows, index over the ref rows), with at
     least k2 refs."""
@@ -88,11 +102,7 @@ def estimate_dimension(
     independent variant takes L_k1 from X and L_k2 from Z; the correlated
     variant takes both from X.
     """
-    if k1 < 3:
-        raise ValueError("k1 must be >= 3")
-    k2 = 2 * k1 if k2 is None else k2
-    if k2 <= k1:
-        raise ValueError("k2 must exceed k1")
+    k2 = _check_params(k1, k2, gamma, alpha_frac)
     if variant not in ("independent", "correlated"):
         raise ValueError(f"unknown variant {variant!r}")
     T = data.count
@@ -147,9 +157,10 @@ def anomaly_scan(
 
     Returns a list of (window_start, DimensionEstimate or None); windows
     whose estimate fails (e.g. duplicate-dominated) are reported as None
-    rather than aborting the scan.
+    rather than aborting the scan; a bad parameter raises before any
+    window runs.
     """
-    k2 = 2 * k1 if k2 is None else k2
+    k2 = _check_params(k1, k2, gamma, alpha_frac)
     if window < 8 * k2:
         raise ValueError("window must be at least 8 * k2")
     if stride < 1:

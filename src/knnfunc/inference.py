@@ -29,7 +29,7 @@ from .functionals import (
 )
 from .knn import _ordered_map
 from .rng import derive_key, make_rng
-from .tuning import TheoryConstants, optimal_k, rate_matched_k
+from .tuning import TheoryConstants, rate_matched_k
 
 __all__ = [
     "confidence_interval",
@@ -75,11 +75,12 @@ def generate_dataset(name: str, T: int, seed: int, params: dict) -> Dataset:
 class TrialSpec:
     """One reproducible experiment configuration.
 
-    k_rule is "fixed" (uses k), "rate" (rate-matched in M), or "optimal"
-    (needs oracle constants).  boundary_config is passed to the estimator
-    as its config: None plugs in the standard k-NN density.  When
-    constants are present the confidence interval uses the oracle c4/c5;
-    otherwise the per-trial empirical variance estimate.
+    k_rule is "fixed" (uses k) or "rate" (rate-matched in M); the
+    MSE-optimal k runs as "fixed" with k = tuning.optimal_k(...).
+    boundary_config is passed to the estimator as its config: None plugs
+    in the standard k-NN density.  constants serve only the confidence
+    interval: when present it uses the oracle c4/c5, otherwise the
+    per-trial empirical variance estimate.
     """
 
     generator: str
@@ -108,11 +109,6 @@ class TrialSpec:
             return self.k
         if self.k_rule == "rate":
             return rate_matched_k(M, d)
-        if self.k_rule == "optimal":
-            if self.constants is None:
-                raise ValueError("optimal k rule requires oracle constants")
-            c0 = self.constants.c1 + self.constants.c3
-            return optimal_k(c0, self.constants.c2, d, M)
         raise ValueError(f"unknown k rule {self.k_rule!r}")
 
     def functional(self):

@@ -18,11 +18,11 @@ its choices changes a result:
   (value, index)-sorted references, which gives the k-th distances
   directly and the full neighbour lists after merging the window's two
   runs on either side of the query;
-- a row whose k-th distance ties its (k+1)-th is asked again, twice as
-  wide each time, until the tie is passed; one row-wise lexsort on
-  (distance, index) ranks it, as it orders every row holding a tie;
-- passes over a neighbour graph (the d = 1 lists, the widened queries,
-  the re-sort of tied rows, the reverse counts) go a row block at a time,
+- one loop ranks every row holding a tie by a row-wise lexsort on
+  (distance, index); a row whose k-th distance ties its (k+1)-th is asked
+  again, twice as wide each time, until the tie is passed;
+- passes over a neighbour graph (the d = 1 lists, the ranking of tied
+  rows, the reverse counts) go a row block at a time,
   so that beside the graph itself they hold a few MB, whatever its size;
 - a self-query graph, such as the boundary detector's, is built by one
   knn_query per row block and kept as int32 indices (4 bytes a slot) and
@@ -220,14 +220,14 @@ def _by_distance_then_index(d, i, k):
 def knn_query(index: NeighborIndex, query, k: int) -> NeighborResult:
     """Exact k nearest neighbors with (distance, index) tie-breaking.
 
-    One lookup of the k + 1 nearest (_nearest) settles every row whose k-th
-    distance is below its (k+1)-th.  A row where the two are equal may have
-    left out a reference at the k-th distance with a lower index, so it is
-    asked again with twice as many neighbours, a row block at a time, until
-    its last distance passes the k-th or the width reaches the index size.
-    Every row holding equal distances is then ordered by index.  A
-    neighbour whose squared distance overflows float64 cannot be ranked, so
-    it raises ValueError.
+    One lookup of the k + 1 nearest (_nearest) settles every row whose
+    distances all differ.  A row holding equal ones is ranked by
+    (distance, index), a row block at a time.  If its k-th distance also
+    equals its last, the lookup may have left out a reference at the k-th
+    distance with a lower index, so the row is asked again with twice as
+    many neighbours until its last distance passes the k-th or the width
+    reaches the index size.  A neighbour whose squared distance overflows
+    float64 cannot be ranked, so it raises ValueError.
     """
     if not 1 <= k <= index.size:
         raise ValueError(f"k={k} outside [1, {index.size}]")
@@ -241,29 +241,23 @@ def knn_query(index: NeighborIndex, query, k: int) -> NeighborResult:
             "squared neighbour distances overflow float64 (coordinates "
             "differ by more than about 1e154); rescale the points"
         )
-    # views, not copies: dist and idx belong to this call, and the passes
-    # below write into them
+    # views, not copies: dist and idx belong to this call, and the pass
+    # below writes into them
     out_d = dist[:, :k]
     out_i = idx[:, :k].astype(np.intp, copy=False)
-    # widened rows come back ordered; the rest with equal distances are
-    # re-sorted by index where they stand
-    wide = dist[:, k - 1] == dist[:, k] if kk > k else np.zeros(len(q), dtype=bool)
-    tied = np.where((out_d[:, 1:] <= out_d[:, :-1]).any(axis=1) & ~wide)[0]
-    for block in _row_blocks(tied.size, k):
-        t = tied[block]
-        out_d[t], out_i[t] = _by_distance_then_index(out_d[t], out_i[t], k)
-    rows, width = np.where(wide)[0], kk
+    # rows holding equal distances are ranked first at the width in hand;
+    # one whose k-th distance still equals its last is asked again
+    rows, width = np.where((dist[:, 1:] <= dist[:, :-1]).any(axis=1))[0], kk
     while rows.size:
-        width = min(2 * width, index.size)
         left = []
         for block in _row_blocks(rows.size, width, min_slots=_GRAPH_BLOCK_SLOTS):
             r = rows[block]
-            d, i = _nearest(index, q[r], width)
+            d, i = (dist[r], idx[r]) if width == kk else _nearest(index, q[r], width)
             done = (d[:, -1] > d[:, k - 1]) | (width == index.size)
-            d, i = _by_distance_then_index(d, i, k)
-            out_d[r[done]], out_i[r[done]] = d[done], i[done]
+            out_d[r[done]], out_i[r[done]] = _by_distance_then_index(d[done], i[done], k)
             left.append(r[~done])
         rows = np.concatenate(left)
+        width = min(2 * width, index.size)
     if single:
         return NeighborResult(out_d[0], out_i[0])
     return NeighborResult(out_d, out_i)

@@ -12,15 +12,13 @@ vector) match, which is what makes same-dimension comparisons far more
 reliable than cross-dimension ones.
 """
 
-import math
 from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr
 
 from .boundary import BoundaryConfig
-from .data import Dataset, SampleSplit, split
+from .data import Dataset, split
 from .functionals import bpi_estimate_bc, shannon_functional
 from .rng import make_rng
 
@@ -102,9 +100,6 @@ class ModelComparison:
     decision: str  # label of the lower-cross-entropy model
     model_n: str
     model_l: str
-    predicted_mean: Optional[float] = None
-    predicted_variance: Optional[float] = None
-    predicted_error_prob: Optional[float] = None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -118,7 +113,6 @@ def compare_models(
     budget: Optional[int] = None,
     alpha_frac: float = 0.5,
     config: Optional[BoundaryConfig] = None,
-    factor_constants: Optional[dict] = None,
     seed: int = 0,
 ) -> ModelComparison:
     """Surrogate cross-entropy test between two factorizations.
@@ -126,11 +120,8 @@ def compare_models(
     The V available rows (or ``budget`` of them) are partitioned into
     m1+m2 equal disjoint slices, assigned to factors in a canonical order
     (models sorted by label), so swapping the argument order reuses the
-    identical slices and flips the statistic's sign exactly.
-
-    factor_constants, when given, maps factor tuples to (c1, c2, c4) and
-    enables the theoretical mean/variance of the statistic and the
-    predicted sign-test error probability.
+    identical slices and flips the statistic's sign exactly.  The
+    decision names model_n when the statistic is negative, else model_l.
     """
     d = data.dim
     model_n.validate_cover(d)
@@ -159,26 +150,9 @@ def compare_models(
     )
     statistic = hc_n - hc_l
     decision = model_n.label if statistic < 0 else model_l.label
-    pred_mean = pred_var = pred_err = None
-    if factor_constants is not None:
-        M_slice = int(round(alpha_frac * size))
-        N_slice = size - M_slice
-        pred_mean = 0.0
-        pred_var = 0.0
-        for m, sign in ((model_n, 1.0), (model_l, -1.0)):
-            for fac in m.factors:
-                c1, c2, c4 = factor_constants[tuple(fac)]
-                df = len(fac)
-                pred_mean += sign * (c1 * (k / M_slice) ** (2.0 / df) + c2 / k)
-                pred_var += c4 / N_slice
-        if pred_var > 0:
-            pred_err = float(ndtr(-abs(pred_mean) / math.sqrt(pred_var)))
     return ModelComparison(
         statistic=statistic,
         decision=decision,
         model_n=model_n.label,
         model_l=model_l.label,
-        predicted_mean=pred_mean,
-        predicted_variance=pred_var,
-        predicted_error_prob=pred_err,
     )

@@ -155,6 +155,27 @@ def test_dimension_subcommands(tmp_path):
     assert len(lines) > 1
 
 
+@pytest.mark.parametrize("argv,name", [
+    (["dimension-scan", "--window", "320", "--k1", "2"], "k1"),
+    (["dimension-scan", "--window", "320", "--k1", "5", "--k2", "5"], "k2"),
+    (["dimension-scan", "--window", "320", "--gamma", "0"], "gamma"),
+    (["dimension-scan", "--window", "320", "--gamma", "-1"], "gamma"),
+    (["dimension", "--alpha-frac", "5"], "alpha_frac"),
+    (["dimension", "--alpha-frac", "-1"], "alpha_frac"),
+    (["dimension", "--gamma", "0"], "gamma"),
+])
+def test_dimension_bad_parameter_is_named(tmp_path, capsys, argv, name):
+    from knnfunc import sample_projected_manifold
+
+    csv = tmp_path / "mani.csv"
+    np.savetxt(csv, sample_projected_manifold(640, 2, 3, 4).points, delimiter=",")
+    out = tmp_path / "never.out"
+    assert run(argv + ["--input", str(csv), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must ")
+    assert not out.exists()
+
+
 def test_structure_subcommand(tmp_path):
     csv = tmp_path / "blocks.csv"
     from knnfunc import sample_block_beta_mixture
@@ -179,6 +200,7 @@ def test_structure_subcommand(tmp_path):
                 "-o", str(out)]) == 0
     payload = _read_json(out)
     assert payload["comparisons"][0]["decision"] == "paired"
+    assert set(payload["comparisons"][0]) == {"model_n", "model_l", "statistic", "decision"}
 
 
 def test_usage_error_exit_2_no_partial_output(tmp_path):
@@ -220,6 +242,7 @@ def test_experiment_spec_key_the_spec_lacks_is_named(tmp_path, capsys, key):
 @pytest.mark.parametrize("fields,problem", [
     ({"T": 40, "k_rule": "fixed", "k": 30}, "k=30 outside [3, 28]"),
     ({"generator": "nope"}, "unknown generator 'nope'"),
+    ({"k_rule": "optimal"}, "unknown k rule 'optimal'"),
 ])
 def test_experiment_failing_trial_is_named(tmp_path, capsys, fields, problem):
     spec = tmp_path / "spec.json"

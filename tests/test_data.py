@@ -212,12 +212,12 @@ def test_split_validation():
 
 
 def test_split_parts_must_be_disjoint():
-    SampleSplit(np.array([0, 2, 4]), np.array([1, 3]), seed=0)
+    SampleSplit(np.array([0, 2, 4]), np.array([1, 3]))
     # a repeat within one part is not an overlap; a shared index is
-    SampleSplit(np.array([0, 0, 2]), np.array([1, 3, 3]), seed=0)
+    SampleSplit(np.array([0, 0, 2]), np.array([1, 3, 3]))
     for ev, rf in (([0, 1, 2], [2, 3]), ([5], [5]), ([4, 4, 1], [0, 4, 4])):
         with pytest.raises(ValueError, match="eval and reference indices overlap"):
-            SampleSplit(np.array(ev), np.array(rf), seed=0)
+            SampleSplit(np.array(ev), np.array(rf))
 
 
 @given(

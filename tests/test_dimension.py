@@ -149,3 +149,16 @@ def test_anomaly_scan_validation():
         anomaly_scan(series, 50, 10, 5)  # window < 8 k2
     with pytest.raises(ValueError):
         anomaly_scan(series, 80, 0, 5)
+    # a bad estimate parameter raises before any window runs, rather than
+    # leaving every window blank
+    for args, kwargs, name in (
+        ((2,), {}, "k1"),
+        ((5, 5), {}, "k2"),
+        ((5,), {"gamma": 0.0}, "gamma"),
+        ((5,), {"gamma": -1.0}, "gamma"),
+        ((5,), {"gamma": float("nan")}, "gamma"),
+        ((5,), {"alpha_frac": 5.0}, "alpha_frac"),
+        ((5,), {"alpha_frac": -1.0}, "alpha_frac"),
+    ):
+        with pytest.raises(ValueError, match=name):
+            anomaly_scan(series, 80, 10, *args, **kwargs)

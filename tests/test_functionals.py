@@ -181,9 +181,7 @@ def test_permutation_invariance_of_estimate():
     data2 = Dataset(data.points[perm])
     from knnfunc.data import SampleSplit
 
-    sp2 = SampleSplit(
-        eval_indices=inv[sp.eval_indices], ref_indices=inv[sp.ref_indices], seed=0
-    )
+    sp2 = SampleSplit(eval_indices=inv[sp.eval_indices], ref_indices=inv[sp.ref_indices])
     rep2 = bpi_estimate(data2, sp2, shannon_functional(), 6)
     assert abs(rep.estimate - rep2.estimate) < 1e-12
 

@@ -68,22 +68,6 @@ def test_compare_models_deterministic():
     assert r1.statistic == r2.statistic
 
 
-def test_compare_models_identical_factorizations_predict_mean_zero():
-    data = sample_block_beta_mixture(12_000, [1, 1, 1, 2], seed=9)
-    a = Factorization(((0, 1), (2,), (3, 4)), "a")
-    b = Factorization(((0, 1), (2,), (3, 4)), "b")
-    constants = {
-        (0, 1): (-0.5, 0.4, 1.0),
-        (2,): (-0.1, 0.2, 0.5),
-        (3, 4): (-0.5, 0.4, 1.0),
-    }
-    cmp_ = compare_models(data, a, b, 12, config=CFG,
-                          factor_constants=constants, seed=10)
-    assert cmp_.predicted_mean == 0.0
-    assert abs(cmp_.predicted_error_prob - 0.5) < 1e-12
-    assert cmp_.decision in ("a", "b")
-
-
 def test_compare_models_budget_infeasible():
     data = sample_block_beta_mixture(100, [1, 1, 1, 2], seed=11)
     a = Factorization(((0, 1), (2,), (3, 4)), "a")
