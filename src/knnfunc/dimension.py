@@ -68,12 +68,22 @@ def _check_params(k1, k2, gamma, alpha_frac):
     return k2
 
 
-def _half(points, alpha_frac, k2):
-    """Split one half into (eval rows, index over the ref rows), with at
-    least k2 refs."""
-    n = len(points)
+def _ref_count(n, alpha_frac, k2):
+    """The number of ref rows alpha_frac gives an n-row half; raises unless
+    it leaves at least k2 refs and 2 eval rows (the variance needs 2)."""
     M = int(round(alpha_frac * n))
-    M = min(max(M, max(k2, 1)), n - 1)
+    if not k2 <= M <= n - 2:
+        raise ValueError(
+            f"alpha_frac must leave at least k2={k2} reference and 2 evaluation "
+            f"points of a {n}-point half, got {alpha_frac} ({M} references)"
+        )
+    return M
+
+
+def _half(points, alpha_frac, k2):
+    """Split one half into (eval rows, index over the ref rows)."""
+    n = len(points)
+    M = _ref_count(n, alpha_frac, k2)
     return points[: n - M], build_index(points[n - M :])
 
 
@@ -98,9 +108,10 @@ def estimate_dimension(
     """Two-bandwidth dimension estimate on a seeded half/half partition.
 
     k2 defaults to 2*k1.  The data is shuffled once (seeded), split into
-    halves X and Z; each half splits into eval/ref by alpha_frac.  The
-    independent variant takes L_k1 from X and L_k2 from Z; the correlated
-    variant takes both from X.
+    halves X and Z; each half splits into eval/ref by alpha_frac, which
+    must leave at least k2 refs and 2 eval rows.  The independent variant
+    takes L_k1 from X and L_k2 from Z; the correlated variant takes both
+    from X.
     """
     k2 = _check_params(k1, k2, gamma, alpha_frac)
     if variant not in ("independent", "correlated"):
@@ -129,7 +140,7 @@ def estimate_dimension(
     nu = -alpha_hat / denom
     kappa = -gamma * nu / alpha_hat**2
     n = len(logs1)
-    c_v = d_hat**2 * float(np.var(logs1, ddof=1)) if n > 1 else 0.0
+    c_v = d_hat**2 * float(np.var(logs1, ddof=1))
     var_d = 2.0 * kappa**2 * c_v / n
     return DimensionEstimate(
         d_hat=float(d_hat),
@@ -168,6 +179,7 @@ def anomaly_scan(
     T = series.count
     if window > T:
         raise ValueError("window exceeds series length")
+    _ref_count(window // 2, alpha_frac, k2)  # every window's halves
     out = []
     for start in range(0, T - window + 1, stride):
         chunk = Dataset(series.points[start : start + window])

@@ -174,6 +174,15 @@ def _plug_in(functional, dens, M):
     return float(np.mean(gv)), c4 / N + c5 / M, relabelled
 
 
+def _factors(functional, k, M):
+    """functional's (g1, g2) at (k, M).  They are exact moments for a ball
+    of locally constant density, which k = M, a ball holding every
+    reference, is not; so they are given only for k < M."""
+    if k >= M:
+        raise ValueError(f"k={k} must be below M={M} for a bias-corrected estimate")
+    return functional.bias_factors(k, M)
+
+
 def _bias_corrected(functional, dens, M, factors):
     """_plug_in corrected by factors = (g1, g2): the estimate (plain - g2) / g1
     and the variance over g1^2."""
@@ -217,15 +226,15 @@ def bpi_estimate_bc(
 
     The density is the one bpi_estimate plugs in for the same config: a
     detector runs only when config is a BoundaryConfig.  Raises when the
-    functional carries no bias factors (no general correction exists) or
-    when g1 = 0.
+    functional carries no bias factors (no general correction exists),
+    when k = M or when g1 = 0.
     """
     if functional.bias_factors is None:
         raise ValueError(
             f"functional {functional.id!r} has no bias-correction factors"
         )
     dens = _density_values(data, split, k, config)
-    factors = functional.bias_factors(k, split.n_ref)
+    factors = _factors(functional, k, split.n_ref)
     return _report(*_bias_corrected(functional, dens, split.n_ref, factors),
                    k, split, "bpi_bias_corrected", ci_level)
 
@@ -244,7 +253,7 @@ def renyi_entropy(
     """
     functional = renyi_functional(alpha)
     dens = _density_values(data, split, k, config)
-    factors = functional.bias_factors(k, split.n_ref)
+    factors = _factors(functional, k, split.n_ref)
     integral, var, relabelled = _bias_corrected(functional, dens, split.n_ref, factors)
     if integral <= 0:
         raise ValueError(f"nonpositive Renyi integral estimate {integral}")
@@ -285,7 +294,7 @@ def mutual_information(
     dens = [_density_values(Dataset(data.points[:, cols]), split, k, config)
             for cols in (x_cols, y_cols, x_cols + y_cols)]
     shannon = shannon_functional()
-    factors = shannon.bias_factors(k, split.n_ref)
+    factors = _factors(shannon, k, split.n_ref)
     (hx, _, rx), (hy, _, ry), (hxy, _, rxy) = (
         _bias_corrected(shannon, f, split.n_ref, factors) for f in dens
     )

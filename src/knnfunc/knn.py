@@ -11,9 +11,12 @@ its choices changes a result:
 - _ordered_map runs independent jobs, such as Monte Carlo trials, as
   threads over those CPUs, and a tree call inside a job gets the CPUs left
   over: one apiece once every CPU has a job;
-- against a large index, k-th-radius queries at d >= 2 visit the queries
-  in Z-order (a Morton key), so consecutive queries walk the same part of
-  the tree, and the radii are scattered back to input order;
+- every tree has leaves of _LEAFSIZE points; a large index at d >= 2
+  (_ZORDER_MIN_REFS points or more) stores them in Z-order (a Morton key)
+  and maps tree rows back to input rows before ties are ranked;
+- against such an index, k-th-radius queries visit the queries in Z-order
+  too, so consecutive queries walk the same part of the tree, and the
+  radii are scattered back to input order;
 - at d = 1 no tree is built: the k nearest of a point are a window of the
   (value, index)-sorted references, which gives the k-th distances
   directly and the full neighbour lists after merging the window's two
@@ -25,8 +28,10 @@ its choices changes a result:
   rows, the reverse counts) go a row block at a time,
   so that beside the graph itself they hold a few MB, whatever its size;
 - a self-query graph, such as the boundary detector's, is built by one
-  knn_query per row block and kept as int32 indices (4 bytes a slot) and
-  k-th radii; a block's other distances are dropped or, if asked, floored.
+  knn_query per row block, the blocks taken in storage order when the
+  index has one, and kept as int32 indices (4 bytes a slot) and k-th
+  radii in input order; a block's other distances are dropped or, if
+  asked, floored.
 """
 
 import math
@@ -138,17 +143,34 @@ def _ordered_map(func, items) -> list:
     return [f.result() for f in futures]
 
 
-# Queries in Z-order walk the tree in step with one another, so more of it
-# stays in cache; the key and its argsort cost a few ms.  Measured knn_radii
-# times in ms, input order vs Z-order, on a 2-core host (the mixture at
-# T = 1e5, M references, N = 3M/7 queries, median of 3 x 8-30 repeats):
-#   M        d=2 k=30     d=3 k=17     d=3 k=87     d=6 k=16
-#   7,000    25.3 / 23.8  14.8 / 18.2  47.1 / 44.7   44.7 / 43.0
-#   16,384   42.6 / 33.7  37.3 / 29.7   102 / 89.5    124 / 113
-#   32,768   73.0 / 70.4  64.5 / 57.3   211 / 177     296 / 264
-#   70,000    191 / 144    158 / 117    557 / 382    1000 / 672
-# Small indices fit in cache anyway and can lose, so only large ones reorder.
-_ZORDER_MIN_REFS = 1 << 15
+# A large index stores its points in Z-order, and k-th-radius queries into
+# it visit the queries in Z-order too: a leaf's points sit together in
+# memory and consecutive queries walk the same part of the tree, so more of
+# it stays in cache.  The keys and their argsorts cost a few ms.  Measured
+# times in ms of build_index + knn_radii / build_index + _self_graph on a
+# 2-core host (the mixture split 0.7: M references, N = 3M/7 queries and
+# graph points, large-estimate's rate-matched k, the detector's K + 1;
+# median of 9, configurations interleaved), by storage order, query order
+# and leaf size:
+#   d  M       input, 16    Z queries, 16  Z-stored, 16  input, 24    Z-stored, 24
+#   3  112       0.1/0.1      0.2/0.1        0.3/0.2       0.1/0.1      0.3/0.2
+#   3  3,000     7.4/4.0      8.0/4.0        7.7/4.0       8.1/4.0      8.5/3.9
+#   3  7,000    16.1/9.6     16.5/9.4       16.7/9.7      16.3/9.1     16.0/8.9
+#   6  7,000    42.9/24.0    45.6/23.9      43.8/23.8     40.3/21.7    42.5/18.5
+#   3  16,384   49.6/28.1    49.6/27.6      48.9/28.3     52.1/28.5    50.1/29.2
+#   6  16,384   81.1/46.2    75.0/43.8      76.9/44.5     79.7/45.4    75.8/43.9
+#   3  32,768    137/70.5     128/70.4       128/71.9      137/72.7     127/72.3
+#   6  32,768    222/121      179/121        194/113       228/122      194/115
+#   3  70,000    407/199      367/203        368/185       376/181      334/180
+#   6  70,000    653/321      491/307        545/255       609/304      390/253
+# Leaves of 32, Z-stored, took 337/188 and 437/265 ms at M = 70,000.  Small
+# indices fit in cache anyway: below 2^14 Z-order gains nothing, and the
+# 112-reference halves of a 320-row dimension-scan window would pay for its
+# keys, so they, and monte-carlo's 7,000- and 3,000-point trees, keep input
+# order.  From 2^14 to 2^15 the orders are level within this host's noise
+# (about 10%); at 70,000 Z-storage with leaves of 24 is fastest at both d.
+_ZORDER_MIN_REFS = 1 << 14
+_LEAFSIZE = 24
 
 
 @dataclass(frozen=True)
@@ -163,7 +185,8 @@ class NeighborIndex:
     """Immutable spatial index over a fixed reference point set."""
 
     def __init__(self, points: np.ndarray):
-        points = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
+        # a private copy: freezing it leaves the caller's array writeable
+        points = np.array(points, dtype=np.float64, order="C")
         if points.ndim != 2 or points.shape[0] < 1:
             raise ValueError("index requires a nonempty 2-d point matrix")
         if not np.all(np.isfinite(points)):
@@ -172,14 +195,19 @@ class NeighborIndex:
         self.points = points
         self.size = points.shape[0]
         self.dim = points.shape[1]
-        # at d = 1 neighbours come from a copy sorted by (value, index), and
-        # no tree is built
+        # _order, when set, is the storage order: stored row j is
+        # points[_order[j]].  At d = 1 neighbours come from a copy sorted by
+        # (value, index), and no tree is built; a large tree stores its
+        # points in Z-order
         self._tree = self._sorted = self._order = None
         if self.dim == 1:
             self._order = np.argsort(points[:, 0], kind="stable")
             self._sorted = points[self._order, 0]
+        elif self.size >= _ZORDER_MIN_REFS:
+            self._order = _zorder(points)
+            self._tree = cKDTree(points[self._order], leafsize=_LEAFSIZE)
         else:
-            self._tree = cKDTree(points)
+            self._tree = cKDTree(points, leafsize=_LEAFSIZE)
 
     def __repr__(self):
         return f"NeighborIndex(size={self.size}, dim={self.dim})"
@@ -204,11 +232,18 @@ def _as_queries(query, dim):
 def _nearest(index: NeighborIndex, q: np.ndarray, k: int):
     """(distances, indices), each (n, k), of the k nearest of each query
     row as cKDTree.query gives them: rows nondecreasing in distance, equal
-    distances in no set order.  At d = 1 they come from the sorted window."""
+    distances in no set order, indices of input rows.  At d = 1 they come
+    from the sorted window."""
     if index._sorted is not None:
         return _window_neighbors(index, q[:, 0], k)
     dist, idx = index._tree.query(q, k=k, workers=_workers(len(q), k))
-    return dist.reshape(len(q), k), idx.reshape(len(q), k)
+    idx = idx.reshape(len(q), k)
+    if index._order is not None:
+        # tree rows to input rows; the tree's sentinel (index size, which
+        # marks an overflowed distance) is clipped, and knn_query raises on
+        # any such distance it would keep
+        index._order.take(idx, mode="clip", out=idx)
+    return dist.reshape(len(q), k), idx
 
 
 def _by_distance_then_index(d, i, k):
@@ -407,11 +442,14 @@ def _self_graph(index: NeighborIndex, k: int, edges=None):
     graph = np.empty((index.size, k), dtype=np.int32)
     radii = np.empty(index.size)
     for rows in _row_blocks(index.size, k, min_slots=_GRAPH_BLOCK_SLOTS):
-        res = knn_query(index, index.points[rows], k)
-        graph[rows] = res.indices
-        radii[rows] = res.distances[:, -1]
+        # a block of stored rows, so its queries walk one part of the index
+        src = rows if index._order is None else index._order[rows]
+        res = knn_query(index, index.points[src], k)
+        graph[src] = res.indices
+        radii[src] = res.distances[:, -1]
         if edges is not None:
-            np.maximum(res.distances[:, 1:], 1e-300, out=edges[rows])
+            past_self = res.distances[:, 1:]
+            edges[src] = np.maximum(past_self, 1e-300, out=past_self)
         del res  # before the next block's query
     return graph, radii
 

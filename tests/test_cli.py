@@ -163,6 +163,10 @@ def test_dimension_subcommands(tmp_path):
     (["dimension", "--alpha-frac", "5"], "alpha_frac"),
     (["dimension", "--alpha-frac", "-1"], "alpha_frac"),
     (["dimension", "--gamma", "0"], "gamma"),
+    # halves of 320 rows: 0 references, or 0 evaluation rows
+    (["dimension", "--alpha-frac", "0.0001"], "alpha_frac"),
+    (["dimension", "--alpha-frac", "0.9999"], "alpha_frac"),
+    (["dimension-scan", "--window", "320", "--alpha-frac", "0.0001"], "alpha_frac"),
 ])
 def test_dimension_bad_parameter_is_named(tmp_path, capsys, argv, name):
     from knnfunc import sample_projected_manifold

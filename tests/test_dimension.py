@@ -159,6 +159,9 @@ def test_anomaly_scan_validation():
         ((5,), {"gamma": float("nan")}, "gamma"),
         ((5,), {"alpha_frac": 5.0}, "alpha_frac"),
         ((5,), {"alpha_frac": -1.0}, "alpha_frac"),
+        # inside (0, 1), but too few refs for k2 or too few eval rows
+        ((5,), {"alpha_frac": 0.0001}, "alpha_frac"),
+        ((5,), {"alpha_frac": 0.9999}, "alpha_frac"),
     ):
         with pytest.raises(ValueError, match=name):
             anomaly_scan(series, 80, 10, *args, **kwargs)

@@ -1,8 +1,12 @@
 import math
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.special as sps
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats as scistats
 
 from knnfunc import (
@@ -17,6 +21,7 @@ from knnfunc import (
     shannon_functional,
     split,
 )
+from knnfunc.data import SampleSplit
 from knnfunc.inference import generate_dataset
 from knnfunc.rng import make_rng
 
@@ -179,11 +184,70 @@ def test_permutation_invariance_of_estimate():
     perm = rng.permutation(data.count)
     inv = np.argsort(perm)
     data2 = Dataset(data.points[perm])
-    from knnfunc.data import SampleSplit
-
     sp2 = SampleSplit(eval_indices=inv[sp.eval_indices], ref_indices=inv[sp.ref_indices])
     rep2 = bpi_estimate(data2, sp2, shannon_functional(), 6)
     assert abs(rep.estimate - rep2.estimate) < 1e-12
+
+
+# -- estimator-level properties of bpi_estimate_bc ---------------------------
+
+@st.composite
+def _samples(draw, min_T=60):
+    """(data, split, k): a seeded uniform sample, split 0.7, and a k < M."""
+    d = draw(st.integers(1, 4))
+    T = draw(st.integers(min_T, 400))
+    seed = draw(st.integers(0, 2**32 - 1))
+    data = Dataset(np.random.default_rng(seed).random((T, d)))
+    sp = split(data, 0.7, seed)
+    return data, sp, draw(st.integers(3, min(12, sp.n_ref - 1)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_samples(), st.sampled_from([None, FIRING]), st.randoms(use_true_random=False))
+def test_bc_estimate_ignores_row_order(sample, config, rnd):
+    # the same eval and ref points in other rows: within 1e-12, the
+    # summation order of the mean being all that moves
+    data, sp, k = sample
+    perm = np.array(rnd.sample(range(data.count), data.count))
+    inv = np.argsort(perm)
+    moved = SampleSplit(eval_indices=inv[sp.eval_indices], ref_indices=inv[sp.ref_indices])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # q >= 1
+        a = bpi_estimate_bc(data, sp, shannon_functional(), k, config=config)
+        b = bpi_estimate_bc(Dataset(data.points[perm]), moved, shannon_functional(), k,
+                            config=config)
+    assert abs(a.estimate - b.estimate) <= 1e-12
+    assert abs(a.variance_estimate - b.variance_estimate) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(_samples(), st.floats(-100.0, 100.0), st.floats(1e-3, 1e3))
+def test_bc_estimate_shift_and_scale_laws(sample, shift, s):
+    # H(X + c) = H(X) and H(sX) = H(X) + d log s.  Shifting moves each
+    # k-th radius by rounding of about 1e-16 |c| / r and scaling by about
+    # 1e-16 r, so 1e-9 holds with room at these sizes
+    data, sp, k = sample
+    f = shannon_functional()
+    base = bpi_estimate_bc(data, sp, f, k).estimate
+    shifted = bpi_estimate_bc(Dataset(data.points + shift), sp, f, k).estimate
+    scaled = bpi_estimate_bc(Dataset(data.points * s), sp, f, k).estimate
+    assert abs(shifted - base) <= 1e-9
+    assert abs(scaled - (base + data.dim * math.log(s))) <= 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(_samples(), st.integers(1, 4))
+def test_bc_estimate_rejects_duplicates_and_k_equal_to_M(sample, distinct):
+    data, sp, k = sample
+    with pytest.raises(ValueError, match=f"k={sp.n_ref} must be below M={sp.n_ref}"):
+        bpi_estimate_bc(data, sp, shannon_functional(), sp.n_ref)
+    # every row one of a few points: some eval point has k copies among
+    # the refs, so its k-th radius is zero
+    dup = Dataset(data.points[np.arange(data.count) % distinct])
+    ref_copies = np.bincount(sp.ref_indices % distinct, minlength=distinct)
+    assume((ref_copies[sp.eval_indices % distinct] >= k).any())
+    with pytest.raises(ValueError, match="zero k-NN distance"):
+        bpi_estimate_bc(dup, sp, shannon_functional(), k)
 
 
 def test_bc_requires_factors():

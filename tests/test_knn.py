@@ -279,17 +279,63 @@ def _zorder_inputs():
     }
 
 
-def test_zorder_radii_equal_input_order_radii(monkeypatch):
+def _outcome(call, *args):
+    """The arrays call(*args) returns, or its ValueError's message."""
+    try:
+        out = call(*args)
+    except ValueError as exc:
+        return str(exc)
+    if isinstance(out, knnfunc.knn.NeighborResult):
+        return [out.distances, out.indices]
+    if hasattr(out, "boundary"):  # BoundaryLabels
+        return [out.boundary, out.nearest_interior]
+    return list(out) if isinstance(out, tuple) else [out]
+
+
+def test_zorder_results_equal_input_order_results(monkeypatch):
+    # gate 0 stores every tree in Z-order and visits radii queries in
+    # Z-order; gate size + 1 does neither
+    cfg = BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0=1.0, pk_scale=0.3)
     for name, (pts, queries) in _zorder_inputs().items():
-        idx = build_index(pts)
-        for k in (1, 7):
-            out = []
-            for gate in (idx.size + 1, 0):  # input order, then Z-order
-                monkeypatch.setattr(knnfunc.knn, "_ZORDER_MIN_REFS", gate)
-                with warnings.catch_warnings(), np.errstate(all="raise"):
-                    warnings.simplefilter("error")
-                    out.append(knn_radii(idx, queries, k))
-            assert np.array_equal(out[0], out[1]), (name, k)
+        out = []
+        for gate in (len(pts) + 1, 0):
+            monkeypatch.setattr(knnfunc.knn, "_ZORDER_MIN_REFS", gate)
+            with warnings.catch_warnings(), np.errstate(all="raise"):
+                warnings.simplefilter("error")
+                idx = build_index(pts)
+                assert (idx._order is not None) == (gate == 0)
+                got = [_outcome(call, idx, queries, k)
+                       for call in (knn_query, knn_radii) for k in (1, 7)]
+                got.append(_outcome(knnfunc.knn._self_graph, idx, 8))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                got.append(_outcome(detect_boundary, pts, 20, 2 * len(pts), cfg))
+            out.append(got)
+        for a, b in zip(*out):
+            if isinstance(a, str):
+                assert a == b, name
+            else:
+                assert all(np.array_equal(x, y) for x, y in zip(a, b, strict=True)), name
+
+
+def test_index_leaves_the_callers_array_writeable(monkeypatch):
+    # the index freezes a private copy, whatever path it takes: a small
+    # tree, a Z-stored tree (gate 0) or the sorted copy at d = 1
+    rng = np.random.default_rng(19)
+    for gate, d in ((knnfunc.knn._ZORDER_MIN_REFS, 3), (0, 3), (0, 1)):
+        monkeypatch.setattr(knnfunc.knn, "_ZORDER_MIN_REFS", gate)
+        x, y, z = (rng.random((400, d)) for _ in range(3))
+        idx = build_index(x)
+        count_reverse_neighbors(y, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            detect_boundary(z, 20, 800, BoundaryConfig())
+        assert x.flags.writeable and y.flags.writeable and z.flags.writeable
+        assert not idx.points.flags.writeable
+        before = knn_query(idx, x[:5], 3)
+        x[:] = 0.0  # the caller's edit leaves the index as it was
+        after = knn_query(idx, idx.points[:5], 3)
+        assert np.array_equal(before.indices, after.indices)
 
 
 def test_zorder_is_a_local_permutation():
@@ -316,16 +362,20 @@ def test_non_finite_queries_rejected(d, bad):
 
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("k", [2, 3])
-def test_overflowing_distances_raise(d, k):
+def test_overflowing_distances_raise(monkeypatch, d, k):
     # squared distances past 1e308 are infinite: the tree would return its
-    # sentinel index 3 at k = 3 and fail inside its tie path at k = 2
+    # sentinel index 3 at k = 3 and fail inside its tie path at k = 2; at
+    # gate 0 the tree is Z-stored, and the sentinel must not break the
+    # mapping back to input rows
     pts = [[0.0], [1e300], [-1e300]] if d == 1 else [[0, 0], [1e300, 0], [-1e300, 1]]
-    idx = build_index(pts)
-    with pytest.raises(ValueError, match="distances overflow float64"):
-        knn_query(idx, [pts[0]], k)
-    # the nearest neighbour itself is at a finite distance
-    res = knn_query(idx, [pts[0]], 1)
-    assert res.indices.tolist() == [[0]] and res.distances.tolist() == [[0.0]]
+    for gate in (knnfunc.knn._ZORDER_MIN_REFS, 0):
+        monkeypatch.setattr(knnfunc.knn, "_ZORDER_MIN_REFS", gate)
+        idx = build_index(pts)
+        with pytest.raises(ValueError, match="distances overflow float64"):
+            knn_query(idx, [pts[0]], k)
+        # the nearest neighbour itself is at a finite distance
+        res = knn_query(idx, [pts[0]], 1)
+        assert res.indices.tolist() == [[0]] and res.distances.tolist() == [[0.0]]
 
 
 def test_ordered_map_keeps_order_and_shares_out_the_cpus(monkeypatch):
