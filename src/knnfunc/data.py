@@ -42,12 +42,12 @@ class Dataset:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
+        # a private copy: freezing it leaves the caller's array writeable
+        pts = np.array(self.points, dtype=np.float64, order="C")
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ValueError(f"points must be a T x d matrix, got shape {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("points contain non-finite entries")
-        pts = np.ascontiguousarray(pts)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -68,8 +68,9 @@ class SampleSplit:
     ref_indices: np.ndarray
 
     def __post_init__(self):
-        ev = np.asarray(self.eval_indices, dtype=np.intp)
-        rf = np.asarray(self.ref_indices, dtype=np.intp)
+        # private copies, frozen below, so the caller's arrays stay writeable
+        ev = np.array(self.eval_indices, dtype=np.intp)
+        rf = np.array(self.ref_indices, dtype=np.intp)
         if ev.size < 1 or rf.size < 1:
             raise ValueError("both split parts must be nonempty")
         if np.isin(ev, rf).any():
@@ -194,7 +195,11 @@ def sample_beta_uniform_mixture(
     use_uniform = rng.random(count) < eps
     beta_part = rng.beta(a, b, size=(count, dim))
     unif_part = rng.random((count, dim))
-    return Dataset(np.where(use_uniform[:, None], unif_part, beta_part))
+    # in place and the uniform draw freed, so beside the Dataset's own copy
+    # only one sample-sized array is alive
+    np.copyto(beta_part, unif_part, where=use_uniform[:, None])
+    del unif_part
+    return Dataset(beta_part)
 
 
 def sample_projected_manifold(

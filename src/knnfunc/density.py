@@ -5,7 +5,10 @@ boundary-corrected: f_hat at interior points, nearest-interior value at
                     boundary points
 
 Both estimates are strictly positive whenever the k-NN radius is nonzero;
-a zero radius (k-fold duplicate collision) is a data error and raises.
+a zero radius (k-fold duplicate collision) is a data error and raises.  The
+corrected estimate queries radii at the interior points only: a boundary
+point's own value is never used, so it gets no radius query, only a check
+that its k-th distance is nonzero, which keeps the error the same.
 """
 
 from dataclasses import dataclass
@@ -14,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .boundary import BoundaryLabels
-from .knn import NeighborIndex, knn_radii, unit_ball_volume
+from .knn import NeighborIndex, _zero_radius, knn_radii, unit_ball_volume
 
 __all__ = [
     "DensityEstimates",
@@ -38,31 +41,86 @@ def knn_density(index: NeighborIndex, queries, k: int) -> DensityEstimates:
     Requires k >= 3 (finite second moments of the estimate).  Raises on a
     zero k-th neighbor distance, naming the first offending query.
     """
-    if not 3 <= k <= index.size:
-        raise ValueError(f"k={k} outside [3, {index.size}]")
+    _check_k(index, k)
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     r = np.atleast_1d(knn_radii(index, queries, k))
-    if np.any(r == 0.0):
-        bad = int(np.argmax(r == 0.0))
-        raise ValueError(
-            f"query {bad} at {queries[bad]} has zero k-NN distance "
-            f"(>= {k} duplicate reference points); duplicated data violates "
-            "the continuous-density model"
-        )
-    cd = unit_ball_volume(index.dim)
-    vals = (k - 1) / (index.size * cd * r**index.dim)
-    return DensityEstimates(values=vals)
+    _raise_on_zero_radius(queries, r == 0.0, k)
+    return DensityEstimates(values=_from_radii(index, r, k))
 
 
 def corrected_density(
     index: NeighborIndex, queries, k: int, labels: BoundaryLabels
 ) -> DensityEstimates:
     """Boundary-corrected estimate: interior points keep their standard
-    value, boundary points take the value at their nearest interior point."""
-    vals = knn_density(index, queries, k).values
-    if labels.n_interior + labels.n_boundary != len(vals):
-        raise ValueError("labels were computed for a different evaluation set")
-    # in place: every source is an interior point, which no write touches
+    value, boundary points take the value at their nearest interior point.
+
+    Radii are queried at the interior points alone; each boundary point is
+    only checked for a zero k-th distance, so the error, naming the first
+    offending query of all, is knn_density's.  Raises ValueError unless
+    labels' interior and boundary partition the queries' rows and every
+    nearest_interior entry is an interior row.
+    """
+    _check_k(index, k)
+    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    _check_labels(labels, len(queries))
+    zero = np.empty(len(queries), dtype=bool)
+    r = knn_radii(index, queries[labels.interior], k)
+    zero[labels.interior] = r == 0.0
+    zero[labels.boundary] = _zero_radius(index, queries[labels.boundary], k)
+    _raise_on_zero_radius(queries, zero, k)
+    vals = np.empty(len(queries))
+    vals[labels.interior] = _from_radii(index, r, k)
+    # the sources were filled above; _check_labels makes them interior rows
     vals[labels.boundary] = vals[labels.nearest_interior]
     return DensityEstimates(values=vals, labels=labels)
 
+
+def _check_k(index: NeighborIndex, k: int):
+    if not 3 <= k <= index.size:
+        raise ValueError(f"k={k} outside [3, {index.size}]")
+
+
+def _from_radii(index: NeighborIndex, r: np.ndarray, k: int) -> np.ndarray:
+    """The standard k-NN density at points whose k-th distances are r."""
+    cd = unit_ball_volume(index.dim)
+    return (k - 1) / (index.size * cd * r**index.dim)
+
+
+def _raise_on_zero_radius(queries: np.ndarray, zero: np.ndarray, k: int):
+    if zero.any():
+        bad = int(np.argmax(zero))
+        raise ValueError(
+            f"query {bad} at {queries[bad]} has zero k-NN distance "
+            f"(>= {k} duplicate reference points); duplicated data violates "
+            "the continuous-density model"
+        )
+
+
+def _check_labels(labels: BoundaryLabels, n: int):
+    """Raise ValueError unless labels fit n evaluation points: interior and
+    boundary partition range(n), and nearest_interior holds one interior
+    row per boundary row."""
+    if labels.n_interior + labels.n_boundary != n:
+        raise ValueError("labels were computed for a different evaluation set")
+    rows = np.sort(np.concatenate([labels.interior, labels.boundary]))
+    if not np.array_equal(rows, np.arange(n)):
+        raise ValueError(
+            f"labels' interior and boundary rows do not partition the {n} "
+            "evaluation points"
+        )
+    src = np.asarray(labels.nearest_interior)
+    if src.shape != (labels.n_boundary,):
+        raise ValueError(
+            f"labels hold {src.size} nearest_interior entries for "
+            f"{labels.n_boundary} boundary points"
+        )
+    interior = np.zeros(n, dtype=bool)
+    interior[labels.interior] = True
+    ok = (src >= 0) & (src < n)
+    ok[ok] = interior[src[ok]]
+    if not ok.all():
+        bad = int(np.argmin(ok))
+        raise ValueError(
+            f"labels' nearest_interior entry {bad} ({src[bad]}) is not an "
+            "interior evaluation point"
+        )

@@ -21,6 +21,8 @@ its choices changes a result:
   (value, index)-sorted references, which gives the k-th distances
   directly and the full neighbour lists after merging the window's two
   runs on either side of the query;
+- a check for zero k-th distances (_zero_radius) searches the tree only
+  out to 1e-150, so it visits little more than each query's own leaf;
 - one loop ranks every row holding a tie by a row-wise lexsort on
   (distance, index); a row whose k-th distance ties its (k+1)-th is asked
   again, twice as wide each time, until the tie is passed;
@@ -314,6 +316,22 @@ def knn_radii(index: NeighborIndex, queries, k: int) -> np.ndarray:
         dist, _ = index._tree.query(q, k=[k], workers=_workers(len(q), k))
         r = dist[:, 0]
     return r[0] if single else r
+
+
+def _zero_radius(index: NeighborIndex, queries, k: int) -> np.ndarray:
+    """Mask of the query rows whose k-th nearest distance is zero, as
+    knn_radii computes it: k references at the query, or so near that the
+    squared distance underflows.
+
+    At d >= 2 the tree is searched only out to 1e-150, whose square is a
+    positive normal float, so a query visits little more than its own leaf.
+    At d = 1 the sorted window gives the k-th distance at once.
+    """
+    q, _ = _as_queries(queries, index.dim)
+    if index._sorted is not None:
+        return _kth_distance_sorted(index._sorted, q[:, 0], k) == 0.0
+    dist, _ = index._tree.query(q, k=[k], distance_upper_bound=1e-150)
+    return dist[:, 0] == 0.0
 
 
 def _zorder(q: np.ndarray) -> np.ndarray:

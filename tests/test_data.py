@@ -220,6 +220,21 @@ def test_split_parts_must_be_disjoint():
             SampleSplit(np.array(ev), np.array(rf))
 
 
+def test_dataset_and_split_leave_the_callers_arrays_writeable():
+    # each freezes a private copy, so the caller can still write its own
+    x = np.random.default_rng(0).random((5, 2))
+    e = np.array([0, 1], dtype=np.intp)
+    r = np.array([2, 3, 4], dtype=np.intp)
+    data, sp = Dataset(x), SampleSplit(e, r)
+    assert x.flags.writeable and e.flags.writeable and r.flags.writeable
+    assert not data.points.flags.writeable
+    assert not sp.eval_indices.flags.writeable and not sp.ref_indices.flags.writeable
+    before = data.points.copy()
+    x[0, 0], e[0], r[0] = 7.0, 4, 0
+    assert np.array_equal(data.points, before)
+    assert sp.eval_indices.tolist() == [0, 1] and sp.ref_indices.tolist() == [2, 3, 4]
+
+
 @given(
     T=st.integers(min_value=2, max_value=400),
     alpha=st.floats(min_value=0.01, max_value=0.99),

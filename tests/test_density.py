@@ -1,8 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import knnfunc.density
+import knnfunc.knn
 from knnfunc import (
     BoundaryConfig,
     build_index,
@@ -129,3 +134,146 @@ def test_corrected_reduces_near_boundary_error_2d_uniform():
         err_cor = np.mean(np.abs(cor[near] - 1.0))
         wins += int(err_cor < err_std)
     assert wins >= 16, f"corrected beat standard in only {wins}/20 trials"
+
+
+def _labels(n, boundary, nearest_interior):
+    boundary = np.asarray(boundary, dtype=np.intp)
+    return BoundaryLabels(
+        interior=np.setdiff1d(np.arange(n), boundary), boundary=boundary,
+        nearest_interior=np.asarray(nearest_interior, dtype=np.intp),
+        threshold_used=1.0, K_used=5, q_used=0.5,
+    )
+
+
+def _outcome(call, *args):
+    """The density values call(*args) returns, or its ValueError's message."""
+    try:
+        return call(*args).values
+    except ValueError as exc:
+        return str(exc)
+
+
+def _copy_formula(index, queries, k, labels):
+    """The correction computed from every radius: the standard values, then
+    each boundary point's overwritten with its nearest interior point's."""
+    vals = knn_density(index, queries, k).values
+    vals[labels.boundary] = vals[labels.nearest_interior]
+    return knnfunc.density.DensityEstimates(values=vals, labels=labels)
+
+
+def _same(a, b):
+    return a == b if isinstance(a, str) else np.array_equal(a, b)
+
+
+@st.composite
+def _correction_cases(draw):
+    """(refs, queries, k, labels, Z-stored): uniform or grid points (grid
+    points repeat, so some radii tie and some are zero), and labels with a
+    random boundary, no boundary, or every point but one on it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.sampled_from([1, 2, 3]))
+    M, N = draw(st.integers(10, 300)), draw(st.integers(2, 80))
+    k = draw(st.integers(3, min(M, 12)))
+    if draw(st.booleans()):
+        refs, queries = rng.random((M, d)), rng.random((N, d))
+    else:
+        side = draw(st.integers(2, 6))
+        refs, queries = (rng.integers(0, side, size=(n, d)).astype(float) for n in (M, N))
+    shape = draw(st.sampled_from(["random", "none", "all-but-one"]))
+    if shape == "none":
+        boundary = []
+    elif shape == "all-but-one":
+        boundary = np.delete(np.arange(N), rng.integers(N))
+    else:
+        boundary = np.flatnonzero(rng.random(N) < rng.random())
+        boundary = boundary[boundary != rng.integers(N)]  # keep one interior
+    interior = np.setdiff1d(np.arange(N), boundary)
+    labels = _labels(N, boundary, rng.choice(interior, size=len(boundary)))
+    return refs, queries, k, labels, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_correction_cases())
+def test_corrected_equals_copying_over_every_radius(case):
+    # bit for bit, or the same zero-radius error naming the same query
+    refs, queries, k, labels, zstored = case
+    gate = 0 if zstored else knnfunc.knn._ZORDER_MIN_REFS
+    with mock.patch.object(knnfunc.knn, "_ZORDER_MIN_REFS", gate):
+        idx = build_index(refs)
+    assert (idx._order is not None) == (zstored or refs.shape[1] == 1)
+    got = _outcome(corrected_density, idx, queries, k, labels)
+    want = _outcome(_copy_formula, idx, queries, k, labels)
+    assert _same(got, want)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("zstored", [False, True])
+@pytest.mark.parametrize("where", ["boundary", "interior", "underflow", "both"])
+def test_corrected_zero_radius_error_is_knn_densitys(monkeypatch, d, zstored, where):
+    # k references at (or, for "underflow", about 1e-170 from) query 7, a
+    # boundary point, or query 10, an interior one; "both" has them at 7
+    # and 10 with the boundary point first
+    if zstored:
+        monkeypatch.setattr(knnfunc.knn, "_ZORDER_MIN_REFS", 0)
+    rng = np.random.default_rng(11)
+    k = 5
+    refs, queries = rng.random((200, d)) + 1.0, rng.random((40, d)) + 1.0
+    labels = _labels(40, np.arange(2, 40, 5), np.arange(0, 40, 5))
+    assert 7 in labels.boundary and 10 in labels.interior
+    rows = {"boundary": [7], "interior": [10], "underflow": [7], "both": [7, 10]}[where]
+    for j, row in enumerate(rows):
+        queries[row] = 0.0
+        refs[j * k:(j + 1) * k] = 0.0
+        if where == "underflow":
+            refs[:k, 0] = np.arange(k) * 1e-170  # distinct, squares underflow
+        else:
+            queries[row] += j
+            refs[j * k:(j + 1) * k] += j
+    idx = build_index(refs)
+    with pytest.raises(ValueError, match="zero k-NN distance") as info:
+        corrected_density(idx, queries, k, labels)
+    with pytest.raises(ValueError) as want:
+        knn_density(idx, queries, k)
+    assert str(info.value) == str(want.value)
+    assert str(info.value).startswith(f"query {rows[0]} at")
+
+
+def test_corrected_queries_radii_at_interior_points_only(monkeypatch):
+    rng = np.random.default_rng(12)
+    refs, ev = rng.random((2000, 2)), rng.random((800, 2))
+    cfg = BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0=1.0, pk_scale=0.1)
+    labels = detect_boundary(ev, 10, 2000, cfg)
+    assert labels.n_boundary > 0
+    rows = []
+
+    def spy(index, queries, k):
+        rows.append(len(queries))
+        return knn_radii(index, queries, k)
+
+    knn_radii = knnfunc.density.knn_radii
+    monkeypatch.setattr(knnfunc.density, "knn_radii", spy)
+    corrected_density(build_index(refs), ev, 10, labels)
+    assert rows == [labels.n_interior]
+
+
+@pytest.mark.parametrize("boundary, nearest, message", [
+    ([3, 3], [0, 1], "do not partition"),  # a row twice, row 4 in neither
+    ([3, 9], [0, 1], "do not partition"),  # a row past the last
+    ([3, -1], [0, 1], "do not partition"),
+    ([3, 4], [0, 4], "entry 1 \\(4\\) is not an interior"),  # a boundary source
+    ([3, 4], [9, 1], "entry 0 \\(9\\) is not an interior"),  # out of range
+    ([3, 4], [0, -1], "entry 1 \\(-1\\) is not an interior"),
+    ([3, 4], [0], "1 nearest_interior entries for 2 boundary points"),
+])
+def test_corrected_rejects_labels_that_are_not_a_partition(boundary, nearest, message):
+    rng = np.random.default_rng(13)
+    idx = build_index(rng.random((100, 2)))
+    good = _labels(8, [3, 4], [0, 1])
+    bad = BoundaryLabels(
+        interior=good.interior, boundary=np.array(boundary), nearest_interior=np.array(nearest),
+        threshold_used=1.0, K_used=5, q_used=0.5,
+    )
+    with pytest.raises(ValueError, match=message):
+        corrected_density(idx, rng.random((8, 2)), 5, bad)
+    with pytest.raises(ValueError, match="different evaluation set"):
+        corrected_density(idx, rng.random((9, 2)), 5, good)
