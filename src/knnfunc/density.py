@@ -7,8 +7,9 @@ boundary-corrected: f_hat at interior points, nearest-interior value at
 Both estimates are strictly positive whenever the k-NN radius is nonzero;
 a zero radius (k-fold duplicate collision) is a data error and raises.  The
 corrected estimate queries radii at the interior points only: a boundary
-point's own value is never used, so it gets no radius query, only a check
-that its k-th distance is nonzero, which keeps the error the same.
+point's own value is never used, so it gets no radius query, only the same
+k-th-distance search bounded at 1e-150, compared with zero, which keeps the
+error the same.  Queries are an (n, d) matrix, one point a row.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .boundary import BoundaryLabels
-from .knn import NeighborIndex, _zero_radius, knn_radii, unit_ball_volume
+from .knn import NeighborIndex, _as_queries, _kth_distances, knn_radii, unit_ball_volume
 
 __all__ = [
     "DensityEstimates",
@@ -36,14 +37,13 @@ class DensityEstimates:
 
 
 def knn_density(index: NeighborIndex, queries, k: int) -> DensityEstimates:
-    """Standard k-NN density estimate at each query point.
+    """Standard k-NN density estimate at each row of an (n, d) query matrix.
 
     Requires k >= 3 (finite second moments of the estimate).  Raises on a
     zero k-th neighbor distance, naming the first offending query.
     """
     _check_k(index, k)
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    r = np.atleast_1d(knn_radii(index, queries, k))
+    r = knn_radii(index, queries, k)
     _raise_on_zero_radius(queries, r == 0.0, k)
     return DensityEstimates(values=_from_radii(index, r, k))
 
@@ -51,22 +51,24 @@ def knn_density(index: NeighborIndex, queries, k: int) -> DensityEstimates:
 def corrected_density(
     index: NeighborIndex, queries, k: int, labels: BoundaryLabels
 ) -> DensityEstimates:
-    """Boundary-corrected estimate: interior points keep their standard
-    value, boundary points take the value at their nearest interior point.
+    """Boundary-corrected estimate at each row of an (n, d) query matrix:
+    interior points keep their standard value, boundary points take the
+    value at their nearest interior point.
 
-    Radii are queried at the interior points alone; each boundary point is
-    only checked for a zero k-th distance, so the error, naming the first
-    offending query of all, is knn_density's.  Raises ValueError unless
-    labels' interior and boundary partition the queries' rows and every
-    nearest_interior entry is an interior row.
+    Radii are queried at the interior points alone.  Each boundary point is
+    only checked for a zero k-th distance, by the same search bounded at
+    1e-150, so the error, naming the first offending query of all, is
+    knn_density's.  Raises ValueError unless labels' interior and boundary
+    partition the queries' rows and every nearest_interior entry is an
+    interior row.
     """
     _check_k(index, k)
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    queries = _as_queries(queries, index.dim)
     _check_labels(labels, len(queries))
     zero = np.empty(len(queries), dtype=bool)
     r = knn_radii(index, queries[labels.interior], k)
     zero[labels.interior] = r == 0.0
-    zero[labels.boundary] = _zero_radius(index, queries[labels.boundary], k)
+    zero[labels.boundary] = _kth_distances(index, queries[labels.boundary], k, 1e-150) == 0.0
     _raise_on_zero_radius(queries, zero, k)
     vals = np.empty(len(queries))
     vals[labels.interior] = _from_radii(index, r, k)
@@ -86,11 +88,12 @@ def _from_radii(index: NeighborIndex, r: np.ndarray, k: int) -> np.ndarray:
     return (k - 1) / (index.size * cd * r**index.dim)
 
 
-def _raise_on_zero_radius(queries: np.ndarray, zero: np.ndarray, k: int):
+def _raise_on_zero_radius(queries, zero: np.ndarray, k: int):
     if zero.any():
         bad = int(np.argmax(zero))
+        point = np.asarray(queries, dtype=np.float64)[bad]
         raise ValueError(
-            f"query {bad} at {queries[bad]} has zero k-NN distance "
+            f"query {bad} at {point} has zero k-NN distance "
             f"(>= {k} duplicate reference points); duplicated data violates "
             "the continuous-density model"
         )

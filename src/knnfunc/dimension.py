@@ -90,7 +90,7 @@ def _half(points, alpha_frac, k2):
 def _log_radii(half, k):
     """Log k-NN radii from a half's eval rows into its refs: the L-summands."""
     ev, index = half
-    r = np.atleast_1d(knn_radii(index, ev, k))
+    r = knn_radii(index, ev, k)
     if np.any(r == 0.0):
         raise ValueError("zero k-NN radius (duplicate points)")
     return np.log(r)

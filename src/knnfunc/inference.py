@@ -75,8 +75,10 @@ def generate_dataset(name: str, T: int, seed: int, params: dict) -> Dataset:
 class TrialSpec:
     """One reproducible experiment configuration.
 
-    k_rule is "fixed" (uses k) or "rate" (rate-matched in M); the
-    MSE-optimal k runs as "fixed" with k = tuning.optimal_k(...).
+    k_rule is "fixed" (uses k) or "rate" (rate-matched in M, and takes no
+    k); the MSE-optimal k runs as "fixed" with k = tuning.optimal_k(...).
+    The rule, k and functional_id are checked when the spec is built,
+    before any trial runs.
     boundary_config is passed to the estimator as its config: None plugs
     in the standard k-NN density.  constants serve only the confidence
     interval: when present it uses the oracle c4/c5, otherwise the
@@ -101,24 +103,27 @@ class TrialSpec:
     def __post_init__(self):
         if not 0.0 < self.ci_level < 1.0:
             raise ValueError("ci level must lie in (0, 1)")
+        if self.k_rule not in ("fixed", "rate"):
+            raise ValueError(f"unknown k rule {self.k_rule!r}")
+        if self.k_rule == "fixed" and self.k is None:
+            raise ValueError("fixed k rule requires k")
+        if self.k_rule == "rate" and self.k is not None:
+            raise ValueError(
+                f"rate k rule picks k from M, so k={self.k} would be ignored; "
+                "use k_rule 'fixed'"
+            )
+        if self.functional_id not in ("shannon", "renyi"):
+            raise ValueError(f"unknown functional {self.functional_id!r}")
 
     def resolve_k(self, M: int, d: int) -> int:
-        if self.k_rule == "fixed":
-            if self.k is None:
-                raise ValueError("fixed k rule requires k")
-            return self.k
-        if self.k_rule == "rate":
-            return rate_matched_k(M, d)
-        raise ValueError(f"unknown k rule {self.k_rule!r}")
+        return self.k if self.k_rule == "fixed" else rate_matched_k(M, d)
 
     def functional(self):
         if self.functional_id == "shannon":
             return shannon_functional()
-        if self.functional_id == "renyi":
-            if self.alpha is None:
-                raise ValueError("renyi requires alpha")
-            return renyi_functional(self.alpha)
-        raise ValueError(f"unknown functional {self.functional_id!r}")
+        if self.alpha is None:
+            raise ValueError("renyi requires alpha")
+        return renyi_functional(self.alpha)
 
 
 @dataclass(frozen=True)

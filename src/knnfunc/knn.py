@@ -14,15 +14,16 @@ its choices changes a result:
 - every tree has leaves of _LEAFSIZE points; a large index at d >= 2
   (_ZORDER_MIN_REFS points or more) stores them in Z-order (a Morton key)
   and maps tree rows back to input rows before ties are ranked;
-- against such an index, k-th-radius queries visit the queries in Z-order
-  too, so consecutive queries walk the same part of the tree, and the
-  radii are scattered back to input order;
+- queries are an (n, d) matrix, one point a row, and every k-th distance
+  comes from one search (_kth_distances); against a Z-stored index it
+  visits the queries in Z-order too, so consecutive queries walk the same
+  part of the tree, and scatters the distances back to input order;
 - at d = 1 no tree is built: the k nearest of a point are a window of the
   (value, index)-sorted references, which gives the k-th distances
   directly and the full neighbour lists after merging the window's two
   runs on either side of the query;
-- a check for zero k-th distances (_zero_radius) searches the tree only
-  out to 1e-150, so it visits little more than each query's own leaf;
+- the zero-distance check is the same search bounded at 1e-150, so it
+  visits little more than each query's own leaf;
 - one loop ranks every row holding a tie by a row-wise lexsort on
   (distance, index); a row whose k-th distance ties its (k+1)-th is asked
   again, twice as wide each time, until the tie is passed;
@@ -220,15 +221,15 @@ def build_index(points) -> NeighborIndex:
 
 
 def _as_queries(query, dim):
+    """query as a float64 (n, dim) matrix of finite points, else ValueError."""
     q = np.asarray(query, dtype=np.float64)
-    single = q.ndim == 1
-    if single:
-        q = q[None, :]
+    if q.ndim != 2:
+        raise ValueError(f"queries must be an (n, d) matrix; got shape {q.shape}")
     if q.shape[1] != dim:
         raise ValueError(f"query dim {q.shape[1]} != index dim {dim}")
     if not np.all(np.isfinite(q)):
         raise ValueError("query points must be finite")
-    return q, single
+    return q
 
 
 def _nearest(index: NeighborIndex, q: np.ndarray, k: int):
@@ -255,7 +256,8 @@ def _by_distance_then_index(d, i, k):
 
 
 def knn_query(index: NeighborIndex, query, k: int) -> NeighborResult:
-    """Exact k nearest neighbors with (distance, index) tie-breaking.
+    """Exact k nearest neighbors with (distance, index) tie-breaking, of
+    each row of an (n, d) query matrix: (n, k) distances and indices.
 
     One lookup of the k + 1 nearest (_nearest) settles every row whose
     distances all differ.  A row holding equal ones is ranked by
@@ -268,7 +270,7 @@ def knn_query(index: NeighborIndex, query, k: int) -> NeighborResult:
     """
     if not 1 <= k <= index.size:
         raise ValueError(f"k={k} outside [1, {index.size}]")
-    q, single = _as_queries(query, index.dim)
+    q = _as_queries(query, index.dim)
     kk = min(k + 1, index.size)
     dist, idx = _nearest(index, q, kk)
     # points and queries are finite, so an infinite distance is an overflowed
@@ -295,43 +297,38 @@ def knn_query(index: NeighborIndex, query, k: int) -> NeighborResult:
             left.append(r[~done])
         rows = np.concatenate(left)
         width = min(2 * width, index.size)
-    if single:
-        return NeighborResult(out_d[0], out_i[0])
     return NeighborResult(out_d, out_i)
 
 
 def knn_radii(index: NeighborIndex, queries, k: int) -> np.ndarray:
-    """k-th nearest-neighbor distances only (tie-insensitive, fast path)."""
+    """k-th nearest-neighbor distances, one per row of an (n, d) query matrix."""
     if not 1 <= k <= index.size:
         raise ValueError(f"k={k} outside [1, {index.size}]")
-    q, single = _as_queries(queries, index.dim)
-    if index._sorted is not None:
-        r = _kth_distance_sorted(index._sorted, q[:, 0], k)
-    elif index.size >= _ZORDER_MIN_REFS:
-        order = _zorder(q)
-        dist, _ = index._tree.query(q[order], k=[k], workers=_workers(len(q), k))
-        r = np.empty(len(q))
-        r[order] = dist[:, 0]
-    else:
-        dist, _ = index._tree.query(q, k=[k], workers=_workers(len(q), k))
-        r = dist[:, 0]
-    return r[0] if single else r
+    return _kth_distances(index, _as_queries(queries, index.dim), k)
 
 
-def _zero_radius(index: NeighborIndex, queries, k: int) -> np.ndarray:
-    """Mask of the query rows whose k-th nearest distance is zero, as
-    knn_radii computes it: k references at the query, or so near that the
-    squared distance underflows.
-
-    At d >= 2 the tree is searched only out to 1e-150, whose square is a
-    positive normal float, so a query visits little more than its own leaf.
-    At d = 1 the sorted window gives the k-th distance at once.
+def _kth_distances(index: NeighborIndex, q: np.ndarray, k: int, upper=np.inf):
+    """k-th nearest distance of each row of the checked query matrix q, as
+    cKDTree.query gives it: the tree searches out to upper only and gives
+    inf past it, so a bound of 1e-150 (a positive normal float squared)
+    leaves little more than each query's own leaf to visit.  At d = 1 the
+    sorted window gives every distance, as sqrt(r*r), the tree's own
+    arithmetic, so bit for bit the tree's (squaring and sqrt are monotone).
     """
-    q, _ = _as_queries(queries, index.dim)
     if index._sorted is not None:
-        return _kth_distance_sorted(index._sorted, q[:, 0], k) == 0.0
-    dist, _ = index._tree.query(q, k=[k], distance_upper_bound=1e-150)
-    return dist[:, 0] == 0.0
+        s, x = index._sorted, q[:, 0]
+        with np.errstate(over="ignore"):  # inf past 1e154, as the tree gives
+            j = _window_start(s, x, k)
+            r = np.maximum(x - s[j], s[j + k - 1] - x)
+            return np.sqrt(r * r)
+    order = None if index._order is None else _zorder(q)
+    dist, _ = index._tree.query(q if order is None else q[order], k=[k],
+                                distance_upper_bound=upper, workers=_workers(len(q), k))
+    if order is None:
+        return dist[:, 0]
+    r = np.empty(len(q))
+    r[order] = dist[:, 0]
+    return r
 
 
 def _zorder(q: np.ndarray) -> np.ndarray:
@@ -343,6 +340,8 @@ def _zorder(q: np.ndarray) -> np.ndarray:
     span puts every row in cell 0.  The order only moves work around: each
     query is answered on its own, whatever the order.
     """
+    if len(q) < 2:  # no range to cut, and nothing to reorder
+        return np.arange(len(q))
     axes = min(q.shape[1], 63)
     bits = min(10, 63 // axes)
     half = np.ascontiguousarray(q[:, :axes].T) * 0.5
@@ -388,18 +387,6 @@ def _window_start(s: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
     before_j = np.where(a > lo, x - s[np.maximum(a - 1, lo)], np.inf)
     # both infinite only when x - s overflows; any window is as good then
     return np.where(before_j < at_j, a - 1, np.minimum(a, hi))
-
-
-def _kth_distance_sorted(s: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
-    """k-th nearest distance from each x to the sorted 1-d references s.
-
-    The result is returned as sqrt(r*r), the tree's own arithmetic, so it is
-    bit-identical to cKDTree.query's (squaring and sqrt are monotone).
-    """
-    with np.errstate(over="ignore"):  # inf past 1e154, as the tree gives
-        j = _window_start(s, x, k)
-        r = np.maximum(x - s[j], s[j + k - 1] - x)
-        return np.sqrt(r * r)
 
 
 def _window_neighbors(index: NeighborIndex, x: np.ndarray, k: int):

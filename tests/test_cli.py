@@ -247,6 +247,7 @@ def test_experiment_spec_key_the_spec_lacks_is_named(tmp_path, capsys, key):
     ({"T": 40, "k_rule": "fixed", "k": 30}, "k=30 outside [3, 28]"),
     ({"generator": "nope"}, "unknown generator 'nope'"),
     ({"k_rule": "optimal"}, "unknown k rule 'optimal'"),
+    ({"k": 40}, "rate k rule picks k from M, so k=40 would be ignored; use k_rule 'fixed'"),
 ])
 def test_experiment_failing_trial_is_named(tmp_path, capsys, fields, problem):
     spec = tmp_path / "spec.json"
@@ -256,7 +257,9 @@ def test_experiment_failing_trial_is_named(tmp_path, capsys, fields, problem):
     out = tmp_path / "never.json"
     rc = run(["experiment", "--spec", str(spec), "--trials", "2", "-o", str(out)])
     assert rc == 1
-    assert capsys.readouterr().err == f"error: trial 0 failed: {problem}\n"
+    # a bad k rule fails when the spec is built, before any trial runs
+    where = "" if "k rule" in problem else "trial 0 failed: "
+    assert capsys.readouterr().err == f"error: {where}{problem}\n"
     assert not out.exists()
 
 

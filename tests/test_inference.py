@@ -218,6 +218,16 @@ def test_trial_spec_validation():
     # rejected when built, before any trial runs, with or without a truth
     with pytest.raises(ValueError, match="ci level"):
         dataclasses.replace(_SPEC, ci_level=1.5)
+    with pytest.raises(ValueError, match="unknown k rule 'optimal'"):
+        dataclasses.replace(_SPEC, k_rule="optimal")
+    with pytest.raises(ValueError, match="fixed k rule requires k"):
+        dataclasses.replace(_SPEC, k=None)
+    # the default "rate" rule picks k itself, so a k given with it is an error
+    with pytest.raises(ValueError, match="k=40 would be ignored"):
+        TrialSpec(generator="uniform", generator_params={"d": 2}, T=2000,
+                  alpha_frac=0.7, functional_id="shannon", k=40)
+    with pytest.raises(ValueError, match="unknown functional 'nope'"):
+        dataclasses.replace(_SPEC, functional_id="nope")
 
 
 def test_trial_spec_rejects_bias_correction_without_boundary_correction():

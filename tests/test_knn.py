@@ -24,21 +24,21 @@ import oracles
 
 def test_hand_example_1d():
     idx = build_index(np.array([[0.0], [1.0], [3.0]]))
-    res = knn_query(idx, np.array([0.9]), 2)
-    assert np.allclose(res.distances, [0.1, 0.9])
-    assert list(res.indices) == [1, 0]
+    res = knn_query(idx, np.array([[0.9]]), 2)
+    assert np.allclose(res.distances[0], [0.1, 0.9])
+    assert list(res.indices[0]) == [1, 0]
 
 
 def test_query_on_indexed_point():
     idx = build_index(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    res = knn_query(idx, np.array([3.0, 4.0]), 1)
-    assert res.distances[0] == 0.0 and res.indices[0] == 1
+    res = knn_query(idx, np.array([[3.0, 4.0]]), 1)
+    assert res.distances[0, 0] == 0.0 and res.indices[0, 0] == 1
 
 
 def test_single_point_index():
     idx = build_index(np.array([[2.0, 2.0]]))
-    res = knn_query(idx, np.array([0.0, 0.0]), 1)
-    assert np.isclose(res.distances[0], math.sqrt(8.0))
+    res = knn_query(idx, np.array([[0.0, 0.0]]), 1)
+    assert np.isclose(res.distances[0, 0], math.sqrt(8.0))
     # several queries keep one row each, at d = 1 too
     for pts in (np.array([[2.0, 2.0]]), np.array([[2.0]])):
         queries = np.zeros((3, pts.shape[1]))
@@ -49,19 +49,19 @@ def test_single_point_index():
 
 def test_duplicates_both_retrievable():
     idx = build_index(np.array([[1.0], [1.0], [5.0]]))
-    res = knn_query(idx, np.array([1.0]), 2)
-    assert list(res.indices) == [0, 1]
-    assert np.all(res.distances == 0.0)
+    res = knn_query(idx, np.array([[1.0]]), 2)
+    assert list(res.indices[0]) == [0, 1]
+    assert np.all(res.distances[0] == 0.0)
 
 
 def test_tie_breaking_lexicographic_on_grid():
     # query equidistant from four grid corners: ties resolved by index
     pts = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]])
     idx = build_index(pts)
-    res = knn_query(idx, np.array([1.0, 1.0]), 3)
-    assert list(res.indices) == [0, 1, 2]
+    res = knn_query(idx, np.array([[1.0, 1.0]]), 3)
+    assert list(res.indices[0]) == [0, 1, 2]
     brute = oracles.brute_force_knn(pts, np.array([1.0, 1.0]), 3)
-    assert np.array_equal(res.indices, brute.indices)
+    assert np.array_equal(res.indices[0], brute.indices)
 
 
 def test_k_validation():
@@ -125,8 +125,8 @@ def test_monotone_distances_in_k(k, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
     pts = rng.random((30, 3))
     idx = build_index(pts)
-    res = knn_query(idx, rng.random(3), k)
-    assert np.all(np.diff(np.atleast_1d(res.distances)) >= 0)
+    res = knn_query(idx, rng.random((1, 3)), k)
+    assert np.all(np.diff(res.distances[0]) >= 0)
 
 
 def test_translation_invariance():
@@ -276,6 +276,7 @@ def _zorder_inputs():
         "widest": ((2 * pts3 - 1) * 1.7e308, (2 * pts3[:1500] - 1) * 1.7e308),
         "constant-column": (flat, flat[:1000]),
         "single-row": (pts3, pts3[:1] + 0.01),
+        "zero-rows": (pts3, np.empty((0, 3))),
     }
 
 
@@ -358,6 +359,11 @@ def test_non_finite_queries_rejected(d, bad):
     for call in (knn_radii, knn_query, knn_density):
         with pytest.raises(ValueError, match="query points must be finite"):
             call(idx, q, 5)
+        # queries are an (n, d) matrix: not one point, nor another width
+        with pytest.raises(ValueError, match=r"queries must be an \(n, d\) matrix"):
+            call(idx, q[0], 5)
+        with pytest.raises(ValueError, match=f"query dim {d + 1} != index dim {d}"):
+            call(idx, np.zeros((4, d + 1)), 5)
 
 
 @pytest.mark.parametrize("d", [1, 2])
