@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .data import Dataset
-from .knn import NeighborIndex, build_index, knn_radii
+from .knn import NeighborIndex, _kth_distances, build_index, knn_radii
 from .rng import make_rng
 
 __all__ = [
@@ -51,7 +51,7 @@ def log_length(eval_points, ref_index: NeighborIndex, k: int, gamma: float) -> f
     """(gamma/N) * sum of log k-NN radii from eval points into the refs."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    return gamma * float(np.mean(_log_radii((eval_points, ref_index), k)))
+    return gamma * float(np.mean(_logs(knn_radii(ref_index, eval_points, k))))
 
 
 def _check_params(k1, k2, gamma, alpha_frac):
@@ -87,10 +87,8 @@ def _half(points, alpha_frac, k2):
     return points[: n - M], build_index(points[n - M :])
 
 
-def _log_radii(half, k):
-    """Log k-NN radii from a half's eval rows into its refs: the L-summands."""
-    ev, index = half
-    r = knn_radii(index, ev, k)
+def _logs(r):
+    """Logs of k-NN radii, the L-summands; a zero radius raises."""
     if np.any(r == 0.0):
         raise ValueError("zero k-NN radius (duplicate points)")
     return np.log(r)
@@ -119,15 +117,27 @@ def estimate_dimension(
     T = data.count
     if T < 8:
         raise ValueError("need at least 8 samples")
-    rng = make_rng(seed, "dimension-partition", T)
-    perm = rng.permutation(T)
-    half = T // 2
-    x_half = _half(data.points[perm[:half]], alpha_frac, k2)
-    logs1 = _log_radii(x_half, k1)
+    return _estimate(data.points, _partition(T, seed), k1, k2, gamma, variant, alpha_frac)
+
+
+def _partition(T, seed):
+    """The seeded shuffle of T rows whose halves are X and Z."""
+    return make_rng(seed, "dimension-partition", T).permutation(T)
+
+
+def _estimate(points, perm, k1, k2, gamma, variant, alpha_frac):
+    """estimate_dimension on the rows of points, shuffled by perm, after
+    its checks.  The correlated variant takes both k-th distances of X's
+    eval rows from one search."""
+    half = len(points) // 2
+    ev, index = _half(points[perm[:half]], alpha_frac, k2)
     if variant == "independent":
-        logs2 = _log_radii(_half(data.points[perm[half : 2 * half]], alpha_frac, k2), k2)
+        logs1 = _logs(_kth_distances(index, ev, k1))
+        ev2, index2 = _half(points[perm[half : 2 * half]], alpha_frac, k2)
+        logs2 = _logs(_kth_distances(index2, ev2, k2))
     else:
-        logs2 = _log_radii(x_half, k2)
+        # a contiguous row per k, so np.log runs as on one search per k
+        logs1, logs2 = _logs(_kth_distances(index, ev, (k1, k2)).T.copy())
     denom = math.log(k2 - 1) - math.log(k1 - 1)
     L1 = gamma * float(np.mean(logs1))
     L2 = gamma * float(np.mean(logs2))
@@ -169,7 +179,9 @@ def anomaly_scan(
     Returns a list of (window_start, DimensionEstimate or None); windows
     whose estimate fails (e.g. duplicate-dominated) are reported as None
     rather than aborting the scan; a bad parameter raises before any
-    window runs.
+    window runs.  Each estimate is estimate_dimension's on the window; the
+    partition depends only on the window length and seed, so it is drawn
+    once, and each window is read as a view of the series.
     """
     k2 = _check_params(k1, k2, gamma, alpha_frac)
     if window < 8 * k2:
@@ -180,14 +192,12 @@ def anomaly_scan(
     if window > T:
         raise ValueError("window exceeds series length")
     _ref_count(window // 2, alpha_frac, k2)  # every window's halves
+    perm = _partition(window, seed)
     out = []
     for start in range(0, T - window + 1, stride):
-        chunk = Dataset(series.points[start : start + window])
         try:
-            est = estimate_dimension(
-                chunk, k1, k2, gamma=gamma, variant="correlated",
-                alpha_frac=alpha_frac, seed=seed,
-            )
+            est = _estimate(series.points[start : start + window], perm, k1, k2,
+                            gamma, "correlated", alpha_frac)
         except ValueError:
             est = None
         out.append((start, est))

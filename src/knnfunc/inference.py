@@ -77,8 +77,9 @@ class TrialSpec:
 
     k_rule is "fixed" (uses k) or "rate" (rate-matched in M, and takes no
     k); the MSE-optimal k runs as "fixed" with k = tuning.optimal_k(...).
-    The rule, k and functional_id are checked when the spec is built,
-    before any trial runs.
+    alpha is the Renyi order: "renyi" needs one that renyi_functional
+    accepts, and "shannon" takes none.  The rule, k, functional_id and
+    alpha are checked when the spec is built, before any trial runs.
     boundary_config is passed to the estimator as its config: None plugs
     in the standard k-NN density.  constants serve only the confidence
     interval: when present it uses the oracle c4/c5, otherwise the
@@ -114,6 +115,12 @@ class TrialSpec:
             )
         if self.functional_id not in ("shannon", "renyi"):
             raise ValueError(f"unknown functional {self.functional_id!r}")
+        if self.functional_id == "shannon" and self.alpha is not None:
+            raise ValueError(
+                f"shannon takes no alpha, so alpha={self.alpha} would be ignored; "
+                "use functional_id 'renyi'"
+            )
+        self.functional()  # a renyi alpha that renyi_functional rejects raises
 
     def resolve_k(self, M: int, d: int) -> int:
         return self.k if self.k_rule == "fixed" else rate_matched_k(M, d)

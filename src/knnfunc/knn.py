@@ -15,13 +15,15 @@ its choices changes a result:
   (_ZORDER_MIN_REFS points or more) stores them in Z-order (a Morton key)
   and maps tree rows back to input rows before ties are ranked;
 - queries are an (n, d) matrix, one point a row, and every k-th distance
-  comes from one search (_kth_distances); against a Z-stored index it
-  visits the queries in Z-order too, so consecutive queries walk the same
-  part of the tree, and scatters the distances back to input order;
+  comes from one search (_kth_distances), which also answers a sequence
+  of ks (the dimension estimate's k1 and k2) with one tree search; against
+  a Z-stored index it visits the queries in Z-order too, so consecutive
+  queries walk the same part of the tree, and scatters the distances back
+  to input order;
 - at d = 1 no tree is built: the k nearest of a point are a window of the
   (value, index)-sorted references, which gives the k-th distances
-  directly and the full neighbour lists after merging the window's two
-  runs on either side of the query;
+  directly, one window search per k, and the full neighbour lists after
+  merging the window's two runs on either side of the query;
 - the zero-distance check is the same search bounded at 1e-150, so it
   visits little more than each query's own leaf;
 - one loop ranks every row holding a tie by a row-wise lexsort on
@@ -307,28 +309,37 @@ def knn_radii(index: NeighborIndex, queries, k: int) -> np.ndarray:
     return _kth_distances(index, _as_queries(queries, index.dim), k)
 
 
-def _kth_distances(index: NeighborIndex, q: np.ndarray, k: int, upper=np.inf):
+def _kth_distances(index: NeighborIndex, q: np.ndarray, k, upper=np.inf):
     """k-th nearest distance of each row of the checked query matrix q, as
-    cKDTree.query gives it: the tree searches out to upper only and gives
-    inf past it, so a bound of 1e-150 (a positive normal float squared)
-    leaves little more than each query's own leaf to visit.  At d = 1 the
-    sorted window gives every distance, as sqrt(r*r), the tree's own
-    arithmetic, so bit for bit the tree's (squaring and sqrt are monotone).
+    cKDTree.query gives it: (n,) for an int k, and for a sequence of ks an
+    (n, L) matrix whose column l is what k = ks[l] alone would give, from
+    one search.  The tree searches out to upper only and gives inf past
+    it, so a bound of 1e-150 (a positive normal float squared) leaves
+    little more than each query's own leaf to visit.  At d = 1 the sorted
+    window gives every distance, one window search per k, as sqrt(r*r),
+    the tree's own arithmetic, so bit for bit the tree's (squaring and sqrt
+    are monotone).
     """
+    single = isinstance(k, (int, np.integer))
+    ks = [k] if single else list(k)
     if index._sorted is not None:
         s, x = index._sorted, q[:, 0]
+        dist = np.empty((len(q), len(ks)))
         with np.errstate(over="ignore"):  # inf past 1e154, as the tree gives
-            j = _window_start(s, x, k)
-            r = np.maximum(x - s[j], s[j + k - 1] - x)
-            return np.sqrt(r * r)
-    order = None if index._order is None else _zorder(q)
-    dist, _ = index._tree.query(q if order is None else q[order], k=[k],
-                                distance_upper_bound=upper, workers=_workers(len(q), k))
-    if order is None:
-        return dist[:, 0]
-    r = np.empty(len(q))
-    r[order] = dist[:, 0]
-    return r
+            for col, kk in enumerate(ks):
+                j = _window_start(s, x, kk)
+                r = np.maximum(x - s[j], s[j + kk - 1] - x)
+                dist[:, col] = np.sqrt(r * r)
+    else:
+        order = None if index._order is None else _zorder(q)
+        dist, _ = index._tree.query(q if order is None else q[order], k=ks,
+                                    distance_upper_bound=upper,
+                                    workers=_workers(len(q), max(ks)))
+        if order is not None:
+            r = np.empty_like(dist)
+            r[order] = dist
+            dist = r
+    return dist[:, 0] if single else dist
 
 
 def _zorder(q: np.ndarray) -> np.ndarray:

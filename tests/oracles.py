@@ -168,6 +168,30 @@ def brute_force_knn(points, queries, k: int) -> NeighborResult:
     return NeighborResult(dist, idx)
 
 
+def full_trace_hessian(pdf, x, step):
+    """Central-difference trace of the pdf Hessian at each row of x, and the
+    pdf there, from pdf calls on whole shifted copies of x: the reference
+    for tuning._trace_hessian, which steps one factor at a time."""
+    n, d = x.shape
+    f0 = pdf(x)
+    tr = np.zeros(n)
+    for i in range(d):
+        e = np.zeros(d)
+        e[i] = step
+        tr += pdf(x + e) - 2.0 * f0 + pdf(x - e)
+    return tr / step**2, f0
+
+
+def where_mixture_draw(n, dim, a, b, eps, rng):
+    """n draws of the Beta/uniform mixture as one np.where over a uniform
+    and a Beta draw, in that order on the stream: the reference for
+    beta_uniform_mixture_density's sampler."""
+    use_uniform = rng.random(n) < eps
+    return np.where(
+        use_uniform[:, None], rng.random((n, dim)), rng.beta(a, b, size=(n, dim))
+    )
+
+
 def reference_load_csv(path, header: bool = False) -> np.ndarray:
     """The CSV reader as a plain loop over the file's lines, with float() on
     each cell: the reference for knnfunc.load_csv.  Raises the same

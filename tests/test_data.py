@@ -19,6 +19,7 @@ from knnfunc import (
     true_functional,
     uniform_density,
 )
+from knnfunc.rng import make_rng
 
 import oracles
 
@@ -270,6 +271,16 @@ def test_mixture_marginal_mean():
     var = a * b / ((a + b) ** 2 * (a + b + 1))
     se = math.sqrt(var / T)
     assert np.all(np.abs(d.points.mean(axis=0) - mean) < 4 * se)
+
+
+def test_analytic_mixture_sampler_equals_the_np_where_draw():
+    for n in (1, 2, 17, 1000, 65_537):
+        for dim, eps in ((1, 0.2), (3, 0.2), (3, 0.0), (2, 1.0)):
+            dens = beta_uniform_mixture_density(dim, 4.0, 4.0, eps)
+            got = dens.sampler(n, make_rng(n, "sampler", dim))
+            want = oracles.where_mixture_draw(n, dim, 4.0, 4.0, eps,
+                                              make_rng(n, "sampler", dim))
+            assert np.array_equal(got, want), (n, dim, eps)
 
 
 def test_mixture_validation():

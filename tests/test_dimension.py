@@ -73,24 +73,26 @@ def test_dimension_scale_invariance_exact():
 
 
 def test_each_variant_queries_one_radius_per_bandwidth(monkeypatch):
-    # L_k1 and L_k2 take one knn_radii call each: both from the first half
-    # (correlated), or k1 from the first and k2 from the second (independent)
+    # L_k1 and L_k2 take their k-th distances from one search of the first
+    # half for both ks (correlated), or from two searches, k1 of the first
+    # half and k2 of the second (independent)
     import knnfunc.dimension
 
     data = sample_projected_manifold(2000, 2, 3, seed=12)
     perm = make_rng(6, "dimension-partition", 2000).permutation(2000)
     halves = [data.points[perm[:1000]], data.points[perm[1000:]]]
-    for variant, (h1, h2) in (("correlated", (0, 0)), ("independent", (0, 1))):
+    for variant, searches, (h1, h2) in (("correlated", [(8, 20)], (0, 0)),
+                                        ("independent", [8, 20], (0, 1))):
         calls = []
 
-        def counted(index, queries, k, real=knnfunc.dimension.knn_radii):
+        def counted(index, queries, k, real=knnfunc.dimension._kth_distances):
             calls.append(k)
             return real(index, queries, k)
 
         with monkeypatch.context() as m:
-            m.setattr(knnfunc.dimension, "knn_radii", counted)
+            m.setattr(knnfunc.dimension, "_kth_distances", counted)
             est = estimate_dimension(data, 8, 20, variant=variant, alpha_frac=0.6, seed=6)
-        assert calls == [8, 20], variant
+        assert calls == searches, variant
         # the same numbers from log_length on each half's eval/ref split
         L1, L2 = (log_length(halves[h][:400], build_index(halves[h][400:]), k, 1.0)
                   for h, k in ((h1, 8), (h2, 20)))
@@ -124,6 +126,25 @@ def test_anomaly_scan_detects_dimension_switch():
     late = [d for m, d in mids if m > T / 2 + window / 2]
     assert np.nanmean(early) < 1.5
     assert np.nanmean(late) > 2.2
+
+
+def test_anomaly_scan_equals_estimate_dimension_on_each_window():
+    # the middle of the series is one repeated point, so the windows over
+    # it fail with a zero radius and are reported as None
+    series = sample_projected_manifold(1600, 2, 4, seed=13).points.copy()
+    series[600:900] = series[600]
+    window, k1 = 320, 5
+    results = anomaly_scan(Dataset(series), window, 40, k1, seed=8)
+    failed = 0
+    for start, est in results:
+        try:
+            want = estimate_dimension(Dataset(series[start : start + window]), k1,
+                                      variant="correlated", seed=8)
+        except ValueError:
+            want = None
+        assert est == want, start
+        failed += est is None
+    assert 0 < failed < len(results)
 
 
 def test_anomaly_scan_constant_series_all_missing():

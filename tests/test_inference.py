@@ -19,6 +19,7 @@ from knnfunc import (
     monte_carlo,
     normality_diagnostics,
     rate_fit,
+    renyi_functional,
     shannon_functional,
     split,
 )
@@ -228,6 +229,24 @@ def test_trial_spec_validation():
                   alpha_frac=0.7, functional_id="shannon", k=40)
     with pytest.raises(ValueError, match="unknown functional 'nope'"):
         dataclasses.replace(_SPEC, functional_id="nope")
+
+
+def test_trial_spec_checks_alpha_when_built():
+    # raised by the constructor, so before any trial generates its data
+    renyi = dict(generator="uniform", generator_params={"d": 2}, T=2000,
+                 alpha_frac=0.7, functional_id="renyi")
+    with pytest.raises(ValueError, match="^renyi requires alpha$"):
+        TrialSpec(**renyi)
+    for alpha in (1.0, 0.0, 2.0, -0.5):
+        with pytest.raises(ValueError) as err:
+            TrialSpec(**renyi, alpha=alpha)
+        with pytest.raises(ValueError) as want:
+            renyi_functional(alpha)
+        assert str(err.value) == str(want.value)
+    assert TrialSpec(**renyi, alpha=0.5).functional().id == "renyi"
+    # a Shannon spec would run Shannon and ignore the alpha
+    with pytest.raises(ValueError, match="alpha=0.5 would be ignored"):
+        TrialSpec(**dict(renyi, functional_id="shannon"), alpha=0.5)
 
 
 def test_trial_spec_rejects_bias_correction_without_boundary_correction():

@@ -339,6 +339,26 @@ def test_index_leaves_the_callers_array_writeable(monkeypatch):
         assert np.array_equal(before.indices, after.indices)
 
 
+def test_kth_distances_at_several_k_equal_the_single_k_columns(monkeypatch):
+    # one search for a sequence of ks, column by column, against one search
+    # per k: the sorted window at d = 1, trees in input order and (gate 0)
+    # in Z-order at d >= 2; uniform points, a tied integer grid, zero rows
+    rng = np.random.default_rng(22)
+    ks = (1, 3, 8, 40)
+    for gate in (knnfunc.knn._ZORDER_MIN_REFS, 0):
+        monkeypatch.setattr(knnfunc.knn, "_ZORDER_MIN_REFS", gate)
+        for d in (1, 2, 3, 6):
+            for pts in (rng.random((1200, d)), rng.integers(0, 4, size=(1200, d)) * 1.0):
+                idx = build_index(pts)
+                assert (idx._order is not None) == (d == 1 or gate == 0)
+                for q in (rng.random((500, d)) * 3.0, pts[:500], np.empty((0, d))):
+                    got = knnfunc.knn._kth_distances(idx, q, ks)
+                    assert got.shape == (len(q), len(ks))
+                    for col, k in enumerate(ks):
+                        want = knnfunc.knn._kth_distances(idx, q, k)
+                        assert np.array_equal(got[:, col], want), (gate, d, k)
+
+
 def test_zorder_is_a_local_permutation():
     rng = np.random.default_rng(18)
     q = rng.random((4096, 2))

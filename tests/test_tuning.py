@@ -18,7 +18,8 @@ from knnfunc import (
     uniform_density,
 )
 from knnfunc.inference import generate_dataset
-from knnfunc.tuning import TheoryConstants, hessian_weight
+from knnfunc.knn import _row_blocks
+from knnfunc.tuning import TheoryConstants, _trace_hessian, hessian_weight
 
 import oracles
 
@@ -56,6 +57,22 @@ def test_constants_oracle_mixture_renyi_fixtures():
 def test_constants_oracle_warns_small_mc():
     with pytest.warns(RuntimeWarning, match="noisy"):
         constants_oracle(uniform_density(2), shannon_functional(), 20_000, seed=0)
+
+
+def test_block_hessian_equals_full_array_central_difference():
+    # 70,001 rows are no whole number of row blocks at any of these d
+    n = 70_001
+    for dens in (beta_uniform_mixture_density(3, 4.0, 4.0, 0.2),
+                 beta_uniform_mixture_density(1, 2.0, 5.0, 0.1),
+                 beta_uniform_mixture_density(6, 2.0, 3.0, 0.3),
+                 uniform_density(3)):
+        blocks = _row_blocks(n, dens.dim)
+        assert len(blocks) > 1 and blocks[-1].stop - blocks[-1].start < blocks[0].stop
+        z = dens.sample(n, 3, "hessian")
+        got = _trace_hessian(dens, z, 1e-4)
+        want = oracles.full_trace_hessian(dens.pdf, z, 1e-4)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b), dens.dim
 
 
 def test_hessian_weight_d3_value():
