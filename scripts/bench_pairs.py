@@ -4,9 +4,9 @@
         --runs large-estimate:201-204 --out BENCH_n.json --what "..."
 
 The parent runs from a git archive of its commit in a temporary directory,
-the change from this working tree.  Each seed is one pair: perfbench/run.py
-with --trace 0 on both sides, the parent first at even pair index and the
-change first at odd.  The result line of every run (the last line of its
+the change from this working tree.  Each seed is one pair: BENCHMARK.json's
+command for its run_seconds with --trace 0 on both sides, the parent first
+at even pair index and the change first at odd.  The result line of every run (the last line of its
 standard output) goes into the output file with the fields what, parent,
 command, host, order, runs and, if --bit-identity names a JSON file,
 bit_identity.  A summary of each metric's medians and of the pairs the
@@ -20,13 +20,15 @@ import os
 import platform
 import statistics
 import subprocess
-import sys
 import tarfile
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COMMAND = "python3 perfbench/run.py --workload {workload} --seed {seed} --seconds {seconds} --trace 0"
+_BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+# one run's argv, with {workload} and {seed} to fill in
+COMMAND = [*_BENCHMARK["command"], "--workload", "{workload}", "--seed", "{seed}",
+           "--seconds", str(_BENCHMARK["run_seconds"]), "--trace", "0"]
 BETTER = {"setup_s": "lower", "estimates_per_s": "higher", "call_s_p50": "lower",
           "peak_rss_mb": "lower", "rmse": "lower"}
 
@@ -45,7 +47,6 @@ def parse_args(argv):
     p.add_argument("--parent", required=True, help="the commit to compare against")
     p.add_argument("--runs", type=parse_runs, action="append", required=True,
                    metavar="WORKLOAD:FIRST-LAST", help="a workload and its seeds, one pair each")
-    p.add_argument("--seconds", type=float, default=20.0)
     p.add_argument("--out", required=True, help="the BENCH_<n>.json to write")
     p.add_argument("--what", default="", help="what the change does")
     p.add_argument("--bit-identity", help="a JSON file to store as bit_identity")
@@ -64,10 +65,9 @@ def archive(commit, dest):
     return short
 
 
-def run_once(tree, workload, seed, seconds):
+def run_once(tree, workload, seed):
     """The result line of one perfbench run in tree, or its failure."""
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+    argv = [a.format(workload=workload, seed=seed) for a in COMMAND]
     out = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     lines = out.stdout.strip().splitlines()
     try:
@@ -108,7 +108,7 @@ def main(argv=None):
             for i, seed in enumerate(seeds):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
-                    result = run_once(trees[side], workload, seed, args.seconds)
+                    result = run_once(trees[side], workload, seed)
                     runs.append({"workload": workload, "seed": seed, "side": side,
                                  "ran_first": side == order[0], "result": result})
                     print(workload, seed, side, json.dumps(result.get("metrics", result))[:160],
@@ -117,7 +117,7 @@ def main(argv=None):
     doc = {
         "what": args.what,
         "parent": parent,
-        "command": COMMAND.format(workload="<workload>", seed="<seed>", seconds=f"{args.seconds:g}"),
+        "command": " ".join(COMMAND).format(workload="<workload>", seed="<seed>"),
         "host": f"{len(os.sched_getaffinity(0))}-core {platform.machine()} {platform.system()}, "
                 f"Python {platform.python_version()}; the parent ran from a git archive of its "
                 "commit, the change from the working tree",

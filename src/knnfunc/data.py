@@ -240,33 +240,21 @@ def sample_block_beta_mixture(count: int, block_sizes, seed: int) -> Dataset:
 
 @dataclass(frozen=True)
 class AnalyticDensity:
-    """A product-form density on [0,1]^dim with an exact sampler:
+    """A density on [0,1]^dim with an evaluable pdf and an exact sampler.
 
-        pdf(x) = (1 - eps) * prod_j factor(x_j) + eps.
-
-    ``factor`` maps an array of coordinates to the 1-d factor's values
-    elementwise; ``sampler`` maps (n, rng) to an (n, dim) array of draws.
+    ``pdf`` maps an (n, dim) array to n density values, each from its own
+    row alone; ``sampler`` maps (n, rng) to an (n, dim) array of draws.
     Used by the Monte Carlo truth oracle and by the theory-constant
-    estimators, whose Hessian steps one factor at a time.
+    estimators, which evaluate the pdf a block of rows at a time.
     """
 
     dim: int
-    factor: callable
-    eps: float
+    pdf: callable
     sampler: callable
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"density dimension must be >= 1, got {self.dim}")
-
-    def pdf(self, x) -> np.ndarray:
-        """Density values at the rows of an (n, dim) array."""
-        return self._mix(self.factor(np.asarray(x, dtype=np.float64)))
-
-    def _mix(self, factors: np.ndarray, axis: int = -1) -> np.ndarray:
-        """(1 - eps) * prod + eps of factor values, the product over axis
-        taken in axis order."""
-        return (1 - self.eps) * np.prod(factors, axis=axis) + self.eps
 
     def sample(self, n: int, seed: int, *tags) -> np.ndarray:
         return self.sampler(n, make_rng(seed, "analytic-density", *tags))
@@ -286,6 +274,10 @@ def beta_uniform_mixture_density(
 ) -> AnalyticDensity:
     """Analytic form of the density drawn by sample_beta_uniform_mixture."""
 
+    def pdf(x):
+        x = np.asarray(x, dtype=np.float64)
+        return (1 - eps) * np.prod(_beta_pdf_1d(x, a, b), axis=-1) + eps
+
     def sampler(n, rng):
         use_uniform = rng.random(n) < eps
         # the uniform draw comes first on the stream, and the Beta draw is
@@ -294,15 +286,18 @@ def beta_uniform_mixture_density(
         np.copyto(out, rng.beta(a, b, size=(n, dim)), where=~use_uniform[:, None])
         return out
 
-    return AnalyticDensity(dim=dim, factor=lambda x: _beta_pdf_1d(x, a, b),
-                           eps=eps, sampler=sampler)
+    return AnalyticDensity(dim=dim, pdf=pdf, sampler=sampler)
 
 
 def uniform_density(dim: int) -> AnalyticDensity:
+    def pdf(x):
+        x = np.asarray(x, dtype=np.float64)
+        return np.ones(x.shape[:-1])
+
     def sampler(n, rng):
         return rng.random((n, dim))
 
-    return AnalyticDensity(dim=dim, factor=np.ones_like, eps=0.0, sampler=sampler)
+    return AnalyticDensity(dim=dim, pdf=pdf, sampler=sampler)
 
 
 def true_functional(

@@ -68,7 +68,8 @@ def corrected_density(
     zero = np.empty(len(queries), dtype=bool)
     r = knn_radii(index, queries[labels.interior], k)
     zero[labels.interior] = r == 0.0
-    zero[labels.boundary] = _kth_distances(index, queries[labels.boundary], k, 1e-150) == 0.0
+    r_bounded = _kth_distances(index, queries[labels.boundary], (k,), 1e-150)
+    zero[labels.boundary] = r_bounded[:, 0] == 0.0
     _raise_on_zero_radius(queries, zero, k)
     vals = np.empty(len(queries))
     vals[labels.interior] = _from_radii(index, r, k)

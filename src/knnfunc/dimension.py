@@ -132,9 +132,9 @@ def _estimate(points, perm, k1, k2, gamma, variant, alpha_frac):
     half = len(points) // 2
     ev, index = _half(points[perm[:half]], alpha_frac, k2)
     if variant == "independent":
-        logs1 = _logs(_kth_distances(index, ev, k1))
+        logs1 = _logs(_kth_distances(index, ev, (k1,))[:, 0])
         ev2, index2 = _half(points[perm[half : 2 * half]], alpha_frac, k2)
-        logs2 = _logs(_kth_distances(index2, ev2, k2))
+        logs2 = _logs(_kth_distances(index2, ev2, (k2,))[:, 0])
     else:
         # a contiguous row per k, so np.log runs as on one search per k
         logs1, logs2 = _logs(_kth_distances(index, ev, (k1, k2)).T.copy())

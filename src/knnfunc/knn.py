@@ -15,8 +15,8 @@ its choices changes a result:
   (_ZORDER_MIN_REFS points or more) stores them in Z-order (a Morton key)
   and maps tree rows back to input rows before ties are ranked;
 - queries are an (n, d) matrix, one point a row, and every k-th distance
-  comes from one search (_kth_distances), which also answers a sequence
-  of ks (the dimension estimate's k1 and k2) with one tree search; against
+  comes from one search (_kth_distances), which answers a sequence of ks
+  (the dimension estimate's k1 and k2) with one tree search; against
   a Z-stored index it visits the queries in Z-order too, so consecutive
   queries walk the same part of the tree, and scatters the distances back
   to input order;
@@ -306,40 +306,38 @@ def knn_radii(index: NeighborIndex, queries, k: int) -> np.ndarray:
     """k-th nearest-neighbor distances, one per row of an (n, d) query matrix."""
     if not 1 <= k <= index.size:
         raise ValueError(f"k={k} outside [1, {index.size}]")
-    return _kth_distances(index, _as_queries(queries, index.dim), k)
+    return _kth_distances(index, _as_queries(queries, index.dim), (k,))[:, 0]
 
 
-def _kth_distances(index: NeighborIndex, q: np.ndarray, k, upper=np.inf):
-    """k-th nearest distance of each row of the checked query matrix q, as
-    cKDTree.query gives it: (n,) for an int k, and for a sequence of ks an
-    (n, L) matrix whose column l is what k = ks[l] alone would give, from
-    one search.  The tree searches out to upper only and gives inf past
-    it, so a bound of 1e-150 (a positive normal float squared) leaves
-    little more than each query's own leaf to visit.  At d = 1 the sorted
-    window gives every distance, one window search per k, as sqrt(r*r),
-    the tree's own arithmetic, so bit for bit the tree's (squaring and sqrt
-    are monotone).
+def _kth_distances(index: NeighborIndex, q: np.ndarray, ks, upper=np.inf):
+    """k-th nearest distances of each row of the checked query matrix q for
+    each k of the sequence ks, as an (n, len(ks)) matrix from one search:
+    column l is what cKDTree.query gives for k = ks[l] alone.  The tree
+    searches out to upper only and gives inf past it, so a bound of 1e-150
+    (a positive normal float squared) leaves little more than each query's
+    own leaf to visit.  At d = 1 the sorted window gives every distance,
+    one window search per k, as sqrt(r*r), the tree's own arithmetic, so
+    bit for bit the tree's (squaring and sqrt are monotone).
     """
-    single = isinstance(k, (int, np.integer))
-    ks = [k] if single else list(k)
+    ks = list(ks)
     if index._sorted is not None:
         s, x = index._sorted, q[:, 0]
         dist = np.empty((len(q), len(ks)))
         with np.errstate(over="ignore"):  # inf past 1e154, as the tree gives
-            for col, kk in enumerate(ks):
-                j = _window_start(s, x, kk)
-                r = np.maximum(x - s[j], s[j + kk - 1] - x)
+            for col, k in enumerate(ks):
+                j = _window_start(s, x, k)
+                r = np.maximum(x - s[j], s[j + k - 1] - x)
                 dist[:, col] = np.sqrt(r * r)
-    else:
-        order = None if index._order is None else _zorder(q)
-        dist, _ = index._tree.query(q if order is None else q[order], k=ks,
-                                    distance_upper_bound=upper,
-                                    workers=_workers(len(q), max(ks)))
-        if order is not None:
-            r = np.empty_like(dist)
-            r[order] = dist
-            dist = r
-    return dist[:, 0] if single else dist
+        return dist
+    order = None if index._order is None else _zorder(q)
+    dist, _ = index._tree.query(q if order is None else q[order], k=ks,
+                                distance_upper_bound=upper,
+                                workers=_workers(len(q), max(ks)))
+    if order is None:
+        return dist
+    r = np.empty_like(dist)
+    r[order] = dist
+    return r
 
 
 def _zorder(q: np.ndarray) -> np.ndarray:

@@ -13,9 +13,6 @@ c4 = V[g(f(Z))], c5 = V[f(Z) g'(f(Z))], and
 The 1/(2(d+2)pi) factor is the normalization the coverage Taylor expansion
 actually produces (checked against simulated pointwise k-NN density bias);
 h is sometimes quoted without it, which over-predicts by 2(d+2)pi.
-
-The oracle takes tr Hess f by central differences, one product factor
-of f (data.AnalyticDensity) at a time (_trace_hessian).
 """
 
 import math
@@ -27,7 +24,6 @@ import numpy as np
 
 from .data import AnalyticDensity
 from .functionals import Functional
-from .knn import _row_blocks
 
 __all__ = [
     "TheoryConstants",
@@ -60,37 +56,33 @@ class TheoryConstants:
             raise ValueError("variance constants must be nonnegative")
 
 
+# rows of the draws per block of _trace_hessian
+_HESSIAN_BLOCK_ROWS = 1 << 13
+
+
 def hessian_weight(d: int) -> float:
     """Gamma((d+2)/2)^(2/d) / (2 (d+2) pi)."""
     return math.gamma((d + 2) / 2.0) ** (2.0 / d) / (2.0 * (d + 2) * math.pi)
 
 
-def _trace_hessian(density, x, step):
+def _trace_hessian(pdf, x, step):
     """Central-difference trace of the pdf Hessian at each row of x, and
-    the pdf there.
-
-    A step along axis i changes only factor i of the product, so each
-    factor is evaluated once at x and once at x +- step, a row block at a
-    time, and pdf(x +- step e_i) is the product with factor i swapped in,
-    multiplied out in the same coordinate order as density.pdf: bit for
-    bit the pdf of the shifted rows.
+    the pdf there.  Each pdf value comes from its own row alone, so the
+    rows are stepped _HESSIAN_BLOCK_ROWS at a time, which keeps the seven
+    shifted copies of a block in cache: the same bits as on all of x.
     """
     n, d = x.shape
     f0 = np.empty(n)
     tr = np.empty(n)
-    for rows in _row_blocks(n, d):
-        # one row per axis, so each product multiplies whole rows
-        xt = np.ascontiguousarray(x[rows].T)
-        at, up, down = (density.factor(v) for v in (xt, xt + step, xt - step))
-        f = f0[rows] = density._mix(at, axis=0)
-        t = np.zeros(len(f))
+    for start in range(0, n, _HESSIAN_BLOCK_ROWS):
+        rows = slice(start, start + _HESSIAN_BLOCK_ROWS)
+        xb = x[rows]
+        f = f0[rows] = pdf(xb)
+        t = np.zeros(len(xb))
         for i in range(d):
-            near = []
-            for shifted in (up, down):
-                swapped = at.copy()
-                swapped[i] = shifted[i]
-                near.append(density._mix(swapped, axis=0))
-            t += near[0] - 2.0 * f + near[1]
+            e = np.zeros(d)
+            e[i] = step
+            t += pdf(xb + e) - 2.0 * f + pdf(xb - e)
         tr[rows] = t
     return tr / step**2, f0
 
@@ -112,7 +104,7 @@ def constants_oracle(
             f"n_mc = {n_mc} < 1e5: oracle constants will be noisy", RuntimeWarning
         )
     z = density.sample(n_mc, seed, "oracle-constants", functional.id)
-    tr, f = _trace_hessian(density, z, 1e-4)
+    tr, f = _trace_hessian(density.pdf, z, 1e-4)
     d = density.dim
     h = hessian_weight(d) * f ** (-2.0 / d) * tr
     gp = np.asarray(functional.g_prime(f), dtype=np.float64)

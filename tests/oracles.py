@@ -171,7 +171,7 @@ def brute_force_knn(points, queries, k: int) -> NeighborResult:
 def full_trace_hessian(pdf, x, step):
     """Central-difference trace of the pdf Hessian at each row of x, and the
     pdf there, from pdf calls on whole shifted copies of x: the reference
-    for tuning._trace_hessian, which steps one factor at a time."""
+    for tuning._trace_hessian, which steps a block of rows at a time."""
     n, d = x.shape
     f0 = pdf(x)
     tr = np.zeros(n)

@@ -82,7 +82,7 @@ def test_each_variant_queries_one_radius_per_bandwidth(monkeypatch):
     perm = make_rng(6, "dimension-partition", 2000).permutation(2000)
     halves = [data.points[perm[:1000]], data.points[perm[1000:]]]
     for variant, searches, (h1, h2) in (("correlated", [(8, 20)], (0, 0)),
-                                        ("independent", [8, 20], (0, 1))):
+                                        ("independent", [(8,), (20,)], (0, 1))):
         calls = []
 
         def counted(index, queries, k, real=knnfunc.dimension._kth_distances):

@@ -18,8 +18,7 @@ from knnfunc import (
     uniform_density,
 )
 from knnfunc.inference import generate_dataset
-from knnfunc.knn import _row_blocks
-from knnfunc.tuning import TheoryConstants, _trace_hessian, hessian_weight
+from knnfunc.tuning import _HESSIAN_BLOCK_ROWS, TheoryConstants, _trace_hessian, hessian_weight
 
 import oracles
 
@@ -60,16 +59,15 @@ def test_constants_oracle_warns_small_mc():
 
 
 def test_block_hessian_equals_full_array_central_difference():
-    # 70,001 rows are no whole number of row blocks at any of these d
+    # 70,001 rows are no whole number of row blocks
     n = 70_001
+    assert n > _HESSIAN_BLOCK_ROWS and n % _HESSIAN_BLOCK_ROWS
     for dens in (beta_uniform_mixture_density(3, 4.0, 4.0, 0.2),
                  beta_uniform_mixture_density(1, 2.0, 5.0, 0.1),
                  beta_uniform_mixture_density(6, 2.0, 3.0, 0.3),
                  uniform_density(3)):
-        blocks = _row_blocks(n, dens.dim)
-        assert len(blocks) > 1 and blocks[-1].stop - blocks[-1].start < blocks[0].stop
         z = dens.sample(n, 3, "hessian")
-        got = _trace_hessian(dens, z, 1e-4)
+        got = _trace_hessian(dens.pdf, z, 1e-4)
         want = oracles.full_trace_hessian(dens.pdf, z, 1e-4)
         for a, b in zip(got, want):
             assert np.array_equal(a, b), dens.dim
