@@ -11,9 +11,7 @@ import argparse
 import csv
 import math
 
-from scipy.special import psi
-
-from knnfunc import BoundaryConfig, TrialSpec, monte_carlo, optimal_k
+from knnfunc import BoundaryConfig, TrialSpec, monte_carlo, optimal_k, shannon_functional
 from mixture_truths import MIXTURE, functional_truth, shannon_constants
 
 
@@ -29,6 +27,7 @@ def main():
     c1, c2 = shannon_constants("c1", "c2")
     cfg = BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0=1.0, pk_scale=0.3)
     ks = list(range(5, 151, 5))
+    M = round(0.7 * args.t_total)  # the split's reference count
     rows = []
     for k in ks:
         spec = TrialSpec(
@@ -41,7 +40,8 @@ def main():
         res = monte_carlo(spec, args.trials)
         mean = res.summary["mean"]
         bias_plain = mean - truth
-        bias_bc = bias_plain + math.log(k - 1) - float(psi(k))
+        g1, g2 = shannon_functional().bias_factors(k, M)
+        bias_bc = (mean - g2) / g1 - truth
         se = math.sqrt(res.summary["variance"] / args.trials)
         rows.append((k, bias_plain, bias_bc, se))
         print(f"k={k:4d}  bias_plain={bias_plain:+.4f}  bias_bc={bias_bc:+.4f}")
@@ -52,7 +52,7 @@ def main():
         w.writerows(rows)
 
     minimizer = min(rows, key=lambda r: abs(r[1]))[0]
-    k_rec = optimal_k(c1, c2, 3, 7000)
+    k_rec = optimal_k(c1, c2, 3, M)
     print(f"\nempirical |bias| minimizer: k = {minimizer}")
     print(f"theory recommendation (oracle constants): k = {k_rec}")
     print(f"wrote {args.output}")

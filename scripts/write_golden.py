@@ -34,7 +34,6 @@ from knnfunc import (
     bpi_estimate,
     bpi_estimate_bc,
     build_index,
-    corrected_density,
     detect_boundary,
     knn_density,
     knn_query,
@@ -87,18 +86,14 @@ def _report(r):
                           r.boundary_corrected], dtype=np.float64)}
 
 
+def _neighbors(r):
+    return {"distances": r.distances, "indices": r.indices}
+
+
 def _labels(labels):
     return {"interior": labels.interior, "boundary": labels.boundary,
             "nearest_interior": labels.nearest_interior,
             "scalars": np.array([labels.threshold_used, labels.K_used, labels.q_used])}
-
-
-def _density(index, queries, k, config):
-    """The density estimate under config, as the estimators plug it in."""
-    if config is None:
-        return knn_density(index, queries, k)
-    labels = detect_boundary(queries, k, index.size, config)
-    return corrected_density(index, queries, k, labels)
 
 
 def _index(refs, zstored):
@@ -122,9 +117,7 @@ def knn_cases(out):
                 index = _index(refs, zstored)
                 for k in (1, 7, 300):
                     name = f"knn/{kind}/d{d}/{'z' if zstored else 'input'}/k{k}"
-                    _record(out, f"{name}/query", lambda: (lambda r: {
-                        "distances": r.distances, "indices": r.indices})(
-                            knn_query(index, queries, k)))
+                    _record(out, f"{name}/query", lambda: _neighbors(knn_query(index, queries, k)))
                     _record(out, f"{name}/radii", lambda: {"": knn_radii(index, queries, k)})
 
 
@@ -147,7 +140,7 @@ def density_cases(out):
                     _record(out, f"{name}/labels",
                             lambda: _labels(detect_boundary(ev, k, sp.n_ref, config)))
                 _record(out, f"{name}/values",
-                        lambda: {"": _density(index, ev, k, config).values})
+                        lambda: {"": knn_density(index, ev, k, config).values})
                 for est, call in (
                     ("bpi", lambda: bpi_estimate(data, sp, shannon_functional(), k, config, 0.95)),
                     ("bpi_bc", lambda: bpi_estimate_bc(data, sp, shannon_functional(), k,
@@ -180,7 +173,8 @@ def error_cases(out):
         for case, q, k in (("duplicates", queries, 5), ("k_eq_M", rng.random((60, 2)), 200),
                            ("k_gt_M", queries, 201), ("k2", queries, 2),
                            ("identical", same, 5)):
-            _record(out, f"errors/{case}/{cname}", lambda: {"": _density(index, q, k, config).values})
+            _record(out, f"errors/{case}/{cname}",
+                    lambda: {"": knn_density(index, q, k, config).values})
         data = Dataset(np.vstack([np.full((8, 2), 0.5), rng.random((300, 2))]))
         sp = split(data, 0.7, 3)
         for est in (bpi_estimate, bpi_estimate_bc):

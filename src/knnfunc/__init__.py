@@ -22,8 +22,8 @@ from .data import (
     true_functional,
     uniform_density,
 )
-from .density import corrected_density, knn_density
-from .dimension import DimensionEstimate, anomaly_scan, estimate_dimension, log_length
+from .density import knn_density
+from .dimension import DimensionEstimate, anomaly_scan, estimate_dimension
 from .functionals import (
     EstimateReport,
     Functional,
@@ -37,7 +37,6 @@ from .functionals import (
 from .inference import (
     TrialSpec,
     TrialResults,
-    confidence_interval,
     monte_carlo,
     normality_diagnostics,
     rate_fit,

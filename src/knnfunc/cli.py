@@ -155,16 +155,18 @@ def cmd_generate(args):
 
 
 def cmd_density(args):
-    from .functionals import _density_values
+    from .density import knn_density
+    from .knn import build_index
 
     data, sp, k = _prepare(args)
-    dens = _density_values(data, sp, k, _boundary_config(args))
+    ev = sp.eval_points(data)
+    dens = knn_density(build_index(sp.ref_points(data)), ev, k, _boundary_config(args))
     interior_flag = np.ones(sp.n_eval, dtype=bool)
     if dens.labels is not None:
         interior_flag[dens.labels.boundary] = False
     kind = "standard" if dens.labels is None else "corrected"
     lines = [f"# seed={args.seed} k={k} N={sp.n_eval} M={sp.n_ref} kind={kind}"]
-    for row, val, flag in zip(sp.eval_points(data), dens.values, interior_flag):
+    for row, val, flag in zip(ev, dens.values, interior_flag):
         lines.append(f"{_csv_row(row)},{val:.17g},{'interior' if flag else 'boundary'}")
     _write("\n".join(lines) + "\n", args)
 

@@ -1,15 +1,19 @@
-"""The two density estimators.
+"""The k-NN density estimate, standard or boundary-corrected.
 
 standard k-NN:      f_hat(X) = (k-1) / (M * c_d * d_k(X)^d)
 boundary-corrected: f_hat at interior points, nearest-interior value at
                     boundary points
 
-Both estimates are strictly positive whenever the k-NN radius is nonzero;
-a zero radius (k-fold duplicate collision) is a data error and raises.  The
-corrected estimate queries radii at the interior points only: a boundary
-point's own value is never used, so it gets no radius query, only the same
-k-th-distance search bounded at 1e-150, compared with zero, which keeps the
-error the same.  Queries are an (n, d) matrix, one point a row.
+knn_density is the one estimator, with an optional detector: without a
+BoundaryConfig it returns the standard estimate; with one it runs
+boundary.detect_boundary on the queries and returns the corrected
+estimate with the labels.  Both estimates are strictly positive whenever
+the k-NN radius is nonzero; a zero radius (k-fold duplicate collision) is
+a data error and raises.  The corrected estimate queries radii at the
+interior points only: a boundary point's own value is never used, so it
+gets no radius query, only the same k-th-distance search bounded at
+1e-150, compared with zero, which keeps the error the same.  Queries are
+an (n, d) matrix, one point a row.
 """
 
 from dataclasses import dataclass
@@ -17,13 +21,12 @@ from typing import Optional
 
 import numpy as np
 
-from .boundary import BoundaryLabels
+from .boundary import BoundaryConfig, BoundaryLabels, detect_boundary
 from .knn import NeighborIndex, _as_queries, _kth_distances, knn_radii, unit_ball_volume
 
 __all__ = [
     "DensityEstimates",
     "knn_density",
-    "corrected_density",
 ]
 
 
@@ -36,35 +39,33 @@ class DensityEstimates:
     labels: Optional[BoundaryLabels] = None
 
 
-def knn_density(index: NeighborIndex, queries, k: int) -> DensityEstimates:
-    """Standard k-NN density estimate at each row of an (n, d) query matrix.
-
-    Requires k >= 3 (finite second moments of the estimate).  Raises on a
-    zero k-th neighbor distance, naming the first offending query.
-    """
-    _check_k(index, k)
-    r = knn_radii(index, queries, k)
-    _raise_on_zero_radius(queries, r == 0.0, k)
-    return DensityEstimates(values=_from_radii(index, r, k))
-
-
-def corrected_density(
-    index: NeighborIndex, queries, k: int, labels: BoundaryLabels
+def knn_density(
+    index: NeighborIndex, queries, k: int, config: Optional[BoundaryConfig] = None
 ) -> DensityEstimates:
-    """Boundary-corrected estimate at each row of an (n, d) query matrix:
-    interior points keep their standard value, boundary points take the
-    value at their nearest interior point.
+    """k-NN density estimate at each row of an (n, d) query matrix from the
+    index's M reference points.
 
-    Radii are queried at the interior points alone.  Each boundary point is
-    only checked for a zero k-th distance, by the same search bounded at
-    1e-150, so the error, naming the first offending query of all, is
-    knn_density's.  Raises ValueError unless labels' interior and boundary
-    partition the queries' rows and every nearest_interior entry is an
-    interior row.
+    With config None it is the standard estimate at every row.  With a
+    BoundaryConfig, detect_boundary(queries, k, M, config) labels the rows
+    first, so its errors come before any of this function's; interior rows
+    then keep their standard value and boundary rows take the value at
+    their nearest interior row.  Radii are queried at the interior rows
+    alone; each boundary row is only checked for a zero k-th distance.
+
+    Requires 3 <= k <= M.  k = M is accepted: the ball then reaches the
+    farthest reference and the formula is defined.  (The bias-corrected
+    estimators reject k = M, where their (g1, g2) are not exact, and the
+    detector rejects it, as its graph scale K = floor(k*N/M) reaches N.)
+    Raises on a zero k-th neighbor distance, naming the first offending
+    query of all.
     """
+    labels = None if config is None else detect_boundary(queries, k, index.size, config)
     _check_k(index, k)
+    if labels is None:
+        r = knn_radii(index, queries, k)
+        _raise_on_zero_radius(queries, r == 0.0, k)
+        return DensityEstimates(values=_from_radii(index, r, k))
     queries = _as_queries(queries, index.dim)
-    _check_labels(labels, len(queries))
     zero = np.empty(len(queries), dtype=bool)
     r = knn_radii(index, queries[labels.interior], k)
     zero[labels.interior] = r == 0.0
@@ -73,7 +74,8 @@ def corrected_density(
     _raise_on_zero_radius(queries, zero, k)
     vals = np.empty(len(queries))
     vals[labels.interior] = _from_radii(index, r, k)
-    # the sources were filled above; _check_labels makes them interior rows
+    # the sources were filled above: detect_boundary maps each boundary row
+    # to an interior one
     vals[labels.boundary] = vals[labels.nearest_interior]
     return DensityEstimates(values=vals, labels=labels)
 
@@ -97,34 +99,4 @@ def _raise_on_zero_radius(queries, zero: np.ndarray, k: int):
             f"query {bad} at {point} has zero k-NN distance "
             f"(>= {k} duplicate reference points); duplicated data violates "
             "the continuous-density model"
-        )
-
-
-def _check_labels(labels: BoundaryLabels, n: int):
-    """Raise ValueError unless labels fit n evaluation points: interior and
-    boundary partition range(n), and nearest_interior holds one interior
-    row per boundary row."""
-    if labels.n_interior + labels.n_boundary != n:
-        raise ValueError("labels were computed for a different evaluation set")
-    rows = np.sort(np.concatenate([labels.interior, labels.boundary]))
-    if not np.array_equal(rows, np.arange(n)):
-        raise ValueError(
-            f"labels' interior and boundary rows do not partition the {n} "
-            "evaluation points"
-        )
-    src = np.asarray(labels.nearest_interior)
-    if src.shape != (labels.n_boundary,):
-        raise ValueError(
-            f"labels hold {src.size} nearest_interior entries for "
-            f"{labels.n_boundary} boundary points"
-        )
-    interior = np.zeros(n, dtype=bool)
-    interior[labels.interior] = True
-    ok = (src >= 0) & (src < n)
-    ok[ok] = interior[src[ok]]
-    if not ok.all():
-        bad = int(np.argmin(ok))
-        raise ValueError(
-            f"labels' nearest_interior entry {bad} ({src[bad]}) is not an "
-            "interior evaluation point"
         )

@@ -20,12 +20,11 @@ from typing import Optional
 import numpy as np
 
 from .data import Dataset
-from .knn import NeighborIndex, _kth_distances, build_index, knn_radii
+from .knn import _kth_distances, build_index
 from .rng import make_rng
 
 __all__ = [
     "DimensionEstimate",
-    "log_length",
     "estimate_dimension",
     "anomaly_scan",
 ]
@@ -45,13 +44,6 @@ class DimensionEstimate:
     def __post_init__(self):
         if self.d_rounded < 1:
             raise ValueError("rounded dimension must be >= 1")
-
-
-def log_length(eval_points, ref_index: NeighborIndex, k: int, gamma: float) -> float:
-    """(gamma/N) * sum of log k-NN radii from eval points into the refs."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    return gamma * float(np.mean(_logs(knn_radii(ref_index, eval_points, k))))
 
 
 def _check_params(k1, k2, gamma, alpha_frac):

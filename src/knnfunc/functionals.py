@@ -20,9 +20,9 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import ndtri, psi
 
-from .boundary import BoundaryConfig, detect_boundary
+from .boundary import BoundaryConfig
 from .data import Dataset, SampleSplit
-from .density import corrected_density, knn_density
+from .density import knn_density
 from .knn import build_index
 
 __all__ = [
@@ -141,14 +141,8 @@ def _report(estimate, variance, relabelled, k, split, variant, ci_level) -> Esti
 # -- estimators ---------------------------------------------------------------
 
 def _density_values(data, split, k, config):
-    """Density at the evaluation points: the standard k-NN estimate when
-    config is None, else the estimate corrected by config's detector."""
-    ev = split.eval_points(data)
-    index = build_index(split.ref_points(data))
-    if config is None:
-        return knn_density(index, ev, k)
-    labels = detect_boundary(ev, k, split.n_ref, config)
-    return corrected_density(index, ev, k, labels)
+    """knn_density at split's evaluation points from its references."""
+    return knn_density(build_index(split.ref_points(data)), split.eval_points(data), k, config)
 
 
 def _plug_in(functional, dens, M):

@@ -1,7 +1,8 @@
-"""Confidence intervals, the Monte Carlo harness, and diagnostics.
+"""The Monte Carlo harness and diagnostics.
 
 The CLT for the plug-in estimator justifies intervals
-estimate +- z * sqrt(c4/N + c5/M).  The harness replays a TrialSpec
+estimate +- z * sqrt(c4/N + c5/M) (functionals.normal_interval), which the
+harness checks against the truth.  It replays a TrialSpec
 n_trials times with per-trial derived seeds, so results are reproducible
 for a fixed (spec, n_trials) and independent of execution order.
 """
@@ -32,7 +33,6 @@ from .rng import derive_key, make_rng
 from .tuning import TheoryConstants, rate_matched_k
 
 __all__ = [
-    "confidence_interval",
     "TrialSpec",
     "TrialResults",
     "generate_dataset",
@@ -40,15 +40,6 @@ __all__ = [
     "normality_diagnostics",
     "rate_fit",
 ]
-
-
-def confidence_interval(
-    estimate: float, c4: float, c5: float, N: int, M: int, level: float
-):
-    """estimate +- z_{(1+level)/2} * sqrt(c4/N + c5/M)."""
-    if c4 < 0 or c5 < 0:
-        raise ValueError("variance constants must be nonnegative")
-    return normal_interval(estimate, c4 / N + c5 / M, level)
 
 
 # -- Monte Carlo harness ------------------------------------------------------
@@ -194,15 +185,9 @@ def _trial_outcome(spec: TrialSpec, t: int):
         raise RuntimeError(f"trial {t} failed: {exc}") from exc
     if spec.truth is None:
         return report.estimate, report.k, None
-    if spec.constants is not None:
-        lo, hi = confidence_interval(
-            report.estimate, spec.constants.c4, spec.constants.c5,
-            report.N, report.M, spec.ci_level,
-        )
-    else:
-        lo, hi = normal_interval(
-            report.estimate, report.variance_estimate, spec.ci_level
-        )
+    c = spec.constants
+    variance = report.variance_estimate if c is None else c.c4 / report.N + c.c5 / report.M
+    lo, hi = normal_interval(report.estimate, variance, spec.ci_level)
     return report.estimate, report.k, lo <= spec.truth <= hi
 
 

@@ -97,14 +97,27 @@ def constants_oracle(
 
     Draws Z ~ f, evaluates h(Z) with a finite-difference Hessian trace, and
     averages.  c3 (the boundary-extrapolation term) is not modeled: it is
-    reported as 0.0.  Warns below 10^5 draws.
+    reported as 0.0.  Warns below 10^5 draws.  Raises ValueError naming
+    the first draw at which, or one difference step (1e-4) from which
+    along an axis, the pdf is not finite, as a Beta pdf with a non-integer
+    shape is past the edge of its support.
     """
     if n_mc < 100_000:
         warnings.warn(
             f"n_mc = {n_mc} < 1e5: oracle constants will be noisy", RuntimeWarning
         )
     z = density.sample(n_mc, seed, "oracle-constants", functional.id)
-    tr, f = _trace_hessian(density.pdf, z, 1e-4)
+    step = 1e-4
+    with np.errstate(invalid="ignore"):
+        tr, f = _trace_hessian(density.pdf, z, step)
+    bad = ~(np.isfinite(f) & np.isfinite(tr))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"the density's pdf is not finite at draw {i} {z[i]} or at a point one "
+            f"finite-difference step ({step:g}) from it along an axis; the Hessian "
+            "trace needs a finite pdf within the step of every draw"
+        )
     d = density.dim
     h = hessian_weight(d) * f ** (-2.0 / d) * tr
     gp = np.asarray(functional.g_prime(f), dtype=np.float64)

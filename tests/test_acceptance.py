@@ -24,7 +24,6 @@ from knnfunc import (
     TrialSpec,
     bpi_estimate,
     bpi_estimate_bc,
-    confidence_interval,
     monte_carlo,
     mutual_information,
     normality_diagnostics,

@@ -377,6 +377,25 @@ def test_non_positive_dimension_is_named(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("a", ["0.7", "1.5"])
+def test_tune_pdf_not_finite_near_a_draw_is_named(tmp_path, capsys, a):
+    # a non-integer Beta shape has no real pdf left of 0, where the Hessian's
+    # central difference steps draws near 0; the error names the first such
+    # draw and the step, and no warning comes before it
+    out = tmp_path / "never.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run(["tune", "--density", "beta-uniform", "--d", "2", "--a", a, "--b", "3",
+                  "--M", "7000", "--n-mc", "100000", "--seed", "1", "-o", str(out)])
+    assert rc == 1
+    assert caught == []
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: the density's pdf is not finite at draw \d+ \[.*\] or at a "
+                        r"point one finite-difference step \(0\.0001\) from it along an axis;"
+                        r" .*\n", err), err
+    assert not out.exists()
+
+
 def test_readme_cli_examples_parse():
     # every knnfunc line of the README's CLI block parses, with the
     # detector flag checks run() adds; nothing is run

@@ -11,7 +11,6 @@ import knnfunc.knn
 from knnfunc import (
     BoundaryConfig,
     build_index,
-    corrected_density,
     detect_boundary,
     knn_density,
 )
@@ -83,6 +82,16 @@ def test_knn_density_k_bounds():
         knn_density(idx, np.zeros((1, 2)), 51)
 
 
+# a live detector config; the label tests patch the detector it runs
+_CFG = BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0=1.0, pk_scale=0.1)
+
+
+def _corrected(index, queries, k, labels):
+    """knn_density under _CFG, with the detector patched to return labels."""
+    with mock.patch.object(knnfunc.density, "detect_boundary", lambda *args: labels):
+        return knn_density(index, queries, k, _CFG)
+
+
 def test_corrected_identity_when_all_interior():
     rng = np.random.default_rng(6)
     refs = rng.random((400, 2))
@@ -93,7 +102,7 @@ def test_corrected_identity_when_all_interior():
         nearest_interior=np.array([], dtype=np.intp), threshold_used=0.0, K_used=5, q_used=0.5,
     )
     a = knn_density(idx, ev, 6).values
-    b = corrected_density(idx, ev, 6, labels).values
+    b = _corrected(idx, ev, 6, labels).values
     assert np.array_equal(a, b)
 
 
@@ -106,7 +115,7 @@ def test_corrected_single_boundary_copies_source():
         interior=np.arange(1, 50), boundary=np.array([0]),
         nearest_interior=np.array([17]), threshold_used=1.0, K_used=5, q_used=0.5,
     )
-    est = corrected_density(idx, ev, 6, labels)
+    est = _corrected(idx, ev, 6, labels)
     base = knn_density(idx, ev, 6)
     assert est.values[0] == base.values[17]
     assert np.array_equal(est.values[1:], base.values[1:])
@@ -125,9 +134,8 @@ def test_corrected_reduces_near_boundary_error_2d_uniform():
         ev = rng.random((N, 2))
         refs = rng.random((M, 2))
         idx = build_index(refs)
-        labels = detect_boundary(ev, k, M, cfg)
         std = knn_density(idx, ev, k).values
-        cor = corrected_density(idx, ev, k, labels).values
+        cor = knn_density(idx, ev, k, cfg).values
         width = (k / (unit_ball_volume(2) * M)) ** 0.5
         near = (ev.min(axis=1) < width) | ((1 - ev).min(axis=1) < width)
         err_std = np.mean(np.abs(std[near] - 1.0))
@@ -201,7 +209,7 @@ def test_corrected_equals_copying_over_every_radius(case):
     with mock.patch.object(knnfunc.knn, "_ZORDER_MIN_REFS", gate):
         idx = build_index(refs)
     assert (idx._order is not None) == (zstored or refs.shape[1] == 1)
-    got = _outcome(corrected_density, idx, queries, k, labels)
+    got = _outcome(_corrected, idx, queries, k, labels)
     want = _outcome(_copy_formula, idx, queries, k, labels)
     assert _same(got, want)
 
@@ -231,7 +239,7 @@ def test_corrected_zero_radius_error_is_knn_densitys(monkeypatch, d, zstored, wh
             refs[j * k:(j + 1) * k] += j
     idx = build_index(refs)
     with pytest.raises(ValueError, match="zero k-NN distance") as info:
-        corrected_density(idx, queries, k, labels)
+        _corrected(idx, queries, k, labels)
     with pytest.raises(ValueError) as want:
         knn_density(idx, queries, k)
     assert str(info.value) == str(want.value)
@@ -239,10 +247,10 @@ def test_corrected_zero_radius_error_is_knn_densitys(monkeypatch, d, zstored, wh
 
 
 def test_corrected_queries_radii_at_interior_points_only(monkeypatch):
+    # and returns the labels detect_boundary gives the queries
     rng = np.random.default_rng(12)
     refs, ev = rng.random((2000, 2)), rng.random((800, 2))
-    cfg = BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0=1.0, pk_scale=0.1)
-    labels = detect_boundary(ev, 10, 2000, cfg)
+    labels = detect_boundary(ev, 10, 2000, _CFG)
     assert labels.n_boundary > 0
     rows = []
 
@@ -252,28 +260,7 @@ def test_corrected_queries_radii_at_interior_points_only(monkeypatch):
 
     knn_radii = knnfunc.density.knn_radii
     monkeypatch.setattr(knnfunc.density, "knn_radii", spy)
-    corrected_density(build_index(refs), ev, 10, labels)
+    est = knn_density(build_index(refs), ev, 10, _CFG)
     assert rows == [labels.n_interior]
-
-
-@pytest.mark.parametrize("boundary, nearest, message", [
-    ([3, 3], [0, 1], "do not partition"),  # a row twice, row 4 in neither
-    ([3, 9], [0, 1], "do not partition"),  # a row past the last
-    ([3, -1], [0, 1], "do not partition"),
-    ([3, 4], [0, 4], "entry 1 \\(4\\) is not an interior"),  # a boundary source
-    ([3, 4], [9, 1], "entry 0 \\(9\\) is not an interior"),  # out of range
-    ([3, 4], [0, -1], "entry 1 \\(-1\\) is not an interior"),
-    ([3, 4], [0], "1 nearest_interior entries for 2 boundary points"),
-])
-def test_corrected_rejects_labels_that_are_not_a_partition(boundary, nearest, message):
-    rng = np.random.default_rng(13)
-    idx = build_index(rng.random((100, 2)))
-    good = _labels(8, [3, 4], [0, 1])
-    bad = BoundaryLabels(
-        interior=good.interior, boundary=np.array(boundary), nearest_interior=np.array(nearest),
-        threshold_used=1.0, K_used=5, q_used=0.5,
-    )
-    with pytest.raises(ValueError, match=message):
-        corrected_density(idx, rng.random((8, 2)), 5, bad)
-    with pytest.raises(ValueError, match="different evaluation set"):
-        corrected_density(idx, rng.random((9, 2)), 5, good)
+    assert np.array_equal(est.labels.boundary, labels.boundary)
+    assert np.array_equal(est.labels.nearest_interior, labels.nearest_interior)

@@ -8,40 +8,10 @@ from knnfunc import (
     anomaly_scan,
     build_index,
     estimate_dimension,
-    log_length,
+    knn_radii,
     sample_projected_manifold,
 )
 from knnfunc.rng import make_rng
-
-
-def test_log_length_exact_values():
-    # 1-d refs at +-e: the 2-NN radius from the origin is exactly e
-    refs = np.array([[math.e], [-math.e]])
-    idx = build_index(refs)
-    assert abs(log_length(np.array([[0.0]]), idx, 2, 1.0) - 1.0) < 1e-14
-    # single eval point at distance 2 from its k-th reference
-    refs = np.array([[1.0], [2.0]])
-    idx = build_index(refs)
-    val = log_length(np.array([[0.0]]), idx, 2, gamma=3.0)
-    assert abs(val - 3.0 * math.log(2.0)) < 1e-14
-
-
-def test_log_length_scaling_adds_gamma_log_s():
-    rng = np.random.default_rng(1)
-    refs = rng.random((400, 2))
-    ev = rng.random((50, 2))
-    gamma, s = 1.7, 4.0
-    a = log_length(ev, build_index(refs), 6, gamma)
-    b = log_length(ev * s, build_index(refs * s), 6, gamma)
-    assert abs(b - (a + gamma * math.log(s))) < 1e-10
-
-
-def test_log_length_validation():
-    idx = build_index(np.zeros((3, 1)))
-    with pytest.raises(ValueError):
-        log_length(np.zeros((2, 1)), idx, 2, 1.0)  # duplicate radius 0
-    with pytest.raises(ValueError):
-        log_length(np.ones((2, 1)), idx, 2, -1.0)
 
 
 def test_dimension_line_embedded_in_plane():
@@ -93,8 +63,8 @@ def test_each_variant_queries_one_radius_per_bandwidth(monkeypatch):
             m.setattr(knnfunc.dimension, "_kth_distances", counted)
             est = estimate_dimension(data, 8, 20, variant=variant, alpha_frac=0.6, seed=6)
         assert calls == searches, variant
-        # the same numbers from log_length on each half's eval/ref split
-        L1, L2 = (log_length(halves[h][:400], build_index(halves[h][400:]), k, 1.0)
+        # the same numbers from the mean log radius on each half's eval/ref split
+        L1, L2 = (np.mean(np.log(knn_radii(build_index(halves[h][400:]), halves[h][:400], k)))
                   for h, k in ((h1, 8), (h2, 20)))
         assert est.alpha_hat == (L2 - L1) / (math.log(19) - math.log(7)), variant
 
@@ -107,6 +77,10 @@ def test_dimension_validation():
         estimate_dimension(data, 10, 10)
     with pytest.raises(ValueError):
         estimate_dimension(data, 10, 20, variant="bogus")
+    with pytest.raises(ValueError, match="gamma"):
+        estimate_dimension(data, 10, 20, gamma=-1.0)
+    with pytest.raises(ValueError, match="zero k-NN radius"):
+        estimate_dimension(Dataset(np.zeros((500, 2))), 10)
 
 
 def test_anomaly_scan_detects_dimension_switch():

@@ -14,7 +14,6 @@ from knnfunc import (
     TrialSpec,
     bpi_estimate,
     bpi_estimate_bc,
-    confidence_interval,
     detect_boundary,
     monte_carlo,
     normality_diagnostics,
@@ -23,27 +22,40 @@ from knnfunc import (
     shannon_functional,
     split,
 )
+from knnfunc.functionals import normal_interval
 from knnfunc.inference import generate_dataset, run_trial
 from knnfunc.rng import derive_key
+from knnfunc.tuning import TheoryConstants
 
 
 def test_confidence_interval_halfwidth():
     # c4/N + c5/M = 1 at 95%: half-width is the 0.975 normal quantile
-    lo, hi = confidence_interval(0.0, 100.0, 0.0, 100, 10, 0.95)
+    lo, hi = normal_interval(0.0, 100.0 / 100 + 0.0 / 10, 0.95)
     assert abs(hi - 1.959964) < 1e-6 and abs(lo + 1.959964) < 1e-6
-    lo, hi = confidence_interval(3.0, 0.0, 0.0, 10, 10, 0.95)
+    lo, hi = normal_interval(3.0, 0.0, 0.95)
     assert lo == hi == 3.0
     with pytest.raises(ValueError):
-        confidence_interval(0.0, 1.0, 0.0, 10, 10, 1.5)
+        normal_interval(0.0, 1.0, 1.5)
 
 
 def test_ci_width_identity():
-    # half^2 * N -> z^2 c4 as M -> infinity
+    # with oracle constants a trial's interval is estimate +- z *
+    # sqrt(c4/N + c5/M); so half^2 * N -> z^2 c4 as M -> infinity
     c4, level = 2.0, 0.9
     z = sps.ndtri(0.95)
-    lo, hi = confidence_interval(0.0, c4, 5.0, 1000, 10**12, level)
+    lo, hi = normal_interval(0.0, c4 / 1000 + 5.0 / 10**12, level)
     half = (hi - lo) / 2
     assert abs(half**2 * 1000 - z**2 * c4) < 1e-6
+    c = TheoryConstants(c1=0.0, c2=0.0, c3=0.0, c4=0.25, c5=0.1, mode="oracle")
+    spec = dataclasses.replace(_SPEC, T=400, constants=c, truth=0.0, ci_level=level)
+    res = monte_carlo(spec, 8)
+    want = []
+    for t in range(8):
+        r = run_trial(spec, t)
+        half = float(sps.ndtri((1.0 + level) / 2.0)) * math.sqrt(c.c4 / r.N + c.c5 / r.M)
+        want.append(r.estimate - half <= 0.0 <= r.estimate + half)
+    assert res.coverage.tolist() == want
+    assert 0 < sum(want) < 8
 
 
 _SPEC = TrialSpec(
@@ -201,7 +213,7 @@ def test_ci_level_outside_unit_interval_raises_on_every_path():
             bpi_estimate(data, sp, shannon_functional(), 5,
                          config=_SPEC.boundary_config, ci_level=level)
         with pytest.raises(ValueError, match="ci level"):
-            confidence_interval(0.0, 1.0, 1.0, 10, 10, level)
+            normal_interval(0.0, 1.0, level)
         with pytest.raises(ValueError, match="ci level"):
             spec = dataclasses.replace(_SPEC, T=400, ci_level=level, truth=0.0)
             monte_carlo(spec, 1)

@@ -34,3 +34,38 @@ def test_script_help_on_library_alone(script, argv, tmp_path):
     else:
         written = list(tmp_path.glob("*.csv"))
         assert len(written) == 1 and f"wrote {written[0].name}" in out.stdout
+
+
+CODE_LINES_FIXTURE = '''\
+"""A module docstring
+over two lines."""
+
+import os  # a comment
+
+# a comment line
+
+
+def f(x):
+    """A docstring."""
+    s = """a string
+that is a value"""
+    return os.path.join(x,
+                        s)
+
+
+class C:
+    "a docstring in single quotes"
+
+    y = 1
+'''
+
+
+def test_code_lines_leaves_out_blank_comment_and_docstring_lines(tmp_path):
+    # import, def, the two-line assignment, the two-line return, class, y
+    (tmp_path / "fixture.py").write_text(CODE_LINES_FIXTURE)
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "code_lines.py"), str(tmp_path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n")[:2] == ["     8  fixture.py", f"     8  total ({tmp_path})"]
