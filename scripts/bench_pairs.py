@@ -10,8 +10,16 @@ at even pair index and the change first at odd.  The result line of every run (t
 standard output) goes into the output file with the fields what, parent,
 command, host, order, runs and, if --bit-identity names a JSON file,
 bit_identity.  A summary of each metric's medians and of the pairs the
-change won is printed.  Nothing under perfbench/ is written to except its
-out/ directory.
+change won is printed, with two verdicts per metric:
+
+- claim holds: the change won at least 9 in 10 of at least 10 pairs
+  (a tie counts for neither side), and its median beats the parent's by
+  more than the parent's interquartile range;
+- WORSE: the change's median is worse than the parent's by more than
+  the metric's bound in BENCHMARK.json, read as a fraction of the
+  parent's median.
+
+Nothing under perfbench/ is written to except its out/ directory.
 """
 
 import argparse
@@ -29,8 +37,8 @@ _BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 # one run's argv, with {workload} and {seed} to fill in
 COMMAND = [*_BENCHMARK["command"], "--workload", "{workload}", "--seed", "{seed}",
            "--seconds", str(_BENCHMARK["run_seconds"]), "--trace", "0"]
-BETTER = {"setup_s": "lower", "estimates_per_s": "higher", "call_s_p50": "lower",
-          "peak_rss_mb": "lower", "rmse": "lower"}
+# the end-to-end metrics: name -> (better, bound)
+METRICS = {m["name"]: (m["better"], m["bound"]) for m in _BENCHMARK["end_to_end"]}
 
 
 def parse_runs(text):
@@ -77,7 +85,9 @@ def run_once(tree, workload, seed):
 
 
 def summarize(runs):
-    """Per workload and metric: parent median [quartiles] -> change median, pairs won."""
+    """Per workload and metric: parent median [quartiles] -> change median,
+    the pairs won, lost and tied, and the two verdicts of the module
+    docstring."""
     lines = []
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs = {}
@@ -85,16 +95,26 @@ def summarize(runs):
             if r["workload"] == workload:
                 pairs.setdefault(r["seed"], {})[r["side"]] = r["result"].get("metrics", {})
         lines.append(f"{workload} ({len(pairs)} pairs)")
-        for name, better in BETTER.items():
+        for name, (better, bound) in METRICS.items():
             both = [(p["parent"][name]["value"], p["change"][name]["value"])
                     for p in pairs.values() if name in p.get("parent", {}) and name in p.get("change", {})]
             if not both:
                 continue
             par, chg = zip(*both)
             q = statistics.quantiles(par, n=4) if len(par) > 1 else (par[0], par[0], par[0])
-            won = sum((c < p) if better == "lower" else (c > p) for p, c in both)
-            lines.append(f"  {name}: {statistics.median(par):.4g} [{q[0]:.4g}, {q[2]:.4g}]"
-                         f" -> {statistics.median(chg):.4g}, change won {won}/{len(both)}")
+            sign = 1 if better == "higher" else -1
+            won = sum(sign * (c - p) > 0 for p, c in both)
+            lost = sum(sign * (c - p) < 0 for p, c in both)
+            med = statistics.median(par)
+            gain = sign * (statistics.median(chg) - med)
+            claim = len(both) >= 10 and 10 * won >= 9 * len(both) and gain > q[2] - q[0]
+            line = (f"  {name}: {med:.4g} [{q[0]:.4g}, {q[2]:.4g}] -> "
+                    f"{statistics.median(chg):.4g}, change won {won}/{len(both)}, "
+                    f"lost {lost}, tied {len(both) - won - lost}; "
+                    f"claim {'holds' if claim else 'does not hold'}")
+            if -gain > bound * abs(med):
+                line += f"; WORSE than the parent by more than the bound {bound:g}"
+            lines.append(line)
     return "\n".join(lines)
 
 

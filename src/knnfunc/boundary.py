@@ -165,6 +165,10 @@ def detect_boundary(eval_points, k: int, M: int, config: BoundaryConfig = Bounda
     (all points identical).
     """
     eval_points = np.asarray(eval_points, dtype=np.float64)
+    if eval_points.ndim != 2:
+        raise ValueError(
+            f"evaluation points must be an (N, d) matrix; got shape {eval_points.shape}"
+        )
     N, d = eval_points.shape
     if N < 2:
         raise ValueError("need at least 2 evaluation points")

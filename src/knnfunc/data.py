@@ -30,6 +30,11 @@ __all__ = [
     "true_functional",
 ]
 
+# rows per block where an analytic density's draws are filled in or its pdf
+# evaluated a block at a time: the mixture sampler's Beta copy,
+# true_functional and tuning's Hessian trace
+_HESSIAN_BLOCK_ROWS = 1 << 13
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -245,7 +250,11 @@ class AnalyticDensity:
     ``pdf`` maps an (n, dim) array to n density values, each from its own
     row alone; ``sampler`` maps (n, rng) to an (n, dim) array of draws.
     Used by the Monte Carlo truth oracle and by the theory-constant
-    estimators, which evaluate the pdf a block of rows at a time.
+    estimators, which evaluate the pdf a block of rows at a time.  The
+    Beta/uniform mixture's sampler copies its Beta draw into the uniform
+    one a block of rows at a time too: consecutive Generator.beta calls
+    continue one stream, so the draws are those of a single call, and
+    beside the result only a block's Beta draw is alive.
     """
 
     dim: int
@@ -283,7 +292,10 @@ def beta_uniform_mixture_density(
         # the uniform draw comes first on the stream, and the Beta draw is
         # copied into it where no uniform one was chosen
         out = rng.random((n, dim))
-        np.copyto(out, rng.beta(a, b, size=(n, dim)), where=~use_uniform[:, None])
+        for start in range(0, n, _HESSIAN_BLOCK_ROWS):
+            rows = slice(start, start + _HESSIAN_BLOCK_ROWS)
+            block = out[rows]
+            np.copyto(block, rng.beta(a, b, size=block.shape), where=~use_uniform[rows, None])
         return out
 
     return AnalyticDensity(dim=dim, pdf=pdf, sampler=sampler)
@@ -307,12 +319,17 @@ def true_functional(
 
     functional_id is "shannon" (g = -log u) or "renyi" (g = u^(alpha-1),
     the Renyi integral, not the entropy).  Returns (estimate, standard
-    error) from n_mc draws.
+    error) from n_mc draws.  The pdf is evaluated a block of rows at a
+    time, which gives the same bits as one call on all of them.
     """
     if n_mc < 10_000:
         raise ValueError("n_mc must be at least 10^4")
     x = density.sample(n_mc, seed, "truth", functional_id)
-    f = density.pdf(x)
+    f = np.empty(n_mc)
+    for start in range(0, n_mc, _HESSIAN_BLOCK_ROWS):
+        rows = slice(start, start + _HESSIAN_BLOCK_ROWS)
+        f[rows] = density.pdf(x[rows])
+    del x
     if functional_id == "shannon":
         vals = -np.log(f)
     elif functional_id == "renyi":

@@ -46,8 +46,9 @@ def knn_density(
     index's M reference points.
 
     With config None it is the standard estimate at every row.  With a
-    BoundaryConfig, detect_boundary(queries, k, M, config) labels the rows
-    first, so its errors come before any of this function's; interior rows
+    BoundaryConfig, the queries are checked to be a finite (n, d) matrix
+    of the index's width, and then detect_boundary(queries, k, M, config)
+    labels the rows, so its errors come before the k check; interior rows
     then keep their standard value and boundary rows take the value at
     their nearest interior row.  Radii are queried at the interior rows
     alone; each boundary row is only checked for a zero k-th distance.
@@ -59,13 +60,16 @@ def knn_density(
     Raises on a zero k-th neighbor distance, naming the first offending
     query of all.
     """
-    labels = None if config is None else detect_boundary(queries, k, index.size, config)
+    labels = None
+    if config is not None:
+        # the query matrix is checked before the detector reads it
+        queries = _as_queries(queries, index.dim)
+        labels = detect_boundary(queries, k, index.size, config)
     _check_k(index, k)
     if labels is None:
         r = knn_radii(index, queries, k)
         _raise_on_zero_radius(queries, r == 0.0, k)
         return DensityEstimates(values=_from_radii(index, r, k))
-    queries = _as_queries(queries, index.dim)
     zero = np.empty(len(queries), dtype=bool)
     r = knn_radii(index, queries[labels.interior], k)
     zero[labels.interior] = r == 0.0

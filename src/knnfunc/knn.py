@@ -346,18 +346,14 @@ def _zorder(q: np.ndarray) -> np.ndarray:
     Each of the first 63 axes is cut into up to 2^10 cells over the rows'
     own range and the cell numbers' bits are interleaved into one 63-bit
     key.  Coordinates are halved first, so no span overflows, and a zero
-    span puts every row in cell 0.  The order only moves work around: each
-    query is answered on its own, whatever the order.
+    span puts every row in cell 0.  The key is built one axis at a time,
+    so beside it a few n-long arrays are alive.  The order only moves work
+    around: each query is answered on its own, whatever the order.
     """
     if len(q) < 2:  # no range to cut, and nothing to reorder
         return np.arange(len(q))
     axes = min(q.shape[1], 63)
     bits = min(10, 63 // axes)
-    half = np.ascontiguousarray(q[:, :axes].T) * 0.5
-    lo = half.min(axis=1, keepdims=True)
-    span = half.max(axis=1, keepdims=True) - lo
-    span[span == 0] = 1.0
-    cells = ((half - lo) / span * ((1 << bits) - 1)).astype(np.intp)
     # spread[c] holds bit b of c at bit b * axes, leaving room for the rest
     c = np.arange(1 << bits, dtype=np.uint64)
     spread = np.zeros(1 << bits, dtype=np.uint64)
@@ -365,7 +361,16 @@ def _zorder(q: np.ndarray) -> np.ndarray:
         spread |= ((c >> np.uint64(b)) & np.uint64(1)) << np.uint64(b * axes)
     key = np.zeros(len(q), dtype=np.uint64)
     for a in range(axes):
-        key |= spread[cells[a]] << np.uint64(a)
+        # (half - lo) / span * (2^bits - 1), in place
+        x = q[:, a] * 0.5
+        lo = x.min()
+        span = x.max() - lo
+        x -= lo
+        x /= span if span else 1.0
+        x *= (1 << bits) - 1
+        part = spread[x.astype(np.intp)]
+        part <<= np.uint64(a)
+        key |= part
     return np.argsort(key)
 
 

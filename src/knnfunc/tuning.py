@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import AnalyticDensity
+from .data import _HESSIAN_BLOCK_ROWS, AnalyticDensity
 from .functionals import Functional
 
 __all__ = [
@@ -56,10 +56,6 @@ class TheoryConstants:
             raise ValueError("variance constants must be nonnegative")
 
 
-# rows of the draws per block of _trace_hessian
-_HESSIAN_BLOCK_ROWS = 1 << 13
-
-
 def hessian_weight(d: int) -> float:
     """Gamma((d+2)/2)^(2/d) / (2 (d+2) pi)."""
     return math.gamma((d + 2) / 2.0) ** (2.0 / d) / (2.0 * (d + 2) * math.pi)
@@ -84,7 +80,8 @@ def _trace_hessian(pdf, x, step):
             e[i] = step
             t += pdf(xb + e) - 2.0 * f + pdf(xb - e)
         tr[rows] = t
-    return tr / step**2, f0
+    tr /= step**2
+    return tr, f0
 
 
 def constants_oracle(
@@ -101,6 +98,10 @@ def constants_oracle(
     the first draw at which, or one difference step (1e-4) from which
     along an axis, the pdf is not finite, as a Beta pdf with a non-integer
     shape is past the edge of its support.
+
+    Beside the n_mc draws it holds a few n_mc-long arrays at once: the
+    draws are dropped once the pdf is known to be finite, h is built in
+    place, and each constant's array is dropped once it is reduced.
     """
     if n_mc < 100_000:
         warnings.warn(
@@ -118,19 +119,23 @@ def constants_oracle(
             f"finite-difference step ({step:g}) from it along an axis; the Hessian "
             "trace needs a finite pdf within the step of every draw"
         )
+    del z
     d = density.dim
-    h = hessian_weight(d) * f ** (-2.0 / d) * tr
+    # hessian_weight(d) * f ** (-2/d) * tr, left to right
+    h = f ** (-2.0 / d)
+    h *= hessian_weight(d)
+    h *= tr
+    del tr
     gp = np.asarray(functional.g_prime(f), dtype=np.float64)
+    c1 = float(np.mean(gp * h))
+    del h
+    c5 = float(np.var(f * gp, ddof=1))
+    del gp
     gpp = np.asarray(functional.g_double_prime(f), dtype=np.float64)
-    gv = np.asarray(functional.g(f), dtype=np.float64)
-    return TheoryConstants(
-        c1=float(np.mean(gp * h)),
-        c2=float(np.mean(f**2 * gpp / 2.0)),
-        c3=0.0,
-        c4=float(np.var(gv, ddof=1)),
-        c5=float(np.var(f * gp, ddof=1)),
-        mode="oracle",
-    )
+    c2 = float(np.mean(f**2 * gpp / 2.0))
+    del gpp
+    c4 = float(np.var(np.asarray(functional.g(f), dtype=np.float64), ddof=1))
+    return TheoryConstants(c1=c1, c2=c2, c3=0.0, c4=c4, c5=c5, mode="oracle")
 
 
 def rate_matched_k(M: int, d: int) -> int:

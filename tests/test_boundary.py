@@ -193,6 +193,8 @@ def test_degenerate_inputs():
     bad[3, 1] = np.nan
     with pytest.raises(ValueError, match="finite"):
         detect_boundary(bad, 5, 100, BoundaryConfig(lipschitz_L=0.0, eps0=1.0))
+    with pytest.raises(ValueError, match=r"an \(N, d\) matrix; got shape \(50,\)"):
+        detect_boundary(bad[:, 0], 5, 100, cfg)
 
 
 def test_default_config_is_verbatim_and_inert_at_desk_scale():

@@ -19,6 +19,7 @@ from knnfunc import (
     true_functional,
     uniform_density,
 )
+import knnfunc.data
 from knnfunc.rng import make_rng
 
 import oracles
@@ -274,13 +275,17 @@ def test_mixture_marginal_mean():
 
 
 def test_analytic_mixture_sampler_equals_the_np_where_draw():
-    for n in (1, 2, 17, 1000, 65_537):
-        for dim, eps in ((1, 0.2), (3, 0.2), (3, 0.0), (2, 1.0)):
-            dens = beta_uniform_mixture_density(dim, 4.0, 4.0, eps)
-            got = dens.sampler(n, make_rng(n, "sampler", dim))
-            want = oracles.where_mixture_draw(n, dim, 4.0, 4.0, eps,
-                                              make_rng(n, "sampler", dim))
-            assert np.array_equal(got, want), (n, dim, eps)
+    # the sampler copies its Beta draw a row block at a time, the reference
+    # draws it in one call; a < 1 takes another Beta algorithm than a >= 1
+    block = knnfunc.data._HESSIAN_BLOCK_ROWS
+    for a, b in ((4.0, 4.0), (0.7, 3.0), (0.3, 0.4)):
+        for n in (1, 2, 17, block - 1, block, block + 1, 65_537):
+            for dim, eps in ((1, 0.2), (3, 0.2), (3, 0.0), (2, 1.0)):
+                dens = beta_uniform_mixture_density(dim, a, b, eps)
+                got = dens.sampler(n, make_rng(n, "sampler", dim))
+                want = oracles.where_mixture_draw(n, dim, a, b, eps,
+                                                  make_rng(n, "sampler", dim))
+                assert np.array_equal(got, want), (a, b, n, dim, eps)
 
 
 def test_mixture_validation():
@@ -339,6 +344,25 @@ def test_true_functional_mixture_vs_quadrature():
     dens = beta_uniform_mixture_density(3, 4, 4, 0.2)
     val, se = true_functional(dens, "shannon", 400_000, seed=3)
     assert abs(val - oracles.H_SHANNON_MIX) < 4 * se
+
+
+@pytest.mark.parametrize("functional_id,alpha", [("shannon", None), ("renyi", 0.5)])
+def test_true_functional_equals_one_pdf_call(functional_id, alpha):
+    # the pdf runs a row block at a time; 20,001 rows end on a ragged block
+    dens = beta_uniform_mixture_density(3, 2.0, 5.0, 0.2)
+    n = 20_001
+    f = dens.pdf(dens.sample(n, 4, "truth", functional_id))
+    vals = -np.log(f) if alpha is None else f ** (alpha - 1.0)
+    want = (float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(n)))
+    assert true_functional(dens, functional_id, n, 4, alpha=alpha) == want
+
+
+def test_true_functional_memory_is_the_draws(traced_peak):
+    # beside the draws: the pdf values and one block's temporaries
+    dens = beta_uniform_mixture_density(3, 4, 4, 0.2)
+    n = 200_000
+    _, peak = traced_peak(lambda: true_functional(dens, "shannon", n, 5))
+    assert peak <= 8 * n * 3 + 2 * 8 * n + (1 << 20)
 
 
 def test_true_functional_validation():

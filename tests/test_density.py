@@ -82,6 +82,20 @@ def test_knn_density_k_bounds():
         knn_density(idx, np.zeros((1, 2)), 51)
 
 
+@pytest.mark.parametrize("config", [None, BoundaryConfig()], ids=["plain", "detector"])
+@pytest.mark.parametrize("shape,message", [
+    ((20,), r"queries must be an \(n, d\) matrix; got shape \(20,\)"),
+    ((20, 3), "query dim 3 != index dim 2"),
+])
+def test_malformed_queries_are_rejected_before_the_detector(config, shape, message):
+    idx = build_index(np.random.default_rng(6).random((200, 2)))
+    q = np.random.default_rng(7).random(shape)
+    with mock.patch.object(knnfunc.density, "detect_boundary") as detector:
+        with pytest.raises(ValueError, match=message):
+            knn_density(idx, q, 5, config)
+    detector.assert_not_called()
+
+
 # a live detector config; the label tests patch the detector it runs
 _CFG = BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0=1.0, pk_scale=0.1)
 

@@ -369,6 +369,15 @@ def test_zorder_is_a_local_permutation():
     assert step < 0.1 * np.linalg.norm(np.diff(q, axis=0), axis=1).mean()
 
 
+def test_zorder_memory_is_a_few_row_arrays(traced_peak):
+    # the key is built one axis at a time: no (d, n) copy of the points and
+    # no (d, n) cell matrix, only a few n-long 8-byte arrays
+    q = np.random.default_rng(21).random((70_000, 6))
+    order, peak = traced_peak(lambda: knnfunc.knn._zorder(q))
+    assert np.array_equal(np.sort(order), np.arange(len(q)))
+    assert peak <= 6 * 8 * len(q)
+
+
 @pytest.mark.parametrize("d", [1, 3])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_queries_rejected(d, bad):

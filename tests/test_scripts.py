@@ -4,6 +4,7 @@ script that calls a deleted name, passes a field the library no longer
 takes or imports from tests/ fails here rather than when someone next
 runs it."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -69,3 +70,54 @@ def test_code_lines_leaves_out_blank_comment_and_docstring_lines(tmp_path):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split("\n")[:2] == ["     8  fixture.py", f"     8  total ({tmp_path})"]
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _runs(workload, metrics):
+    """Hand-made runs: metrics maps a name to (parent values, change values),
+    one pair per position."""
+    runs = []
+    n = len(next(iter(metrics.values()))[0])
+    for i in range(n):
+        for j, side in enumerate(("parent", "change")):
+            values = {name: {"value": sides[j][i]} for name, sides in metrics.items()}
+            runs.append({"workload": workload, "seed": 100 + i, "side": side,
+                         "result": {"metrics": values}})
+    return runs
+
+
+def test_bench_pairs_summary_states_the_claim_rule_and_the_bounds():
+    summarize = _bench_pairs().summarize
+    base = [90.0, 90.2, 90.4, 90.6, 90.8, 91.0, 91.2, 91.4, 91.6, 91.8]
+    runs = _runs("cli-suite", {
+        # won 10/10, by 8.8 MB against an interquartile range of 1 MB
+        "peak_rss_mb": (base, [82.0] * 10),
+        # won 9/10 (one tie), but the medians differ by less than the
+        # parent's interquartile range
+        "estimates_per_s": (base, [v + 0.1 for v in base[:9]] + [base[9]]),
+        # 60% slower: past the 0.25 bound
+        "call_s_p50": ([0.1] * 10, [0.16] * 10),
+        # identical: ten ties
+        "rmse": ([0.05] * 10, [0.05] * 10),
+    }) + _runs("monte-carlo", {"peak_rss_mb": ([80.0, 80.5, 81.0], [70.0] * 3)})
+    lines = summarize(runs).splitlines()
+    assert lines[0] == "cli-suite (10 pairs)"
+    assert lines[1] == ("  estimates_per_s: 90.9 [90.35, 91.45] -> 91, change won 9/10, "
+                        "lost 0, tied 1; claim does not hold")
+    assert lines[2] == ("  call_s_p50: 0.1 [0.1, 0.1] -> 0.16, change won 0/10, lost 10, "
+                        "tied 0; claim does not hold; WORSE than the parent by more than "
+                        "the bound 0.25")
+    assert lines[3] == ("  peak_rss_mb: 90.9 [90.35, 91.45] -> 82, change won 10/10, "
+                        "lost 0, tied 0; claim holds")
+    assert lines[4] == ("  rmse: 0.05 [0.05, 0.05] -> 0.05, change won 0/10, lost 0, "
+                        "tied 10; claim does not hold")
+    # three pairs are too few for a claim, however large the gain
+    assert lines[5:] == ["monte-carlo (3 pairs)",
+                         "  peak_rss_mb: 80.5 [80, 81] -> 70, change won 3/3, lost 0, "
+                         "tied 0; claim does not hold"]

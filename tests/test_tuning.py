@@ -73,6 +73,34 @@ def test_block_hessian_equals_full_array_central_difference():
             assert np.array_equal(a, b), dens.dim
 
 
+@pytest.mark.parametrize("functional", [shannon_functional(), renyi_functional(0.5)],
+                         ids=["shannon", "renyi0.5"])
+def test_constants_oracle_equals_the_full_array_expressions(functional):
+    dens = beta_uniform_mixture_density(2, 4.0, 4.0, 0.2)
+    n = 100_001
+    z = dens.sample(n, 6, "oracle-constants", functional.id)
+    tr, f = oracles.full_trace_hessian(dens.pdf, z, 1e-4)
+    h = hessian_weight(2) * f ** (-2.0 / 2) * tr
+    gp = functional.g_prime(f)
+    got = constants_oracle(dens, functional, n, 6)
+    assert (got.c1, got.c2, got.c3, got.c4, got.c5) == (
+        float(np.mean(gp * h)),
+        float(np.mean(f**2 * functional.g_double_prime(f) / 2.0)),
+        0.0,
+        float(np.var(functional.g(f), ddof=1)),
+        float(np.var(f * gp, ddof=1)),
+    )
+
+
+def test_constants_oracle_memory_is_the_draws_and_a_few_arrays(traced_peak):
+    # the draws, the pdf and Hessian trace beside them, one block's shifted
+    # copies; the draws are dropped before h and the constants' arrays
+    dens = beta_uniform_mixture_density(3, 4.0, 4.0, 0.2)
+    n = 200_000
+    _, peak = traced_peak(lambda: constants_oracle(dens, shannon_functional(), n, 1))
+    assert peak <= 8 * n * 3 + 4 * 8 * n
+
+
 def test_hessian_weight_d3_value():
     # Gamma(2.5)^(2/3) / (10 pi)
     expected = math.gamma(2.5) ** (2.0 / 3.0) / (10.0 * math.pi)
