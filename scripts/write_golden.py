@@ -34,6 +34,7 @@ from knnfunc import (
     bpi_estimate,
     bpi_estimate_bc,
     build_index,
+    count_reverse_neighbors,
     detect_boundary,
     knn_density,
     knn_query,
@@ -56,6 +57,11 @@ SWEEP = BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0=1.0, pk_scale=0.3)
 CUBE = BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0=1.0, pk_scale=0.02)
 CONFIGS = {"none": None, "sweep": SWEEP, "cube": CUBE, "auto": BoundaryConfig()}
 CONSTANTS = TheoryConstants(c1=0.4, c2=-0.3, c3=0.0, c4=1.1, c5=0.7, mode="oracle")
+# wide detector graphs: at N = 900, k = 100 and M = 2,100, K + 1 = 43
+WIDE = {"cube": CUBE, "edge": BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0=1.0, pk_scale=0.0),
+        "eps0-auto": BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0="auto", pk_scale=0.1),
+        "L-auto": BoundaryConfig(delta=0.9, lipschitz_L="auto", eps0=1e6, pk_scale=0.02),
+        "auto": BoundaryConfig()}
 DETECTOR_FLAGS = ["--lipschitz", "0", "--eps0", "1", "--delta", "0.9", "--pk-scale", "0.3"]
 
 
@@ -158,6 +164,35 @@ def density_cases(out):
                     lambda: _report(mutual_information(data, sp, x, y, 20, config, 0.95)))
 
 
+def wide_detector_cases(out):
+    """detect_boundary with K + 1 = 43, on the mixture and the cube at
+    d = 1, 2, 3, 6, in input-order and Z-stored evaluation indices: on the
+    mixture some boundary points have no interior point among their 24
+    nearest.  count_reverse_neighbors at K = 30 and 60 on uniform and
+    tied-grid points."""
+    for d in (1, 2, 3, 6):
+        for kind in ("mixture", "cube"):
+            if kind == "mixture":
+                ev = sample_beta_uniform_mixture(900, d, 4.0, 4.0, 0.2, 1000 + d).points
+            else:
+                ev = np.random.default_rng(1000 + d).random((900, d))
+            for zstored in (False, True) if d > 1 else (False,):
+                gate = 0 if zstored else knnfunc.knn._ZORDER_MIN_REFS
+                for cname, config in WIDE.items():
+                    name = f"detect/{kind}/d{d}/{'z' if zstored else 'input'}/{cname}"
+                    with mock.patch.object(knnfunc.knn, "_ZORDER_MIN_REFS", gate):
+                        _record(out, name, lambda: _labels(detect_boundary(ev, 100, 2100, config)))
+        rng = np.random.default_rng(200 + d)
+        for kind, points in (("uniform", rng.random((600, d))),
+                             ("grid", rng.integers(0, 4, size=(600, d)).astype(float))):
+            for zstored in (False, True) if d > 1 else (False,):
+                gate = 0 if zstored else knnfunc.knn._ZORDER_MIN_REFS
+                for K in (30, 60):
+                    name = f"reverse/{kind}/d{d}/{'z' if zstored else 'input'}/K{K}"
+                    with mock.patch.object(knnfunc.knn, "_ZORDER_MIN_REFS", gate):
+                        _record(out, name, lambda: {"": count_reverse_neighbors(points, K)})
+
+
 def error_cases(out):
     """Duplicates, k = M, k > M, k < 3 and identical evaluation points,
     with and without a detector."""
@@ -256,6 +291,7 @@ def panel(workdir):
     out = {}
     knn_cases(out)
     density_cases(out)
+    wide_detector_cases(out)
     error_cases(out)
     monte_carlo_cases(out)
     cli_cases(out, workdir)
