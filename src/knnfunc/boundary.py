@@ -8,15 +8,18 @@ estimator's).  A point is labeled boundary when its count falls below
 point so the density layer can extrapolate.
 
 One detection makes one (K+1)-NN self-query of the evaluation set, by
-one knn_query per row block, and keeps its indices as an (N, K+1) int32
-graph: the reverse counts and the nearest interior points read it.  The
-"auto" constants read what the self-query keeps beside it: the (K+1)-th
-radii and, for an "auto" L, the edge lengths that become the N*K edge
-ratios.  Only a boundary point with no interior point among its K + 1
-nearest needs a second index, over the interior points.  When q >= 1 the threshold is
-<= 0, every point is interior and no count is taken.  The detector's
-working memory is the int32 graph, plus the edge ratios when L is "auto",
-plus one block; every pass over the graph goes a row block at a time.
+one knn_query per row block (knn._self_query), and stores no graph: each
+block adds its reverse counts and keeps the first min(K + 1, _HEAD)
+indices of each row, as int32, where a boundary point finds its nearest
+interior point.  Only a boundary point with no interior point in that
+head needs a second index, over the interior points.  The "auto"
+constants read what the self-query keeps beside the head: the (K+1)-th
+radii when either constant is "auto", and for an "auto" L the whole
+graph and the edge lengths that become the N*K edge ratios.  With
+numeric constants q is known before the self-query, and when q >= 1 the
+threshold is <= 0, every point is interior and no index is built.  The
+detector's working memory is one block of the self-query beside the
+head, plus the graph and edge ratios when L is "auto".
 
 The threshold ``q`` has two parts: a Lipschitz/density term
 (L/eps0)*(K/(c_d*N*eps0))^(1/d) and a concentration term
@@ -33,13 +36,21 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .knn import (
-    _reverse_counts, _row_blocks, _self_graph, build_index, knn_query, unit_ball_volume,
-)
+from .knn import _row_blocks, _self_query, build_index, knn_query, unit_ball_volume
 
 __all__ = ["BoundaryConfig", "BoundaryLabels", "q_threshold", "p_k", "detect_boundary"]
 
 Auto = Union[float, str]
+
+# Of each point's K + 1 nearest, the detector keeps the first _HEAD
+# indices (int32, in (distance, index) order), where a boundary point looks
+# for its nearest interior point; one with none there asks an index over
+# the interior points, which gives the same point.  On large-estimate's
+# mixture with its live detector, d = 3 (N = 30,000, K + 1 = 38): 129 of
+# 2,485 boundary points have their first interior neighbour past column 8,
+# 4 past 16 and none past 24.  At d = 1 (N = 9,000, K + 1 = 327) 353 of 462
+# are past 24 and take the sorted-window search; at d = 6 K + 1 is 7.
+_HEAD = 24
 
 
 @dataclass(frozen=True)
@@ -106,23 +117,25 @@ def p_k(k: int, delta: float) -> float:
     return math.sqrt(6.0) / k ** (delta / 2.0)
 
 
-def _resolve_auto(graph, radii, edges, d, config):
+def _resolve_auto(graph, radii, edges, K, d, config):
     """Estimate (L, eps0) from the evaluation sample when set to "auto".
 
-    graph, radii and edges are what _self_graph returned and filled for the
-    N evaluation points.  eps0: 10th percentile of standard K-NN density
-    estimates computed within the evaluation set (self excluded).  L: 95th
-    percentile of |f_i - f_j| / ||X_i - X_j|| over the K-NN graph edges,
-    computed in place of the edge lengths.
+    radii are the N evaluation points' (K+1)-th distances within the set;
+    graph and edges, needed only for an "auto" L, are the indices and edge
+    lengths of their K + 1 nearest, as _self_query keeps and fills them.
+    eps0: 10th percentile of standard K-NN density estimates computed
+    within the evaluation set (self excluded).  L: 95th percentile of
+    |f_i - f_j| / ||X_i - X_j|| over the K-NN graph edges, computed in
+    place of the edge lengths.
     """
-    N, kk = graph.shape
+    N = len(radii)
     radii = np.maximum(radii, 1e-300)
     cd = unit_ball_volume(d)
-    dens = max(kk - 1, 1) / ((N - 1) * cd * radii**d)
+    dens = K / ((N - 1) * cd * radii**d)
     eps0 = float(config.eps0) if config.eps0 != "auto" else float(np.percentile(dens, 10.0))
     if edges is None:
         return float(config.lipschitz_L), eps0
-    for rows in _row_blocks(N, kk - 1):
+    for rows in _row_blocks(N, K):
         r = dens.take(graph[rows, 1:])
         r -= dens[rows, None]
         np.abs(r, out=r)
@@ -162,7 +175,7 @@ def detect_boundary(eval_points, k: int, M: int, config: BoundaryConfig = Bounda
 
     K = max(1, floor(k*N/M)).  Raises if every point ends up boundary (no
     interior source for extrapolation) or if the inputs are degenerate
-    (all points identical).
+    (all points identical, or one not finite).
     """
     eval_points = np.asarray(eval_points, dtype=np.float64)
     if eval_points.ndim != 2:
@@ -179,30 +192,39 @@ def detect_boundary(eval_points, k: int, M: int, config: BoundaryConfig = Bounda
         raise ValueError(f"K={K} must be < N={N}; adjust k or the split")
     if np.all(eval_points == eval_points[0]):
         raise ValueError("all evaluation points identical; k-NN radii are zero")
-    # the edge ratios are the only graph-sized array beside the graph
+    if not np.all(np.isfinite(eval_points)):
+        raise ValueError("evaluation points must be finite")
+    auto = "auto" in (config.lipschitz_L, config.eps0)
+    if not auto:
+        q = q_threshold(K, N, k, d, config)
+        if q >= 1.0:
+            # threshold <= 0 <= every count: all interior, no graph needed
+            none = np.empty(0, dtype=np.intp)
+            return BoundaryLabels(interior=np.arange(N), boundary=none, nearest_interior=none,
+                                  threshold_used=float((1.0 - q) * K), K_used=K, q_used=float(q))
+    # an "auto" L reads every edge of the graph, so only then is it kept
+    # whole, with the edge ratios beside it
     edges = np.empty((N, K)) if config.lipschitz_L == "auto" else None
-    graph, radii = _self_graph(build_index(eval_points), K + 1, edges)
-    L = e0 = None
-    if "auto" in (config.lipschitz_L, config.eps0):
-        L, e0 = _resolve_auto(graph, radii, edges, d, config)
-    q = q_threshold(K, N, k, d, config, lipschitz_L=L, eps0=e0)
+    keep = K + 1 if edges is not None else min(K + 1, _HEAD)
+    counts, head, radii = _self_query(build_index(eval_points), K + 1, keep, auto, edges)
+    if auto:
+        L, e0 = _resolve_auto(head, radii, edges, K, d, config)
+        del radii, edges
+        q = q_threshold(K, N, k, d, config, lipschitz_L=L, eps0=e0)
     threshold = (1.0 - q) * K
-    if q >= 1.0:
-        # threshold <= 0 <= every count: all interior, no counts needed
-        interior_mask = np.ones(N, dtype=bool)
-    else:
-        interior_mask = _reverse_counts(graph) >= threshold
+    interior_mask = counts >= threshold
     interior = np.where(interior_mask)[0]
     boundary = np.where(~interior_mask)[0]
     if interior.size == 0:
         raise ValueError("no interior points; increase T or adjust config")
-    # a graph row lists its point's K + 1 nearest in (distance, index) order,
-    # so its first interior entry is the nearest interior point; only rows
-    # with no interior entry need a tree over the interior points
+    # a head row lists the first of its point's K + 1 nearest in (distance,
+    # index) order, so its first interior entry is the nearest interior
+    # point; only rows with no interior entry need a tree over the interior
+    # points, whose (distance, index)-nearest is the same point
     picks = np.empty(boundary.size, dtype=np.intp)
     lonely = np.empty(boundary.size, dtype=bool)
-    for part in _row_blocks(boundary.size, K + 1):
-        rows = graph[boundary[part]]
+    for part in _row_blocks(boundary.size, keep):
+        rows = head[boundary[part]]
         hits = interior_mask[rows]
         picks[part] = rows[np.arange(len(rows)), hits.argmax(axis=1)]
         lonely[part] = ~hits.any(axis=1)

@@ -324,18 +324,15 @@ def true_functional(
     """
     if n_mc < 10_000:
         raise ValueError("n_mc must be at least 10^4")
+    if functional_id not in ("shannon", "renyi"):
+        raise ValueError(f"unknown functional_id {functional_id!r}")
+    if functional_id == "renyi" and (alpha is None or alpha == 1.0):
+        raise ValueError("renyi requires alpha != 1")
     x = density.sample(n_mc, seed, "truth", functional_id)
     f = np.empty(n_mc)
     for start in range(0, n_mc, _HESSIAN_BLOCK_ROWS):
         rows = slice(start, start + _HESSIAN_BLOCK_ROWS)
         f[rows] = density.pdf(x[rows])
     del x
-    if functional_id == "shannon":
-        vals = -np.log(f)
-    elif functional_id == "renyi":
-        if alpha is None or alpha == 1.0:
-            raise ValueError("renyi requires alpha != 1")
-        vals = f ** (alpha - 1.0)
-    else:
-        raise ValueError(f"unknown functional_id {functional_id!r}")
+    vals = -np.log(f) if functional_id == "shannon" else f ** (alpha - 1.0)
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(n_mc))

@@ -11,9 +11,11 @@ its choices changes a result:
 - _ordered_map runs independent jobs, such as Monte Carlo trials, as
   threads over those CPUs, and a tree call inside a job gets the CPUs left
   over: one apiece once every CPU has a job;
-- every tree has leaves of _LEAFSIZE points; a large index at d >= 2
-  (_ZORDER_MIN_REFS points or more) stores them in Z-order (a Morton key)
-  and maps tree rows back to input rows before ties are ranked;
+- an index stores its points once: a large index at d >= 2
+  (_ZORDER_MIN_REFS points or more) in Z-order (a Morton key), a smaller
+  one in input order, both as the tree's own data with leaves of
+  _LEAFSIZE points, and at d = 1 as the (value, index)-sorted column; tree
+  rows are mapped back to input rows before ties are ranked;
 - queries are an (n, d) matrix, one point a row, and every k-th distance
   comes from one search (_kth_distances), which answers a sequence of ks
   (the dimension estimate's k1 and k2) with one tree search; against
@@ -29,14 +31,15 @@ its choices changes a result:
 - one loop ranks every row holding a tie by a row-wise lexsort on
   (distance, index); a row whose k-th distance ties its (k+1)-th is asked
   again, twice as wide each time, until the tie is passed;
-- passes over a neighbour graph (the d = 1 lists, the ranking of tied
-  rows, the reverse counts) go a row block at a time,
-  so that beside the graph itself they hold a few MB, whatever its size;
-- a self-query graph, such as the boundary detector's, is built by one
-  knn_query per row block, the blocks taken in storage order when the
-  index has one, and kept as int32 indices (4 bytes a slot) and k-th
-  radii in input order; a block's other distances are dropped or, if
-  asked, floored.
+- passes over a neighbour list (the d = 1 lists, the ranking of tied
+  rows) go a row block at a time, so that beside the result they hold a
+  few MB, whatever its size;
+- a self-query (_self_query), such as the boundary detector's, is one
+  knn_query per row block of stored rows, read as views, in storage
+  order.  Each block adds its reverse counts and keeps the first columns
+  of its rows that the caller asks for, as int32 indices, and, if asked,
+  its k-th radii and floored edge lengths; the rest is dropped before the
+  next block, so no (N, k) graph is stored unless every column is kept.
 """
 
 import math
@@ -88,22 +91,20 @@ _budget = threading.local()
 #   2^15 99 / 47 / 16;  2^16 104 / 49 / 17;  2^18 114 / 51 / 18
 _BLOCK_SLOTS = 1 << 15
 
-# A self-query graph (_self_graph) is built by one knn_query per row block
-# of about this many slots and keeps the int32 indices and k-th radii, so
-# beside them a block's distances and indices take 16 bytes a slot.  Measured
-# detect_boundary time and tracemalloc peak with a numeric config on a
-# 2-core host, the sizes interleaved, median of 9 (the mixture's evaluation
-# sets: d = 1, N = 9,000, K + 1 = 327; d = 3, N = 30,000, K + 1 = 38;
-# d = 1, N = 30,000, K + 1 = 728):
-#   2^14       136 ms 13.8 MB;  319 ms  5.5 MB;  1058 ms  90.0 MB
-#   2^16       127 ms 14.3 MB;  244 ms  6.1 MB;   869 ms  90.5 MB
-#   2^18       120 ms 17.5 MB;  213 ms  9.5 MB;   884 ms  93.6 MB
-#   2^20       121 ms 30.1 MB;  196 ms 23.2 MB;   841 ms 106.2 MB
-#   one block  129 ms 62.3 MB;  194 ms 24.8 MB;   941 ms 460.0 MB
-# Each block is one more tree call, which costs the most at d >= 2.  A
-# process that has not yet freed a large array hands each block's arrays
-# back to the system and pays their page faults again: there the last case
-# took 1.1-1.5 s at 2^18, 1.0-1.1 s at 2^20 and 0.8-1.1 s as one block.
+# A self-query (_self_query) runs one knn_query per row block of about
+# this many slots.  Beside what it keeps, a block's distances and indices
+# take 16 bytes a slot, and its reverse-count mask and entries 9 more once
+# the distances are dropped.  Measured detect_boundary time and
+# tracemalloc peak with a numeric config on a 2-core host, median of 9
+# (the mixture's evaluation sets: d = 1, N = 9,000, K + 1 = 327; d = 3,
+# N = 30,000, K + 1 = 38; d = 1, N = 30,000, K + 1 = 728):
+#   2^14        93 ms  2.9 MB;  218 ms  5.1 MB;  681 ms   5.5 MB
+#   2^16        93 ms  3.4 MB;  189 ms  5.7 MB;  613 ms   6.0 MB
+#   2^18        82 ms  6.6 MB;  155 ms  9.0 MB;  564 ms   9.1 MB
+#   2^20        80 ms 19.2 MB;  142 ms 22.7 MB;  591 ms  21.7 MB
+#   one block  104 ms 51.4 MB;  153 ms 24.3 MB;  840 ms 375.5 MB
+# Each block is one more tree call, which costs the most at d >= 2, and
+# one more N-long bincount.
 _GRAPH_BLOCK_SLOTS = 1 << 18
 
 
@@ -152,7 +153,7 @@ def _ordered_map(func, items) -> list:
 # it visit the queries in Z-order too: a leaf's points sit together in
 # memory and consecutive queries walk the same part of the tree, so more of
 # it stays in cache.  The keys and their argsorts cost a few ms.  Measured
-# times in ms of build_index + knn_radii / build_index + _self_graph on a
+# times in ms of build_index + knn_radii / build_index + self-query on a
 # 2-core host (the mixture split 0.7: M references, N = 3M/7 queries and
 # graph points, large-estimate's rate-matched k, the detector's K + 1;
 # median of 9, configurations interleaved), by storage order, query order
@@ -187,32 +188,58 @@ class NeighborResult:
 
 
 class NeighborIndex:
-    """Immutable spatial index over a fixed reference point set."""
+    """Immutable spatial index over a fixed reference point set.
+
+    The points are stored once, in storage order: the Z-ordered copy a
+    large tree is built on, the (value, index)-sorted column at d = 1, or
+    else a private input-order copy.  ``points`` gives them back in input
+    order, read-only.
+    """
 
     def __init__(self, points: np.ndarray):
-        # a private copy: freezing it leaves the caller's array writeable
-        points = np.array(points, dtype=np.float64, order="C")
+        points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[0] < 1:
             raise ValueError("index requires a nonempty 2-d point matrix")
         if not np.all(np.isfinite(points)):
             raise ValueError("index points must be finite")
-        points.setflags(write=False)
-        self.points = points
         self.size = points.shape[0]
         self.dim = points.shape[1]
-        # _order, when set, is the storage order: stored row j is
-        # points[_order[j]].  At d = 1 neighbours come from a copy sorted by
+        # _order, when set, is the storage order: stored row j is input
+        # row _order[j].  At d = 1 neighbours come from the column sorted by
         # (value, index), and no tree is built; a large tree stores its
-        # points in Z-order
+        # points in Z-order.  Each stored copy is private, so freezing it
+        # leaves the caller's array writeable
         self._tree = self._sorted = self._order = None
         if self.dim == 1:
             self._order = np.argsort(points[:, 0], kind="stable")
             self._sorted = points[self._order, 0]
-        elif self.size >= _ZORDER_MIN_REFS:
+            self._sorted.setflags(write=False)
+            return
+        if self.size >= _ZORDER_MIN_REFS:
             self._order = _zorder(points)
-            self._tree = cKDTree(points[self._order], leafsize=_LEAFSIZE)
+            stored = points[self._order]
         else:
-            self._tree = cKDTree(points, leafsize=_LEAFSIZE)
+            stored = np.array(points, order="C")
+        stored.setflags(write=False)
+        self._tree = cKDTree(stored, leafsize=_LEAFSIZE)
+
+    @property
+    def points(self) -> np.ndarray:
+        """The (size, dim) points in input order, read-only; a new array
+        unless they are stored in input order."""
+        if self._order is None:
+            return self._tree.data
+        points = np.empty((self.size, self.dim))
+        points[self._order] = self._stored_rows(slice(None))
+        points.setflags(write=False)
+        return points
+
+    def _stored_rows(self, rows: slice) -> np.ndarray:
+        """A view of the stored rows rows as a (n, dim) matrix; stored row j
+        is input row j, or _order[j] when _order is set."""
+        if self._sorted is not None:
+            return self._sorted[rows, None]
+        return self._tree.data[rows]
 
     def __repr__(self):
         return f"NeighborIndex(size={self.size}, dim={self.dim})"
@@ -446,46 +473,47 @@ def count_reverse_neighbors(points, K: int) -> np.ndarray:
         raise ValueError("K must be < number of points")
     if K < 1:
         raise ValueError("K must be >= 1")
-    return _reverse_counts(_self_graph(build_index(points), K + 1)[0])
+    return _self_query(build_index(points), K + 1)[0]
 
 
-def _self_graph(index: NeighborIndex, k: int, edges=None):
-    """(graph, radii): the (N, k) int32 knn_query indices of the index's own
-    N points and each point's k-th distance, one row block of about
-    _GRAPH_BLOCK_SLOTS slots at a time.  An (N, k - 1) edges array, if given,
-    gets each point's distances past itself, floored at 1e-300; the rest of
-    a block's distances is dropped before the next block's query.
+def _self_query(index: NeighborIndex, k: int, keep: int = 0, radii: bool = False,
+                edges=None):
+    """(counts, head, kth): one k-NN self-query of the index's own N
+    points, by one knn_query per row block of about _GRAPH_BLOCK_SLOTS
+    slots, the blocks taken in storage order and their queries read as
+    views of the stored rows.
+
+    counts are the reverse (k - 1)-NN counts, self excluded; head holds
+    the first keep int32 indices of each point's row in (distance, index)
+    order; kth, if radii is set, each point's k-th distance (else None).
+    An (N, k - 1) edges array, if given, gets each point's distances past
+    itself, floored at 1e-300.  The rest of a block is dropped before the
+    next block's query.
     """
-    if index.size > np.iinfo(np.int32).max:
+    N = index.size
+    if N > np.iinfo(np.int32).max:
         raise ValueError("a self-query graph holds fewer than 2^31 points")
-    graph = np.empty((index.size, k), dtype=np.int32)
-    radii = np.empty(index.size)
-    for rows in _row_blocks(index.size, k, min_slots=_GRAPH_BLOCK_SLOTS):
-        # a block of stored rows, so its queries walk one part of the index
-        src = rows if index._order is None else index._order[rows]
-        res = knn_query(index, index.points[src], k)
-        graph[src] = res.indices
-        radii[src] = res.distances[:, -1]
-        if edges is not None:
-            past_self = res.distances[:, 1:]
-            edges[src] = np.maximum(past_self, 1e-300, out=past_self)
-        del res  # before the next block's query
-    return graph, radii
-
-
-def _reverse_counts(graph: np.ndarray) -> np.ndarray:
-    """Reverse K-NN counts from the (N, K+1) indices of a self-query."""
-    N, kk = graph.shape
     counts = np.zeros(N, dtype=np.int64)
-    # a block's bincount costs N, so a block spans at least N slots.  At
-    # N = 10^6 and K + 1 = 3 (d = 2, median of 9) blocks of 2^16 slots took
-    # 130 ms, blocks of N slots 82 ms and one np.add.at over all 81 ms.
-    for rows in _row_blocks(N, kk, min_slots=N):
-        block = graph[rows]
-        self_mask = block == np.arange(rows.start, rows.stop)[:, None]
-        keep = ~self_mask
-        # rows whose own point was displaced from its K+1 list by duplicates:
-        # all K+1 entries are non-self, so drop the farthest instead
-        keep[~self_mask.any(axis=1), -1] = False
-        counts += np.bincount(block[keep], minlength=N)
-    return counts
+    head = np.empty((N, keep), dtype=np.int32)
+    kth = np.empty(N) if radii else None
+    for rows in _row_blocks(N, k, min_slots=_GRAPH_BLOCK_SLOTS):
+        src = np.arange(rows.start, rows.stop) if index._order is None else index._order[rows]
+        res = knn_query(index, index._stored_rows(rows), k)
+        dist, nbrs = res.distances, res.indices
+        del res
+        head[src] = nbrs[:, :keep]
+        if kth is not None:
+            kth[src] = dist[:, -1]
+        if edges is not None:
+            past = dist[:, 1:]
+            edges[src] = np.maximum(past, 1e-300, out=past)
+        del dist  # before the counts' temporaries
+        is_self = nbrs == src[:, None]
+        # a row whose own point was displaced from its k list by duplicates
+        # has k non-self entries, so its farthest is dropped instead
+        displaced = ~is_self.any(axis=1)
+        counted = np.logical_not(is_self, out=is_self)
+        counted[displaced, -1] = False
+        counts += np.bincount(nbrs[counted], minlength=N)
+        del nbrs, is_self, counted  # before the next block's query
+    return counts, head, kth

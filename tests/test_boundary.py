@@ -344,6 +344,19 @@ def test_detection_memory_is_graph_and_ratios(traced_peak):
         assert labels.n_boundary > len(pts) // 5
 
 
+def test_detection_memory_does_not_grow_with_K_at_d1(traced_peak):
+    # with numeric constants the detector keeps no (K+1)-wide graph: at
+    # d = 1 (N = 8,000) its peak at K + 1 = 400 is that at K + 1 = 100
+    # within one block of the self-query (16 bytes a slot)
+    pts = np.random.default_rng(39).random((8000, 1))
+    cfg = BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0=1.0, pk_scale=0.3)
+    peaks = {}
+    for K in (99, 399):
+        labels, peaks[K] = traced_peak(lambda: detect_boundary(pts, K, len(pts), cfg))
+        assert labels.K_used == K and labels.n_boundary > 0
+    assert peaks[399] <= peaks[99] + 16 * knnfunc.knn._GRAPH_BLOCK_SLOTS, peaks
+
+
 def test_live_renyi_estimate_memory_is_the_int32_graph(traced_peak):
     # a live-config Renyi estimate at d = 1 (N = 9,000, K = 326): its peak is
     # the detector's int32 graph and one block of the graph's query
@@ -391,12 +404,14 @@ def _count_graph_calls(monkeypatch, points, k, M, cfg):
 
 
 def test_degenerate_configs_build_one_evaluation_graph(monkeypatch):
+    # "auto" constants need the evaluation set's self-query to find q >= 1;
+    # numeric ones give q before any index is built, and no graph follows
     pts = np.random.default_rng(33).random((500, 3))
-    for cfg in (BoundaryConfig(),
-                BoundaryConfig(delta=0.8, lipschitz_L=0.0, eps0=1.0, pk_scale=1.0)):
+    for cfg, graphs in ((BoundaryConfig(), 1),
+                        (BoundaryConfig(delta=0.8, lipschitz_L=0.0, eps0=1.0, pk_scale=1.0), 0)):
         calls, labels = _count_graph_calls(monkeypatch, pts, 20, 1000, cfg)
         assert labels.q_used >= 1.0 and labels.n_boundary == 0, cfg
-        assert calls == {"build_index": 1, "knn_query": 1, "self_queries": 1}, cfg
+        assert calls == {"build_index": graphs, "knn_query": graphs, "self_queries": graphs}, cfg
 
 
 def test_default_config_builds_no_evaluation_graph(monkeypatch, tmp_path):

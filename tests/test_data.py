@@ -373,6 +373,25 @@ def test_true_functional_validation():
         true_functional(dens, "renyi", 20_000, seed=0, alpha=1.0)
 
 
+@pytest.mark.parametrize("functional_id,alpha,message", [
+    ("bogus", None, "unknown functional_id 'bogus'"),
+    ("renyi", None, "renyi requires alpha != 1"),
+    ("renyi", 1.0, "renyi requires alpha != 1"),
+])
+def test_true_functional_checks_its_arguments_before_drawing(functional_id, alpha, message):
+    # a bad functional id or alpha raises before a single point is drawn
+    draws = []
+
+    def sampler(n, rng):
+        draws.append(n)
+        return rng.random((n, 2))
+
+    dens = knnfunc.data.AnalyticDensity(2, uniform_density(2).pdf, sampler)
+    with pytest.raises(ValueError, match=message):
+        true_functional(dens, functional_id, 2_000_000, seed=0, alpha=alpha)
+    assert draws == []
+
+
 def test_mixture_pdf_integrates_to_one():
     dens = beta_uniform_mixture_density(2, 4, 4, 0.2)
     x = dens.sample(100_000, 12, "normcheck")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -307,7 +308,7 @@ def test_zorder_results_equal_input_order_results(monkeypatch):
                 assert (idx._order is not None) == (gate == 0)
                 got = [_outcome(call, idx, queries, k)
                        for call in (knn_query, knn_radii) for k in (1, 7)]
-                got.append(_outcome(knnfunc.knn._self_graph, idx, 8))
+                got.append(_outcome(knnfunc.knn._self_query, idx, 8, 8, True))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 got.append(_outcome(detect_boundary, pts, 20, 2 * len(pts), cfg))
@@ -376,6 +377,24 @@ def test_zorder_memory_is_a_few_row_arrays(traced_peak):
     order, peak = traced_peak(lambda: knnfunc.knn._zorder(q))
     assert np.array_equal(np.sort(order), np.arange(len(q)))
     assert peak <= 6 * 8 * len(q)
+
+
+def test_zstored_index_keeps_one_copy_of_its_points():
+    # a Z-stored index keeps the tree's Z-ordered n x d copy and its order,
+    # beside the tree's own n-long index array: no input-order copy
+    pts = np.random.default_rng(22).random((1 << 14, 3))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        idx = build_index(pts)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert idx._order is not None
+    n, d = pts.shape
+    assert kept <= 8 * n * d + 2 * 8 * n + 4096, kept
+    # the input-order points are still there, read-only, when asked for
+    assert np.array_equal(idx.points, pts) and not idx.points.flags.writeable
 
 
 @pytest.mark.parametrize("d", [1, 3])
