@@ -8,9 +8,9 @@ the change from this working tree.  Each seed is one pair: BENCHMARK.json's
 command for its run_seconds with --trace 0 on both sides, the parent first
 at even pair index and the change first at odd.  The result line of every run (the last line of its
 standard output) goes into the output file with the fields what, parent,
-command, host, order, runs and, if --bit-identity names a JSON file,
-bit_identity.  A summary of each metric's medians and of the pairs the
-change won is printed, with two verdicts per metric:
+command, host, order, runs, summary and, if --bit-identity names a JSON
+file, bit_identity.  The summary, also printed, gives each metric's
+medians and the pairs the change won, with two verdicts per metric:
 
 - claim holds: the change won at least 9 in 10 of at least 10 pairs
   (a tie counts for neither side), and its median beats the parent's by
@@ -143,6 +143,7 @@ def main(argv=None):
                 "commit, the change from the working tree",
         "order": f"alternating: parent first at even pair index, change first at odd; {batches}",
         "runs": runs,
+        "summary": summarize(runs).splitlines(),
     }
     if args.bit_identity:
         with open(args.bit_identity, encoding="utf-8") as fh:

@@ -82,13 +82,13 @@ _THREAD_MIN_SLOTS = 1 << 15
 _budget = threading.local()
 
 
-# Passes over an (n, k) neighbour graph work in row blocks of about this
-# many slots, so their temporaries stay a few MB however large the graph
-# grows.  Measured times in ms of the detector's graph / "auto" constants /
-# reverse counts on a 2-core host (the mixture at d = 1, N = 9,000 and
-# K + 1 = 327, median of 15):
-#   unblocked 137 / 60 / 26;  2^12 113 / 52 / 20;  2^14 101 / 47 / 17;
-#   2^15 99 / 47 / 16;  2^16 104 / 49 / 17;  2^18 114 / 51 / 18
+# Passes over an (n, k) neighbour list work in row blocks of about this
+# many slots, so their temporaries stay a few MB however large the list
+# grows.  Measured times in ms of the detector's self-query /
+# the "auto" constants on a 2-core host (the mixture at d = 1, N = 9,000
+# and K + 1 = 327, median of 15):
+#   unblocked 137 / 60;  2^12 113 / 52;  2^14 101 / 47;
+#   2^15 99 / 47;  2^16 104 / 49;  2^18 114 / 51
 _BLOCK_SLOTS = 1 << 15
 
 # A self-query (_self_query) runs one knn_query per row block of about
