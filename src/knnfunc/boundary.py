@@ -7,19 +7,20 @@ estimator's).  A point is labeled boundary when its count falls below
 (1 - q(K,N))*K; every boundary point is mapped to its nearest interior
 point so the density layer can extrapolate.
 
-One detection makes one (K+1)-NN self-query of the evaluation set, by
-one knn_query per row block (knn._self_query), and stores no graph: each
-block adds its reverse counts and keeps the first min(K + 1, _HEAD)
-indices of each row, as int32, where a boundary point finds its nearest
-interior point.  Only a boundary point with no interior point in that
-head needs a second index, over the interior points.  The "auto"
-constants read what the self-query keeps beside the head: the (K+1)-th
-radii when either constant is "auto", and for an "auto" L the whole
-graph and the edge lengths that become the N*K edge ratios.  With
-numeric constants q is known before the self-query, and when q >= 1 the
-threshold is <= 0, every point is interior and no index is built.  The
-detector's working memory is one block of the self-query beside the
-head, plus the graph and edge ratios when L is "auto".
+One detection resolves q first.  Numeric constants give it directly;
+"auto" ones are estimated from the evaluation set (_resolve_auto): eps0
+from the (K+1)-th radii of one k-th-distance search, and L from the N*K
+edge ratios, filled a row block of knn_query at a time.  When q >= 1 the
+threshold is <= 0, every point is interior and no reverse count is
+taken; with numeric constants no index is built either.  Otherwise one
+(K+1)-NN self-query of the evaluation set (knn._self_query) adds the
+reverse counts a row block at a time and keeps the first min(K + 1,
+_HEAD) indices of each row, as int32, where a boundary point finds its
+nearest interior point.  Only a boundary point with no interior point in
+that head needs a second index, over the interior points.  The
+detector's working memory is the head and one block of the self-query,
+or, while an "auto" L is estimated, the N*K edge ratios (8 bytes each)
+and one block of about knn._BLOCK_SLOTS slots.
 
 The threshold ``q`` has two parts: a Lipschitz/density term
 (L/eps0)*(K/(c_d*N*eps0))^(1/d) and a concentration term
@@ -36,7 +37,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .knn import _row_blocks, _self_query, build_index, knn_query, unit_ball_volume
+from .knn import _kth_distances, _row_blocks, _self_query, build_index, knn_query, unit_ball_volume
 
 __all__ = ["BoundaryConfig", "BoundaryLabels", "q_threshold", "p_k", "detect_boundary"]
 
@@ -117,30 +118,34 @@ def p_k(k: int, delta: float) -> float:
     return math.sqrt(6.0) / k ** (delta / 2.0)
 
 
-def _resolve_auto(graph, radii, edges, K, d, config):
-    """Estimate (L, eps0) from the evaluation sample when set to "auto".
+def _resolve_auto(index, points, K, config):
+    """(L, eps0) of the config, each estimated from the N evaluation
+    points when it is "auto"; index is built on the points.
 
-    radii are the N evaluation points' (K+1)-th distances within the set;
-    graph and edges, needed only for an "auto" L, are the indices and edge
-    lengths of their K + 1 nearest, as _self_query keeps and fills them.
     eps0: 10th percentile of standard K-NN density estimates computed
-    within the evaluation set (self excluded).  L: 95th percentile of
-    |f_i - f_j| / ||X_i - X_j|| over the K-NN graph edges, computed in
-    place of the edge lengths.
+    within the evaluation set (self excluded), from each point's (K+1)-th
+    distance.  L: 95th percentile of |f_i - f_j| / ||X_i - X_j|| over the
+    edges from each point to its K nearest past itself, whose N*K ratios
+    are filled a row block of knn_query at a time.
     """
-    N = len(radii)
-    radii = np.maximum(radii, 1e-300)
+    N, d = points.shape
+    radii = np.maximum(_kth_distances(index, points, (K + 1,))[:, 0], 1e-300)
     cd = unit_ball_volume(d)
     dens = K / ((N - 1) * cd * radii**d)
     eps0 = float(config.eps0) if config.eps0 != "auto" else float(np.percentile(dens, 10.0))
-    if edges is None:
+    if config.lipschitz_L != "auto":
         return float(config.lipschitz_L), eps0
-    for rows in _row_blocks(N, K):
-        r = dens.take(graph[rows, 1:])
+    ratios = np.empty((N, K))
+    for rows in _row_blocks(N, K + 1):
+        res = knn_query(index, points[rows], K + 1)
+        edges = res.distances[:, 1:]
+        np.maximum(edges, 1e-300, out=edges)
+        r = dens.take(res.indices[:, 1:])
         r -= dens[rows, None]
         np.abs(r, out=r)
-        np.divide(r, edges[rows], out=edges[rows])
-    return float(np.percentile(edges, 95.0, overwrite_input=True)), eps0
+        np.divide(r, edges, out=ratios[rows])
+        del res, edges, r  # before the next block's query
+    return float(np.percentile(ratios, 95.0, overwrite_input=True)), eps0
 
 
 def q_threshold(K: int, N: int, k: int, d: int, config: BoundaryConfig,
@@ -173,9 +178,9 @@ def q_threshold(K: int, N: int, k: int, d: int, config: BoundaryConfig,
 def detect_boundary(eval_points, k: int, M: int, config: BoundaryConfig = BoundaryConfig()) -> BoundaryLabels:
     """Label evaluation points interior/boundary via reverse K-NN counts.
 
-    K = max(1, floor(k*N/M)).  Raises if every point ends up boundary (no
-    interior source for extrapolation) or if the inputs are degenerate
-    (all points identical, or one not finite).
+    K = max(1, floor(k*N/M)), with M >= 1 the reference count.  Raises if
+    every point ends up boundary (no interior source for extrapolation) or
+    if the inputs are degenerate (all points identical, or one not finite).
     """
     eval_points = np.asarray(eval_points, dtype=np.float64)
     if eval_points.ndim != 2:
@@ -187,6 +192,8 @@ def detect_boundary(eval_points, k: int, M: int, config: BoundaryConfig = Bounda
         raise ValueError("need at least 2 evaluation points")
     if k < 3:
         raise ValueError("k must be >= 3")
+    if M < 1:
+        raise ValueError(f"M must be >= 1, got {M}")
     K = max(1, int(k * N / M))
     if K >= N:
         raise ValueError(f"K={K} must be < N={N}; adjust k or the split")
@@ -195,22 +202,15 @@ def detect_boundary(eval_points, k: int, M: int, config: BoundaryConfig = Bounda
     if not np.all(np.isfinite(eval_points)):
         raise ValueError("evaluation points must be finite")
     auto = "auto" in (config.lipschitz_L, config.eps0)
-    if not auto:
-        q = q_threshold(K, N, k, d, config)
-        if q >= 1.0:
-            # threshold <= 0 <= every count: all interior, no graph needed
-            none = np.empty(0, dtype=np.intp)
-            return BoundaryLabels(interior=np.arange(N), boundary=none, nearest_interior=none,
-                                  threshold_used=float((1.0 - q) * K), K_used=K, q_used=float(q))
-    # an "auto" L reads every edge of the graph, so only then is it kept
-    # whole, with the edge ratios beside it
-    edges = np.empty((N, K)) if config.lipschitz_L == "auto" else None
-    keep = K + 1 if edges is not None else min(K + 1, _HEAD)
-    counts, head, radii = _self_query(build_index(eval_points), K + 1, keep, auto, edges)
-    if auto:
-        L, e0 = _resolve_auto(head, radii, edges, K, d, config)
-        del radii, edges
-        q = q_threshold(K, N, k, d, config, lipschitz_L=L, eps0=e0)
+    index = build_index(eval_points) if auto else None
+    constants = _resolve_auto(index, eval_points, K, config) if auto else (None, None)
+    q = q_threshold(K, N, k, d, config, *constants)
+    if q >= 1.0:
+        # threshold <= 0 <= every count: all interior, no reverse counts needed
+        none = np.empty(0, dtype=np.intp)
+        return BoundaryLabels(interior=np.arange(N), boundary=none, nearest_interior=none,
+                              threshold_used=float((1.0 - q) * K), K_used=K, q_used=float(q))
+    counts, head = _self_query(index or build_index(eval_points), K + 1, min(K + 1, _HEAD))
     threshold = (1.0 - q) * K
     interior_mask = counts >= threshold
     interior = np.where(interior_mask)[0]
@@ -221,13 +221,10 @@ def detect_boundary(eval_points, k: int, M: int, config: BoundaryConfig = Bounda
     # index) order, so its first interior entry is the nearest interior
     # point; only rows with no interior entry need a tree over the interior
     # points, whose (distance, index)-nearest is the same point
-    picks = np.empty(boundary.size, dtype=np.intp)
-    lonely = np.empty(boundary.size, dtype=bool)
-    for part in _row_blocks(boundary.size, keep):
-        rows = head[boundary[part]]
-        hits = interior_mask[rows]
-        picks[part] = rows[np.arange(len(rows)), hits.argmax(axis=1)]
-        lonely[part] = ~hits.any(axis=1)
+    rows = head[boundary]
+    hits = interior_mask[rows]
+    picks = rows[np.arange(boundary.size), hits.argmax(axis=1)].astype(np.intp)
+    lonely = ~hits.any(axis=1)
     if lonely.any():
         res = knn_query(build_index(eval_points[interior]), eval_points[boundary[lonely]], 1)
         picks[lonely] = interior[res.indices[:, 0]]

@@ -224,8 +224,10 @@ def rate_fit(sizes, errors):
     errors = np.asarray(errors, dtype=np.float64)
     if sizes.size < 3:
         raise ValueError("need at least 3 points")
-    if np.any(errors <= 0):
-        raise ValueError("errors must be positive")
+    if not np.all(np.isfinite(sizes) & (sizes > 0)):
+        raise ValueError("sizes must be finite and positive")
+    if not np.all(np.isfinite(errors) & (errors > 0)):
+        raise ValueError("errors must be finite and positive")
     x = np.log(sizes)
     y = np.log(errors)
     slope, intercept = np.polyfit(x, y, 1)

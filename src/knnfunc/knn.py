@@ -37,9 +37,9 @@ its choices changes a result:
 - a self-query (_self_query), such as the boundary detector's, is one
   knn_query per row block of stored rows, read as views, in storage
   order.  Each block adds its reverse counts and keeps the first columns
-  of its rows that the caller asks for, as int32 indices, and, if asked,
-  its k-th radii and floored edge lengths; the rest is dropped before the
-  next block, so no (N, k) graph is stored unless every column is kept.
+  of its rows that the caller asks for, as int32 indices; the rest is
+  dropped before the next block, so no (N, k) graph is stored unless
+  every column is kept.
 """
 
 import math
@@ -83,12 +83,11 @@ _budget = threading.local()
 
 
 # Passes over an (n, k) neighbour list work in row blocks of about this
-# many slots, so their temporaries stay a few MB however large the list
-# grows.  Measured times in ms of the detector's self-query /
-# the "auto" constants on a 2-core host (the mixture at d = 1, N = 9,000
-# and K + 1 = 327, median of 15):
-#   unblocked 137 / 60;  2^12 113 / 52;  2^14 101 / 47;
-#   2^15 99 / 47;  2^16 104 / 49;  2^18 114 / 51
+# many slots (_row_blocks), so their temporaries stay a few MB however
+# large the list grows.  Measured times in ms of _window_neighbors, which
+# makes the d = 1 lists, on a 2-core host (the mixture's evaluation set at
+# d = 1, N = 9,000 and K + 1 = 327, median of 15):
+#   unblocked 140;  2^12 77;  2^14 70;  2^15 70;  2^16 74;  2^18 90
 _BLOCK_SLOTS = 1 << 15
 
 # A self-query (_self_query) runs one knn_query per row block of about
@@ -476,38 +475,25 @@ def count_reverse_neighbors(points, K: int) -> np.ndarray:
     return _self_query(build_index(points), K + 1)[0]
 
 
-def _self_query(index: NeighborIndex, k: int, keep: int = 0, radii: bool = False,
-                edges=None):
-    """(counts, head, kth): one k-NN self-query of the index's own N
-    points, by one knn_query per row block of about _GRAPH_BLOCK_SLOTS
-    slots, the blocks taken in storage order and their queries read as
-    views of the stored rows.
+def _self_query(index: NeighborIndex, k: int, keep: int = 0):
+    """(counts, head): one k-NN self-query of the index's own N points, by
+    one knn_query per row block of about _GRAPH_BLOCK_SLOTS slots, the
+    blocks taken in storage order and their queries read as views of the
+    stored rows.
 
     counts are the reverse (k - 1)-NN counts, self excluded; head holds
     the first keep int32 indices of each point's row in (distance, index)
-    order; kth, if radii is set, each point's k-th distance (else None).
-    An (N, k - 1) edges array, if given, gets each point's distances past
-    itself, floored at 1e-300.  The rest of a block is dropped before the
-    next block's query.
+    order.  The rest of a block is dropped before the next block's query.
     """
     N = index.size
     if N > np.iinfo(np.int32).max:
         raise ValueError("a self-query graph holds fewer than 2^31 points")
     counts = np.zeros(N, dtype=np.int64)
     head = np.empty((N, keep), dtype=np.int32)
-    kth = np.empty(N) if radii else None
     for rows in _row_blocks(N, k, min_slots=_GRAPH_BLOCK_SLOTS):
         src = np.arange(rows.start, rows.stop) if index._order is None else index._order[rows]
-        res = knn_query(index, index._stored_rows(rows), k)
-        dist, nbrs = res.distances, res.indices
-        del res
+        nbrs = knn_query(index, index._stored_rows(rows), k).indices
         head[src] = nbrs[:, :keep]
-        if kth is not None:
-            kth[src] = dist[:, -1]
-        if edges is not None:
-            past = dist[:, 1:]
-            edges[src] = np.maximum(past, 1e-300, out=past)
-        del dist  # before the counts' temporaries
         is_self = nbrs == src[:, None]
         # a row whose own point was displaced from its k list by duplicates
         # has k non-self entries, so its farthest is dropped instead
@@ -516,4 +502,4 @@ def _self_query(index: NeighborIndex, k: int, keep: int = 0, radii: bool = False
         counted[displaced, -1] = False
         counts += np.bincount(nbrs[counted], minlength=N)
         del nbrs, is_self, counted  # before the next block's query
-    return counts, head, kth
+    return counts, head

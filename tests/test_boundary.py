@@ -195,6 +195,11 @@ def test_degenerate_inputs():
         detect_boundary(bad, 5, 100, BoundaryConfig(lipschitz_L=0.0, eps0=1.0))
     with pytest.raises(ValueError, match=r"an \(N, d\) matrix; got shape \(50,\)"):
         detect_boundary(bad[:, 0], 5, 100, cfg)
+    # M < 1 is refused before K = k*N/M is computed
+    live = BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0=1.0, pk_scale=0.3)
+    for M in (0, -5):
+        with pytest.raises(ValueError, match=rf"M must be >= 1, got {M}"):
+            detect_boundary(np.random.default_rng(41).random((200, 2)), 5, M, live)
 
 
 def test_default_config_is_verbatim_and_inert_at_desk_scale():
@@ -321,9 +326,9 @@ def test_row_blocks_do_not_change_counts_or_labels(monkeypatch):
 
 
 def test_detection_memory_is_graph_and_ratios(traced_peak):
-    # the detector holds its (K+1)-NN graph as int32 indices and, with
-    # L = "auto", the N*K edge ratios; beside them it holds one block of the
-    # graph's query (16 bytes a slot), also when many points are boundary
+    # the detector holds at most an int32 (K+1)-NN graph and, with
+    # L = "auto", the N*K edge ratios, beside one block of a query (16
+    # bytes a slot), also when many points are boundary
     # (pk_scale = 0 puts the threshold at K); d = 1 takes the window path,
     # d = 3 the tree, where an "auto" eps0 would put q above 1
     block = 16 * knnfunc.knn._GRAPH_BLOCK_SLOTS
@@ -342,6 +347,23 @@ def test_detection_memory_is_graph_and_ratios(traced_peak):
             assert labels.K_used == K and labels.q_used < 1.0
             assert peak <= 1.3 * budget, (pts.shape, cfg, peak)
         assert labels.n_boundary > len(pts) // 5
+
+
+def test_auto_L_detection_memory_is_the_ratios_at_d1(traced_peak):
+    # an "auto" L keeps the N*K edge ratios (8 bytes each), and fills them
+    # a row block of about _BLOCK_SLOTS slots at a time: the block's
+    # distances, indices and density differences, 24 bytes a slot.  With the
+    # int32 head of the self-query that follows, that is the budget; an
+    # N*(K+1) int32 graph beside the ratios would not fit
+    N, K = 6000, 600
+    pts = np.random.default_rng(40).random((N, 1))
+    cfg = BoundaryConfig(delta=0.9, lipschitz_L="auto", eps0=4.0, pk_scale=0.1)
+    labels, peak = traced_peak(lambda: detect_boundary(pts, K, N, cfg))
+    assert labels.K_used == K and labels.q_used < 1.0 and labels.n_boundary > 0
+    ratios, head = 8 * N * K, 4 * N * knnfunc.boundary._HEAD
+    block = 24 * knnfunc.knn._BLOCK_SLOTS
+    assert peak <= 1.15 * (ratios + head + block), peak
+    assert 1.15 * (ratios + head + block) < ratios + 4 * N * (K + 1)
 
 
 def test_detection_memory_does_not_grow_with_K_at_d1(traced_peak):
@@ -404,14 +426,36 @@ def _count_graph_calls(monkeypatch, points, k, M, cfg):
 
 
 def test_degenerate_configs_build_one_evaluation_graph(monkeypatch):
-    # "auto" constants need the evaluation set's self-query to find q >= 1;
-    # numeric ones give q before any index is built, and no graph follows
+    # "auto" constants need an index over the evaluation set, and an "auto"
+    # L one knn_query pass over its points, to find q >= 1; numeric ones
+    # give q before any index is built, and no graph follows
     pts = np.random.default_rng(33).random((500, 3))
     for cfg, graphs in ((BoundaryConfig(), 1),
                         (BoundaryConfig(delta=0.8, lipschitz_L=0.0, eps0=1.0, pk_scale=1.0), 0)):
         calls, labels = _count_graph_calls(monkeypatch, pts, 20, 1000, cfg)
         assert labels.q_used >= 1.0 and labels.n_boundary == 0, cfg
         assert calls == {"build_index": graphs, "knn_query": graphs, "self_queries": graphs}, cfg
+
+
+def test_degenerate_default_config_takes_no_reverse_counts(monkeypatch):
+    # BoundaryConfig() resolves its "auto" constants, finds q >= 1 and
+    # returns before the self-query that counts reverse neighbours; a live
+    # config makes that one self-query
+    calls = []
+    real = knnfunc.boundary._self_query
+
+    def self_query(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(knnfunc.boundary, "_self_query", self_query)
+    pts = np.random.default_rng(33).random((500, 3))
+    with pytest.warns(RuntimeWarning, match="degenerates"):
+        labels = detect_boundary(pts, 20, 1000, BoundaryConfig())
+    assert labels.q_used >= 1.0 and labels.n_boundary == 0 and calls == []
+    live = BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0="auto", pk_scale=0.1)
+    assert detect_boundary(pts, 20, 1000, live).n_boundary > 0
+    assert calls == [(11, 11)]
 
 
 def test_default_config_builds_no_evaluation_graph(monkeypatch, tmp_path):

@@ -337,3 +337,10 @@ def test_rate_fit():
         rate_fit(sizes, [1, -1, 1, 1])
     with pytest.raises(ValueError):
         rate_fit([10, 20], [1, 2])
+    # the logs of the fit need finite positive sizes and errors
+    for bad in ([0, 10, 100], [-1, 10, 100], [np.inf, 10, 100], [np.nan, 10, 100]):
+        with pytest.raises(ValueError, match="sizes must be finite and positive"):
+            rate_fit(bad, [1, 0.5, 0.2])
+    for bad in ([np.nan, 0.5, 0.2], [np.inf, 0.5, 0.2]):
+        with pytest.raises(ValueError, match="errors must be finite and positive"):
+            rate_fit([1, 10, 100], bad)

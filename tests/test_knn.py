@@ -308,7 +308,8 @@ def test_zorder_results_equal_input_order_results(monkeypatch):
                 assert (idx._order is not None) == (gate == 0)
                 got = [_outcome(call, idx, queries, k)
                        for call in (knn_query, knn_radii) for k in (1, 7)]
-                got.append(_outcome(knnfunc.knn._self_query, idx, 8, 8, True))
+                got.append(_outcome(knnfunc.knn._self_query, idx, 8, 8))
+                got.append(_outcome(knn_radii, idx, pts, 8))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 got.append(_outcome(detect_boundary, pts, 20, 2 * len(pts), cfg))
