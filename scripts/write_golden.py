@@ -29,13 +29,18 @@ import knnfunc.knn
 from knnfunc import (
     BoundaryConfig,
     Dataset,
+    Factorization,
     TheoryConstants,
     TrialSpec,
+    anomaly_scan,
+    beta_uniform_mixture_density,
     bpi_estimate,
     bpi_estimate_bc,
     build_index,
     count_reverse_neighbors,
+    compare_models,
     detect_boundary,
+    estimate_dimension,
     knn_density,
     knn_query,
     knn_radii,
@@ -46,8 +51,10 @@ from knnfunc import (
     renyi_functional,
     sample_beta_uniform_mixture,
     sample_block_beta_mixture,
+    sample_projected_manifold,
     shannon_functional,
     split,
+    true_functional,
 )
 from knnfunc.cli import run
 
@@ -244,9 +251,44 @@ def monte_carlo_cases(out):
         _record(out, f"monte_carlo/{name}", call)
 
 
+def truth_dimension_structure_cases(out):
+    """true_functional for Shannon and Renyi(0.5) on the mixture, both
+    estimate_dimension variants and anomaly_scan on a 2-d manifold in 3-d,
+    and compare_models on the block mixture, with and without a detector,
+    in both argument orders."""
+    density = beta_uniform_mixture_density(3, 4.0, 4.0, 0.2)
+    for name, call in (("shannon", lambda: true_functional(density, "shannon", 10_000, 8)),
+                       ("renyi0.5", lambda: true_functional(density, "renyi", 10_000, 8,
+                                                            alpha=0.5))):
+        _record(out, f"truth/{name}", lambda: {"": np.array(call())})
+    data = sample_projected_manifold(2000, 2, 3, 9)
+    for variant in ("independent", "correlated"):
+        _record(out, f"dimension/{variant}", lambda: {"": _dimension(
+            estimate_dimension(data, 15, variant=variant, seed=9))})
+    series = sample_projected_manifold(1200, 2, 4, 10)
+    _record(out, "dimension/anomaly_scan", lambda: {"": np.array(
+        [[start, *_dimension(est)] if est is not None else [start, np.nan, 0, 0, 0]
+         for start, est in anomaly_scan(series, 320, 40, 5, seed=10)])})
+    blocks = sample_block_beta_mixture(4000, [2, 1, 1], 12)
+    models = (Factorization(((0, 1), (2,), (3,)), "true"),
+              Factorization(((0,), (1, 2), (3,)), "false"))
+    for cname in ("none", "sweep"):
+        for order, (m_n, m_l) in (("nl", models), ("ln", models[::-1])):
+            def call(m_n=m_n, m_l=m_l, config=CONFIGS[cname]):
+                c = compare_models(blocks, m_n, m_l, 12, budget=3600, config=config, seed=12)
+                return {"statistic": np.array([c.statistic]),
+                        "labels": f"{c.decision},{c.model_n},{c.model_l}".encode()}
+            _record(out, f"structure/{cname}/{order}", call)
+    _record(out, "structure/infeasible", lambda: compare_models(blocks, *models, 12, budget=40))
+
+
+def _dimension(est):
+    return np.array([est.d_hat, est.d_rounded, est.alpha_hat, est.variance_estimate])
+
+
 def cli_cases(out, workdir):
-    """The bytes the density, entropy, renyi, mi, tune and experiment
-    commands write."""
+    """The bytes the density, entropy, renyi, mi, tune, experiment,
+    dimension and structure commands write."""
     workdir = Path(workdir)
     mix, blocks = workdir / "mix.csv", workdir / "blocks.csv"
     assert run(["generate", "--dist", "beta-uniform", "--T", "3000", "--d", "3",
@@ -264,6 +306,11 @@ def cli_cases(out, workdir):
                       "mode": "oracle"},
     }))
     trials = workdir / "trials.csv"
+    mani, models = workdir / "mani.csv", workdir / "models.json"
+    assert run(["generate", "--dist", "manifold", "--T", "2000", "--intrinsic-d", "2",
+                "--ambient-D", "3", "--seed", "8", "-o", str(mani)]) == 0
+    models.write_text(json.dumps({"models": {"a": [[0, 1], [2], [3]], "b": [[0], [1, 2], [3]],
+                                             "c": [[0, 1, 2, 3]]}}))
     commands = {
         "density": ["density", "--input", str(mix), "--seed", "3"],
         "density-detector": ["density", "--input", str(mix), "--seed", "3", *DETECTOR_FLAGS],
@@ -278,6 +325,13 @@ def cli_cases(out, workdir):
                  "--n-mc", "100000", "--seed", "7"],
         "experiment": ["experiment", "--spec", str(spec), "--trials", "5",
                        "--trials-csv", str(trials)],
+        "dimension": ["dimension", "--input", str(mani), "--k1", "15", "--seed", "8"],
+        "dimension-independent": ["dimension", "--input", str(mani), "--k1", "15",
+                                  "--variant", "independent", "--seed", "8"],
+        "structure": ["structure", "--input", str(blocks), "--models", str(models),
+                      "--k", "12", "--seed", "9"],
+        "structure-detector": ["structure", "--input", str(blocks), "--models", str(models),
+                               "--k", "12", "--seed", "9", *DETECTOR_FLAGS],
     }
     for name, argv in commands.items():
         path = workdir / f"{name}.out"
@@ -294,6 +348,7 @@ def panel(workdir):
     wide_detector_cases(out)
     error_cases(out)
     monte_carlo_cases(out)
+    truth_dimension_structure_cases(out)
     cli_cases(out, workdir)
     return out
 
