@@ -12,6 +12,7 @@ import numpy as np
 from knnfunc import (
     beta_uniform_mixture_density,
     constants_oracle,
+    renyi_functional,
     shannon_functional,
     true_functional,
 )
@@ -25,11 +26,11 @@ CONSTANT_BATCHES = 10  # the oracle constants' standard error is the spread
 BATCH_DRAWS = 100_000  # between independently seeded batches
 
 
-def functional_truth(functional_id, alpha=None):
-    """E[g(f(X))] for "shannon" (the entropy H) or "renyi" (I_alpha)."""
-    value, se = true_functional(DENSITY, functional_id, FUNCTIONAL_DRAWS, SEED,
-                                alpha=alpha)
-    name = "H" if functional_id == "shannon" else f"I_{alpha}"
+def functional_truth(alpha=None):
+    """E[g(f(X))]: the entropy H, or with alpha the Renyi integral I_alpha."""
+    functional = shannon_functional() if alpha is None else renyi_functional(alpha)
+    value, se = true_functional(DENSITY, functional, FUNCTIONAL_DRAWS, SEED)
+    name = "H" if alpha is None else f"I_{alpha}"
     print(f"truth {name} = {value:.5f} +- {se:.5f}")
     return value
 

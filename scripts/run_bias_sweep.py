@@ -23,7 +23,7 @@ def main():
     ap.add_argument("--output", default="bias_sweep.csv")
     args = ap.parse_args()
 
-    truth = functional_truth("shannon")
+    truth = functional_truth()
     c1, c2 = shannon_constants("c1", "c2")
     cfg = BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0=1.0, pk_scale=0.3)
     ks = list(range(5, 151, 5))

@@ -21,7 +21,7 @@ def main():
     ap.add_argument("--output", default="estimator_comparison.csv")
     args = ap.parse_args()
 
-    truth = functional_truth("renyi", alpha=0.5)
+    truth = functional_truth(alpha=0.5)
     cfg = BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0=1.0, pk_scale=0.15)
     Ts = [2500, 5000, 10_000, 20_000]
     mse_bc, mse_plain = [], []

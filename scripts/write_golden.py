@@ -257,10 +257,9 @@ def truth_dimension_structure_cases(out):
     and compare_models on the block mixture, with and without a detector,
     in both argument orders."""
     density = beta_uniform_mixture_density(3, 4.0, 4.0, 0.2)
-    for name, call in (("shannon", lambda: true_functional(density, "shannon", 10_000, 8)),
-                       ("renyi0.5", lambda: true_functional(density, "renyi", 10_000, 8,
-                                                            alpha=0.5))):
-        _record(out, f"truth/{name}", lambda: {"": np.array(call())})
+    for name, functional in (("shannon", shannon_functional()), ("renyi0.5", renyi_functional(0.5))):
+        _record(out, f"truth/{name}",
+                lambda: {"": np.array(true_functional(density, functional, 10_000, 8))})
     data = sample_projected_manifold(2000, 2, 3, 9)
     for variant in ("independent", "correlated"):
         _record(out, f"dimension/{variant}", lambda: {"": _dimension(

@@ -320,9 +320,9 @@ def cmd_structure(args):
     models, pairs = _load_models(args.models)
     data = _load(args)
     comparisons = [
-        compare_models(data, models[a], models[b], args.k, budget=args.budget,
-                       alpha_frac=args.alpha_frac, config=_boundary_config(args),
-                       seed=args.seed).to_dict()
+        dataclasses.asdict(compare_models(
+            data, models[a], models[b], args.k, budget=args.budget,
+            alpha_frac=args.alpha_frac, config=_boundary_config(args), seed=args.seed))
         for a, b in pairs
     ]
     _emit_seeded({"comparisons": comparisons}, args)

@@ -312,27 +312,20 @@ def uniform_density(dim: int) -> AnalyticDensity:
     return AnalyticDensity(dim=dim, pdf=pdf, sampler=sampler)
 
 
-def true_functional(
-    density: AnalyticDensity, functional_id: str, n_mc: int, seed: int, alpha=None
-):
-    """Monte Carlo truth for E[g(f(X))] under the analytic density.
-
-    functional_id is "shannon" (g = -log u) or "renyi" (g = u^(alpha-1),
-    the Renyi integral, not the entropy).  Returns (estimate, standard
+def true_functional(density: AnalyticDensity, functional, n_mc: int, seed: int):
+    """Monte Carlo truth for E[g(f(X))] under the analytic density, for a
+    functionals.Functional: with renyi_functional(alpha), g = u^(alpha-1)
+    gives the Renyi integral, not the entropy.  Returns (estimate, standard
     error) from n_mc draws.  The pdf is evaluated a block of rows at a
     time, which gives the same bits as one call on all of them.
     """
     if n_mc < 10_000:
         raise ValueError("n_mc must be at least 10^4")
-    if functional_id not in ("shannon", "renyi"):
-        raise ValueError(f"unknown functional_id {functional_id!r}")
-    if functional_id == "renyi" and (alpha is None or alpha == 1.0):
-        raise ValueError("renyi requires alpha != 1")
-    x = density.sample(n_mc, seed, "truth", functional_id)
+    x = density.sample(n_mc, seed, "truth", functional.id)
     f = np.empty(n_mc)
     for start in range(0, n_mc, _HESSIAN_BLOCK_ROWS):
         rows = slice(start, start + _HESSIAN_BLOCK_ROWS)
         f[rows] = density.pdf(x[rows])
     del x
-    vals = -np.log(f) if functional_id == "shannon" else f ** (alpha - 1.0)
+    vals = functional.g(f)
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(n_mc))

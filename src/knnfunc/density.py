@@ -65,7 +65,8 @@ def knn_density(
         # the query matrix is checked before the detector reads it
         queries = _as_queries(queries, index.dim)
         labels = detect_boundary(queries, k, index.size, config)
-    _check_k(index, k)
+    if not 3 <= k <= index.size:
+        raise ValueError(f"k={k} outside [3, {index.size}]")
     if labels is None:
         r = knn_radii(index, queries, k)
         _raise_on_zero_radius(queries, r == 0.0, k)
@@ -82,11 +83,6 @@ def knn_density(
     # to an interior one
     vals[labels.boundary] = vals[labels.nearest_interior]
     return DensityEstimates(values=vals, labels=labels)
-
-
-def _check_k(index: NeighborIndex, k: int):
-    if not 3 <= k <= index.size:
-        raise ValueError(f"k={k} outside [3, {index.size}]")
 
 
 def _from_radii(index: NeighborIndex, r: np.ndarray, k: int) -> np.ndarray:

@@ -41,10 +41,6 @@ class DimensionEstimate:
     variant: str  # "independent" | "correlated"
     variance_estimate: Optional[float] = None
 
-    def __post_init__(self):
-        if self.d_rounded < 1:
-            raise ValueError("rounded dimension must be >= 1")
-
 
 def _check_params(k1, k2, gamma, alpha_frac):
     """k2 (2*k1 when None) after checking the estimate's parameters."""

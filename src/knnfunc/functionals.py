@@ -168,19 +168,14 @@ def _plug_in(functional, dens, M):
     return float(np.mean(gv)), c4 / N + c5 / M, relabelled
 
 
-def _factors(functional, k, M):
-    """functional's (g1, g2) at (k, M).  They are exact moments for a ball
-    of locally constant density, which k = M, a ball holding every
-    reference, is not; so they are given only for k < M."""
+def _bias_corrected(functional, dens, k, M):
+    """_plug_in corrected by functional's (g1, g2) at (k, M): the estimate
+    (plain - g2) / g1 and the variance over g1^2.  The factors are exact
+    moments for a ball of locally constant density, which k = M, a ball
+    holding every reference, is not; so they are applied only for k < M."""
     if k >= M:
         raise ValueError(f"k={k} must be below M={M} for a bias-corrected estimate")
-    return functional.bias_factors(k, M)
-
-
-def _bias_corrected(functional, dens, M, factors):
-    """_plug_in corrected by factors = (g1, g2): the estimate (plain - g2) / g1
-    and the variance over g1^2."""
-    g1, g2 = factors
+    g1, g2 = functional.bias_factors(k, M)
     if g1 == 0:
         raise ValueError("bias factor g1 is zero")
     plain, variance, relabelled = _plug_in(functional, dens, M)
@@ -228,8 +223,7 @@ def bpi_estimate_bc(
             f"functional {functional.id!r} has no bias-correction factors"
         )
     dens = _density_values(data, split, k, config)
-    factors = _factors(functional, k, split.n_ref)
-    return _report(*_bias_corrected(functional, dens, split.n_ref, factors),
+    return _report(*_bias_corrected(functional, dens, k, split.n_ref),
                    k, split, "bpi_bias_corrected", ci_level)
 
 
@@ -241,19 +235,18 @@ def renyi_entropy(
     config: Optional[BoundaryConfig] = None,
     ci_level: Optional[float] = None,
 ) -> EstimateReport:
-    """Renyi entropy log(I_alpha) / (1 - alpha) from the corrected integral.
+    """Renyi entropy log(I_alpha) / (1 - alpha) from the bias-corrected
+    integral I_alpha of bpi_estimate_bc.
 
     Variance propagated by the delta method: Var(H) = Var(I) / ((1-alpha)*I)^2.
     """
-    functional = renyi_functional(alpha)
-    dens = _density_values(data, split, k, config)
-    factors = _factors(functional, k, split.n_ref)
-    integral, var, relabelled = _bias_corrected(functional, dens, split.n_ref, factors)
-    if integral <= 0:
-        raise ValueError(f"nonpositive Renyi integral estimate {integral}")
-    ent = math.log(integral) / (1.0 - alpha)
-    var = var / ((1.0 - alpha) * integral) ** 2
-    return _report(ent, var, relabelled, k, split, "bpi_bias_corrected", ci_level)
+    integral = bpi_estimate_bc(data, split, renyi_functional(alpha), k, config)
+    if integral.estimate <= 0:
+        raise ValueError(f"nonpositive Renyi integral estimate {integral.estimate}")
+    ent = math.log(integral.estimate) / (1.0 - alpha)
+    var = integral.variance_estimate / ((1.0 - alpha) * integral.estimate) ** 2
+    return _report(ent, var, integral.boundary_corrected, k, split, "bpi_bias_corrected",
+                   ci_level)
 
 
 def mutual_information(
@@ -287,10 +280,8 @@ def mutual_information(
         raise ValueError("x and y column blocks overlap")
     dens = [_density_values(Dataset(data.points[:, cols]), split, k, config)
             for cols in (x_cols, y_cols, x_cols + y_cols)]
-    shannon = shannon_functional()
-    factors = _factors(shannon, k, split.n_ref)
     (hx, _, rx), (hy, _, ry), (hxy, _, rxy) = (
-        _bias_corrected(shannon, f, split.n_ref, factors) for f in dens
+        _bias_corrected(shannon_functional(), f, k, split.n_ref) for f in dens
     )
     lx, ly, lxy = (np.log(f.values) for f in dens)
     ratio = lx + ly - lxy

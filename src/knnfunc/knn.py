@@ -191,8 +191,7 @@ class NeighborIndex:
 
     The points are stored once, in storage order: the Z-ordered copy a
     large tree is built on, the (value, index)-sorted column at d = 1, or
-    else a private input-order copy.  ``points`` gives them back in input
-    order, read-only.
+    else a private input-order copy.
     """
 
     def __init__(self, points: np.ndarray):
@@ -221,17 +220,6 @@ class NeighborIndex:
             stored = np.array(points, order="C")
         stored.setflags(write=False)
         self._tree = cKDTree(stored, leafsize=_LEAFSIZE)
-
-    @property
-    def points(self) -> np.ndarray:
-        """The (size, dim) points in input order, read-only; a new array
-        unless they are stored in input order."""
-        if self._order is None:
-            return self._tree.data
-        points = np.empty((self.size, self.dim))
-        points[self._order] = self._stored_rows(slice(None))
-        points.setflags(write=False)
-        return points
 
     def _stored_rows(self, rows: slice) -> np.ndarray:
         """A view of the stored rows rows as a (n, dim) matrix; stored row j

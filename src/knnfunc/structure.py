@@ -12,7 +12,7 @@ vector) match, which is what makes same-dimension comparisons far more
 reliable than cross-dimension ones.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -101,9 +101,6 @@ class ModelComparison:
     model_n: str
     model_l: str
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def compare_models(
     data: Dataset,
@@ -136,12 +133,9 @@ def compare_models(
     rng = make_rng(seed, "structure-slices", V, m_total)
     perm = rng.permutation(data.count)[:V]
     slices = [perm[j * size : (j + 1) * size] for j in range(m_total)]
-    ordered = sorted([model_n, model_l], key=lambda m: m.label)
-    assign = {}
-    pos = 0
-    for m in ordered:
-        assign[m.label] = slices[pos : pos + len(m.factors)]
-        pos += len(m.factors)
+    first, second = sorted([model_n, model_l], key=lambda m: m.label)
+    cut = len(first.factors)
+    assign = {first.label: slices[:cut], second.label: slices[cut:]}
     hc_n = cross_entropy_estimate(
         data, model_n, k, assign[model_n.label], alpha_frac, config, seed
     )

@@ -12,9 +12,11 @@ from knnfunc import (
     SampleSplit,
     beta_uniform_mixture_density,
     load_csv,
+    renyi_functional,
     sample_beta_uniform_mixture,
     sample_block_beta_mixture,
     sample_projected_manifold,
+    shannon_functional,
     split,
     true_functional,
     uniform_density,
@@ -330,19 +332,19 @@ def test_block_mixture_shape_and_bounds():
 
 def test_true_functional_uniform_shannon_zero():
     dens = uniform_density(3)
-    val, se = true_functional(dens, "shannon", 50_000, seed=1)
+    val, se = true_functional(dens, shannon_functional(), 50_000, seed=1)
     assert abs(val) <= max(3 * se, 1e-12)
 
 
 def test_true_functional_uniform_renyi_one():
     dens = uniform_density(3)
-    val, se = true_functional(dens, "renyi", 50_000, seed=2, alpha=0.5)
+    val, se = true_functional(dens, renyi_functional(0.5), 50_000, seed=2)
     assert abs(val - 1.0) <= max(3 * se, 1e-12)
 
 
 def test_true_functional_mixture_vs_quadrature():
     dens = beta_uniform_mixture_density(3, 4, 4, 0.2)
-    val, se = true_functional(dens, "shannon", 400_000, seed=3)
+    val, se = true_functional(dens, shannon_functional(), 400_000, seed=3)
     assert abs(val - oracles.H_SHANNON_MIX) < 4 * se
 
 
@@ -354,42 +356,22 @@ def test_true_functional_equals_one_pdf_call(functional_id, alpha):
     f = dens.pdf(dens.sample(n, 4, "truth", functional_id))
     vals = -np.log(f) if alpha is None else f ** (alpha - 1.0)
     want = (float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(n)))
-    assert true_functional(dens, functional_id, n, 4, alpha=alpha) == want
+    functional = shannon_functional() if alpha is None else renyi_functional(alpha)
+    assert true_functional(dens, functional, n, 4) == want
 
 
 def test_true_functional_memory_is_the_draws(traced_peak):
     # beside the draws: the pdf values and one block's temporaries
     dens = beta_uniform_mixture_density(3, 4, 4, 0.2)
     n = 200_000
-    _, peak = traced_peak(lambda: true_functional(dens, "shannon", n, 5))
+    _, peak = traced_peak(lambda: true_functional(dens, shannon_functional(), n, 5))
     assert peak <= 8 * n * 3 + 2 * 8 * n + (1 << 20)
 
 
 def test_true_functional_validation():
     dens = uniform_density(2)
-    with pytest.raises(ValueError):
-        true_functional(dens, "shannon", 100, seed=0)
-    with pytest.raises(ValueError):
-        true_functional(dens, "renyi", 20_000, seed=0, alpha=1.0)
-
-
-@pytest.mark.parametrize("functional_id,alpha,message", [
-    ("bogus", None, "unknown functional_id 'bogus'"),
-    ("renyi", None, "renyi requires alpha != 1"),
-    ("renyi", 1.0, "renyi requires alpha != 1"),
-])
-def test_true_functional_checks_its_arguments_before_drawing(functional_id, alpha, message):
-    # a bad functional id or alpha raises before a single point is drawn
-    draws = []
-
-    def sampler(n, rng):
-        draws.append(n)
-        return rng.random((n, 2))
-
-    dens = knnfunc.data.AnalyticDensity(2, uniform_density(2).pdf, sampler)
-    with pytest.raises(ValueError, match=message):
-        true_functional(dens, functional_id, 2_000_000, seed=0, alpha=alpha)
-    assert draws == []
+    with pytest.raises(ValueError, match="n_mc must be at least 10"):
+        true_functional(dens, shannon_functional(), 100, seed=0)
 
 
 def test_mixture_pdf_integrates_to_one():

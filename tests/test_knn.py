@@ -214,8 +214,9 @@ def test_1d_knn_query_memory_is_its_result(traced_peak):
     # the window lists are filled in row blocks: the peak is the result
     # plus a few MB, not several graph-sized temporaries
     rng = np.random.default_rng(19)
-    idx = build_index(rng.random((6000, 1)))
-    res, peak = traced_peak(lambda: knn_query(idx, idx.points, 400))
+    pts = rng.random((6000, 1))
+    idx = build_index(pts)
+    res, peak = traced_peak(lambda: knn_query(idx, pts, 400))
     assert peak <= 1.3 * (res.distances.nbytes + res.indices.nbytes)
 
 
@@ -225,15 +226,19 @@ def test_tied_knn_query_memory_is_its_result(traced_peak, d, values):
     # the (k+1)-th and is asked again ever wider: beside the result it holds
     # one widened row block, its distances and indices and their sort order
     rng = np.random.default_rng(20)
-    idx = build_index(rng.integers(0, values, (20000, d)).astype(float))
-    res, peak = traced_peak(lambda: knn_query(idx, idx.points, 50))
+    pts = rng.integers(0, values, (20000, d)).astype(float)
+    idx = build_index(pts)
+    res, peak = traced_peak(lambda: knn_query(idx, pts, 50))
     block = 24 * knnfunc.knn._GRAPH_BLOCK_SLOTS
     assert peak <= 1.3 * (res.distances.nbytes + res.indices.nbytes + block)
 
 
 def _tree_neighbors(index, x, k):
-    """The tree's answer in place of knnfunc.knn._window_neighbors."""
-    dist, idx = cKDTree(index.points).query(x[:, None], k=k)
+    """The tree's answer in place of knnfunc.knn._window_neighbors, on the
+    index's sorted column put back in input order."""
+    refs = np.empty((index.size, 1))
+    refs[index._order, 0] = index._sorted
+    dist, idx = cKDTree(refs).query(x[:, None], k=k)
     return dist.reshape(len(x), k), idx.reshape(len(x), k)
 
 
@@ -334,10 +339,11 @@ def test_index_leaves_the_callers_array_writeable(monkeypatch):
             warnings.simplefilter("ignore", RuntimeWarning)
             detect_boundary(z, 20, 800, BoundaryConfig())
         assert x.flags.writeable and y.flags.writeable and z.flags.writeable
-        assert not idx.points.flags.writeable
-        before = knn_query(idx, x[:5], 3)
+        assert not idx._stored_rows(slice(None)).flags.writeable
+        first = x[:5].copy()
+        before = knn_query(idx, first, 3)
         x[:] = 0.0  # the caller's edit leaves the index as it was
-        after = knn_query(idx, idx.points[:5], 3)
+        after = knn_query(idx, first, 3)
         assert np.array_equal(before.indices, after.indices)
 
 
@@ -394,8 +400,9 @@ def test_zstored_index_keeps_one_copy_of_its_points():
     assert idx._order is not None
     n, d = pts.shape
     assert kept <= 8 * n * d + 2 * 8 * n + 4096, kept
-    # the input-order points are still there, read-only, when asked for
-    assert np.array_equal(idx.points, pts) and not idx.points.flags.writeable
+    # the stored rows are the input rows in Z-order, read-only
+    stored = idx._stored_rows(slice(None))
+    assert np.array_equal(stored, pts[idx._order]) and not stored.flags.writeable
 
 
 @pytest.mark.parametrize("d", [1, 3])
