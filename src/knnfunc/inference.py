@@ -219,15 +219,21 @@ def normality_diagnostics(estimates):
 
 
 def rate_fit(sizes, errors):
-    """OLS fit of log(error) on log(size): (slope, intercept, r_squared)."""
+    """OLS fit of log(error) on log(size): (slope, intercept, r_squared).
+    Needs sizes and errors as 1-d sequences of one length, at least 3, and
+    two distinct sizes."""
     sizes = np.asarray(sizes, dtype=np.float64)
     errors = np.asarray(errors, dtype=np.float64)
+    if sizes.ndim != 1 or sizes.shape != errors.shape:
+        raise ValueError("sizes and errors must be 1-d and of one length")
     if sizes.size < 3:
         raise ValueError("need at least 3 points")
     if not np.all(np.isfinite(sizes) & (sizes > 0)):
         raise ValueError("sizes must be finite and positive")
     if not np.all(np.isfinite(errors) & (errors > 0)):
         raise ValueError("errors must be finite and positive")
+    if np.all(sizes == sizes[0]):
+        raise ValueError("sizes are all equal: the slope is undefined")
     x = np.log(sizes)
     y = np.log(errors)
     slope, intercept = np.polyfit(x, y, 1)

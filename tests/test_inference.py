@@ -344,3 +344,11 @@ def test_rate_fit():
     for bad in ([np.nan, 0.5, 0.2], [np.inf, 0.5, 0.2]):
         with pytest.raises(ValueError, match="errors must be finite and positive"):
             rate_fit([1, 10, 100], bad)
+    # equal sizes leave the slope undefined: polyfit would only warn
+    with pytest.raises(ValueError, match="sizes are all equal"):
+        rate_fit([5, 5, 5], [1, 2, 3])
+    # shapes that np.polyfit rejects with a TypeError
+    for s, e in (([[100, 200, 400]], [[1, 2, 3]]), ([100, 200, 400], [1, 2, 3, 4]),
+                 ([100, 200, 400], [[1, 2, 3]])):
+        with pytest.raises(ValueError, match="must be 1-d and of one length"):
+            rate_fit(s, e)
