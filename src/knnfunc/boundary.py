@@ -31,6 +31,7 @@ detector that actually fires at practical sample sizes.
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -65,7 +66,8 @@ class BoundaryConfig:
     pk_scale: multiplier on the 2*sqrt(6)/k^(delta/2) concentration term;
         1.0 is the literal threshold, smaller values make detection fire
         at moderate k.
-    Numeric values must be finite and nonnegative, and eps0 positive.
+    Each field must be a real number (or "auto" where allowed), finite and
+    nonnegative, and eps0 positive; ValueError names the first that is not.
     """
 
     delta: float = 0.8
@@ -74,18 +76,19 @@ class BoundaryConfig:
     pk_scale: float = 1.0
 
     def __post_init__(self):
-        if not (2.0 / 3.0 < self.delta < 1.0):
-            raise ValueError("delta must lie in (2/3, 1)")
-        for name in ("lipschitz_L", "eps0", "pk_scale"):
-            v = getattr(self, name)
-            if isinstance(v, str) and name != "pk_scale":
-                if v != "auto":
-                    raise ValueError(f"{name} must be a positive real or 'auto'")
-            elif not math.isfinite(v):
+        for name, v in vars(self).items():  # delta, lipschitz_L, eps0, pk_scale
+            auto = " or 'auto'" if name in ("lipschitz_L", "eps0") else ""
+            if auto and isinstance(v, str) and v == "auto":
+                continue
+            if not isinstance(v, numbers.Real):
+                raise ValueError(f"{name} must be a real number{auto}, got {v!r}")
+            if name == "delta" and not 2.0 / 3.0 < v < 1.0:
+                raise ValueError("delta must lie in (2/3, 1)")
+            if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v!r}")
-            elif name == "eps0" and v <= 0:  # q divides by it
+            if name == "eps0" and v <= 0:  # q divides by it
                 raise ValueError("eps0 must be positive")
-            elif v < 0:
+            if v < 0:
                 raise ValueError(f"{name} must be nonnegative")
 
 

@@ -75,6 +75,11 @@ def test_config_validation():
             BoundaryConfig(lipschitz_L=1.0, eps0=bad)
     with pytest.raises(ValueError, match="eps0 must be positive"):
         q_threshold(5, 100, 10, 2, BoundaryConfig(lipschitz_L=1.0, eps0=1.0), eps0=0.0)
+    # a non-numeric field is named, not left to a TypeError from math or <
+    for name, bad, allowed in (("delta", "0.9", ""), ("pk_scale", "0.3", ""),
+                               ("lipschitz_L", None, " or 'auto'"), ("eps0", [1.0], " or 'auto'")):
+        with pytest.raises(ValueError, match=f"^{name} must be a real number{allowed}, got"):
+            BoundaryConfig(**{name: bad})
 
 
 def _counts_and_threshold(points, k, M, cfg):

@@ -279,6 +279,20 @@ def test_experiment_spec_constants_are_theory_constants(tmp_path, capsys):
     assert "coverage" in _read_json(out)
 
 
+@pytest.mark.parametrize("field,value", [("pk_scale", "0.3"), ("delta", "0.9")])
+def test_experiment_spec_non_numeric_detector_field_is_named(tmp_path, capsys, field, value):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "generator": "uniform", "generator_params": {"d": 2}, "T": 600,
+        "alpha_frac": 0.7, "functional_id": "shannon",
+        "boundary_config": {"lipschitz_L": 0.0, "eps0": 1.0, field: value}}))
+    out = tmp_path / "never.json"
+    rc = run(["experiment", "--spec", str(spec), "--trials", "2", "-o", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {field} must be a real number, got {value!r}\n"
+    assert not out.exists()
+
+
 def test_experiment_spec_that_is_not_an_object_is_named(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text("[1, 2]")
