@@ -9,7 +9,9 @@ before any output file is touched; data and runtime errors exit 1.
 
 Estimators take the rate-matched k = M^(2/(2+d)) unless --k is given, and
 run the boundary detector only when --lipschitz and --eps0 are both
-given; without them they plug in the standard k-NN density.
+given; without them they plug in the standard k-NN density.  A flag that
+the chosen generate --dist, or tune --density and --functional, does not
+read is a usage error.
 """
 
 import argparse
@@ -22,12 +24,17 @@ import numpy as np
 
 SCHEMA_VERSION = 1
 
-# generate --dist: the generate_dataset name, and the flags its params come from
+# generate --dist: the generate_dataset name, and the flags its params come
+# from; tune --density reads the same flags of its two choices
 DISTRIBUTIONS = {
     "beta-uniform": ("beta_uniform_mixture", ("d", "a", "b", "eps")),
     "uniform": ("uniform", ("d",)),
     "manifold": ("projected_manifold", ("intrinsic_d", "ambient_D")),
 }
+# the defaults of the flags that only some --dist, --density or --functional
+# choices read; a given flag stays None until _check_flags knows it is read
+CHOICE_DEFAULTS = {"d": 3, "a": 4.0, "b": 4.0, "eps": 0.2, "intrinsic_d": 2, "ambient_D": 3,
+                   "alpha": 0.5}
 
 
 def _boundary_config(args):
@@ -44,13 +51,27 @@ def _boundary_config(args):
     )
 
 
-def _check_detector_flags(parser, args):
-    """--lipschitz and --eps0 come together, and --delta and --pk-scale
-    tune the detector they turn on."""
-    if (args.lipschitz is None) != (args.eps0 is None):
-        parser.error("--lipschitz and --eps0 must be given together")
-    if args.lipschitz is None and (args.delta is not None or args.pk_scale is not None):
-        parser.error("--delta and --pk-scale need --lipschitz and --eps0")
+def _check_flags(parser, args):
+    """The usage rules argparse cannot state.  --lipschitz and --eps0 come
+    together, and --delta and --pk-scale tune the detector they turn on.
+    A flag that the chosen generate --dist, or tune --density and
+    --functional, does not read is not given; one it reads that is not
+    given takes its default from CHOICE_DEFAULTS."""
+    if hasattr(args, "lipschitz"):
+        if (args.lipschitz is None) != (args.eps0 is None):
+            parser.error("--lipschitz and --eps0 must be given together")
+        if args.lipschitz is None and (args.delta is not None or args.pk_scale is not None):
+            parser.error("--delta and --pk-scale need --lipschitz and --eps0")
+    if args.command in ("generate", "tune"):
+        chosen = (f"--dist {args.dist}" if args.command == "generate"
+                  else f"--density {args.density} --functional {args.functional}")
+        reads = DISTRIBUTIONS[vars(args).get("dist") or args.density][1]
+        reads += ("alpha",) if vars(args).get("functional") == "renyi" else ()
+        for name, default in CHOICE_DEFAULTS.items():
+            if getattr(args, name, default) is None:
+                setattr(args, name, default)
+            elif name in vars(args) and name not in reads:
+                parser.error(f"--{name.replace('_', '-')} is not read by {chosen}")
 
 
 def _columns(text):
@@ -92,11 +113,12 @@ _add_ci_level = _flag("--ci-level", type=float, default=0.95)
 
 
 def _add_mixture(p):
-    """The dimension, and the Beta-uniform mixture's a, b and eps."""
-    p.add_argument("--d", type=int, default=3)
-    p.add_argument("--a", type=float, default=4.0)
-    p.add_argument("--b", type=float, default=4.0)
-    p.add_argument("--eps", type=float, default=0.2)
+    """The dimension, and the Beta-uniform mixture's a, b and eps, with
+    their defaults in CHOICE_DEFAULTS."""
+    p.add_argument("--d", type=int)
+    p.add_argument("--a", type=float)
+    p.add_argument("--b", type=float)
+    p.add_argument("--eps", type=float)
 
 
 def _add_dimension(p, k1):
@@ -213,10 +235,8 @@ def cmd_tune(args):
     from .functionals import renyi_functional, shannon_functional
     from .tuning import constants_oracle, optimal_k, rate_matched_k
 
-    if args.density == "beta-uniform":
-        dens = beta_uniform_mixture_density(args.d, args.a, args.b, args.eps)
-    else:
-        dens = uniform_density(args.d)
+    make = beta_uniform_mixture_density if args.density == "beta-uniform" else uniform_density
+    dens = make(*(getattr(args, flag) for flag in DISTRIBUTIONS[args.density][1]))
     func = shannon_functional() if args.functional == "shannon" else renyi_functional(args.alpha)
     consts = constants_oracle(dens, func, args.n_mc, args.seed)
     _emit_seeded({
@@ -350,8 +370,7 @@ def build_parser():
     add("generate", "write a synthetic dataset as CSV", cmd_generate,
         _flag("--dist", choices=list(DISTRIBUTIONS), required=True),
         _flag("--T", type=int, required=True), _add_mixture,
-        _flag("--intrinsic-d", type=int, default=2),
-        _flag("--ambient-D", type=int, default=3))
+        _flag("--intrinsic-d", type=int), _flag("--ambient-D", type=int))
     add("density", "density estimates at the eval points", cmd_density, _add_estimator)
     add("entropy", "Shannon entropy estimate", partial(cmd_estimate, _shannon),
         _add_estimator, _add_ci_level, _flag("--no-bias-correction", action="store_true"))
@@ -365,7 +384,7 @@ def build_parser():
         _flag("--density", choices=["beta-uniform", "uniform"], required=True),
         _add_mixture,
         _flag("--functional", choices=["shannon", "renyi"], default="shannon"),
-        _flag("--alpha", type=float, default=0.5),
+        _flag("--alpha", type=float),
         _flag("--n-mc", type=int, default=200_000),
         _flag("--M", type=int, required=True))
     add("experiment", "Monte Carlo trials from a JSON spec", cmd_experiment,
@@ -395,8 +414,7 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if hasattr(args, "lipschitz"):
-            _check_detector_flags(parser, args)
+        _check_flags(parser, args)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

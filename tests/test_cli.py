@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import knnfunc
-from knnfunc.cli import _check_detector_flags, build_parser, run
+from knnfunc.cli import _check_flags, build_parser, run
 from knnfunc.tuning import rate_matched_k
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -383,6 +383,43 @@ def test_deleted_flags_are_usage_errors(mixture_csv, tmp_path):
         assert not out.exists()
 
 
+def test_generate_flag_the_dist_does_not_read_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    for argv, message in ((["--dist", "manifold", "--d", "7", "--eps", "0.9"], "--d"),
+                          (["--dist", "uniform", "--a", "2"], "--a"),
+                          (["--dist", "beta-uniform", "--ambient-D", "4"], "--ambient-D")):
+        assert run(["generate", "--T", "50", *argv, "-o", str(out)]) == 2, argv
+        assert f"error: {message} is not read by --dist {argv[1]}\n" in capsys.readouterr().err
+        assert not out.exists()
+    # a flag the choice reads keeps its default when not given
+    for dist, defaults in (("manifold", ["--intrinsic-d", "2", "--ambient-D", "3"]),
+                           ("beta-uniform", ["--d", "3", "--a", "4", "--b", "4", "--eps", "0.2"])):
+        outputs = [tmp_path / f"{dist}{i}.csv" for i in range(2)]
+        for path, flags in zip(outputs, ([], defaults)):
+            assert run(["generate", "--dist", dist, "--T", "50", *flags, "-o", str(path)]) == 0
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
+
+
+def test_tune_flag_the_density_or_functional_does_not_read_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "never.json"
+    for argv, message in ((["--density", "uniform", "--a", "9", "--functional", "shannon",
+                            "--alpha", "0.3"], "--a"),
+                          (["--density", "beta-uniform", "--alpha", "0.3"], "--alpha"),
+                          (["--density", "uniform", "--functional", "renyi", "--eps", "0.1"],
+                           "--eps")):
+        assert run(["tune", "--M", "100", *argv, "-o", str(out)]) == 2, argv
+        assert f"error: {message} is not read by --density" in capsys.readouterr().err
+        assert not out.exists()
+    # a flag the choices read keeps its default when not given
+    outputs = [tmp_path / f"tune{i}.json" for i in range(2)]
+    for path, flags in zip(outputs, ([], ["--d", "3", "--alpha", "0.5"])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run(["tune", "--density", "uniform", "--functional", "renyi", "--M", "100",
+                        "--n-mc", "20000", *flags, "-o", str(path)]) == 0
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
+
+
 def test_non_positive_dimension_is_named(tmp_path, capsys):
     out = tmp_path / "never.json"
     rc = run(["tune", "--density", "uniform", "--d", "0", "--M", "100", "-o", str(out)])
@@ -421,9 +458,7 @@ def test_readme_cli_examples_parse():
     parser = build_parser()
     for argv in examples:
         try:
-            args = parser.parse_args(argv)
-            if hasattr(args, "lipschitz"):
-                _check_detector_flags(parser, args)
+            _check_flags(parser, parser.parse_args(argv))
         except SystemExit:
             pytest.fail(f"README example does not parse: knnfunc {shlex.join(argv)}")
 
