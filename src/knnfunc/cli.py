@@ -32,9 +32,10 @@ DISTRIBUTIONS = {
     "manifold": ("projected_manifold", ("intrinsic_d", "ambient_D")),
 }
 # the defaults of the flags that only some --dist, --density or --functional
-# choices read; a given flag stays None until _check_flags knows it is read
-CHOICE_DEFAULTS = {"d": 3, "a": 4.0, "b": 4.0, "eps": 0.2, "intrinsic_d": 2, "ambient_D": 3,
-                   "alpha": 0.5}
+# choices read.  argparse leaves them None, so that _check_flags can tell a
+# given flag from an absent one before it fills in the default
+_CHOICE_DEFAULTS = {"d": 3, "a": 4.0, "b": 4.0, "eps": 0.2, "intrinsic_d": 2, "ambient_D": 3,
+                    "alpha": 0.5}
 
 
 def _boundary_config(args):
@@ -56,7 +57,7 @@ def _check_flags(parser, args):
     together, and --delta and --pk-scale tune the detector they turn on.
     A flag that the chosen generate --dist, or tune --density and
     --functional, does not read is not given; one it reads that is not
-    given takes its default from CHOICE_DEFAULTS."""
+    given takes its default from _CHOICE_DEFAULTS."""
     if hasattr(args, "lipschitz"):
         if (args.lipschitz is None) != (args.eps0 is None):
             parser.error("--lipschitz and --eps0 must be given together")
@@ -67,7 +68,7 @@ def _check_flags(parser, args):
                   else f"--density {args.density} --functional {args.functional}")
         reads = DISTRIBUTIONS[vars(args).get("dist") or args.density][1]
         reads += ("alpha",) if vars(args).get("functional") == "renyi" else ()
-        for name, default in CHOICE_DEFAULTS.items():
+        for name, default in _CHOICE_DEFAULTS.items():
             if getattr(args, name, default) is None:
                 setattr(args, name, default)
             elif name in vars(args) and name not in reads:
@@ -114,7 +115,7 @@ _add_ci_level = _flag("--ci-level", type=float, default=0.95)
 
 def _add_mixture(p):
     """The dimension, and the Beta-uniform mixture's a, b and eps, with
-    their defaults in CHOICE_DEFAULTS."""
+    their defaults in _CHOICE_DEFAULTS."""
     p.add_argument("--d", type=int)
     p.add_argument("--a", type=float)
     p.add_argument("--b", type=float)
