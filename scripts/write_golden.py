@@ -17,7 +17,9 @@ recorded, not a reason to compare more loosely.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -39,6 +41,7 @@ from knnfunc import (
     build_index,
     count_reverse_neighbors,
     compare_models,
+    constants_oracle,
     detect_boundary,
     estimate_dimension,
     knn_density,
@@ -55,6 +58,7 @@ from knnfunc import (
     shannon_functional,
     split,
     true_functional,
+    uniform_density,
 )
 from knnfunc.cli import run
 
@@ -281,13 +285,35 @@ def truth_dimension_structure_cases(out):
     _record(out, "structure/infeasible", lambda: compare_models(blocks, *models, 12, budget=40))
 
 
+def oracle_cases(out):
+    """constants_oracle on the mixture at d = 1, 3 and 6 and on the uniform
+    cube at d = 4, for Shannon and Renyi(0.5), at n_mc = 100,001 (no whole
+    number of row blocks); true_functional on the mixture at d = 6 and on
+    the cube."""
+    densities = {"mixture/d1": beta_uniform_mixture_density(1, 2.0, 5.0, 0.1),
+                 "mixture/d3": beta_uniform_mixture_density(3, 4.0, 4.0, 0.2),
+                 "mixture/d6": beta_uniform_mixture_density(6, 2.0, 3.0, 0.3),
+                 "cube/d4": uniform_density(4)}
+    functionals = {"shannon": shannon_functional(), "renyi0.5": renyi_functional(0.5)}
+    for dname, density in densities.items():
+        for fname, functional in functionals.items():
+            def call(density=density, functional=functional):
+                c = constants_oracle(density, functional, 100_001, 13)
+                return {"": np.array([c.c1, c.c2, c.c3, c.c4, c.c5])}
+            _record(out, f"oracle/{dname}/{fname}", call)
+            if dname in ("mixture/d6", "cube/d4"):
+                _record(out, f"truth/{dname}/{fname}", lambda: {"": np.array(
+                    true_functional(density, functional, 20_001, 14))})
+
+
 def _dimension(est):
     return np.array([est.d_hat, est.d_rounded, est.alpha_hat, est.variance_estimate])
 
 
 def cli_cases(out, workdir):
     """The bytes the density, entropy, renyi, mi, tune, experiment,
-    dimension and structure commands write."""
+    dimension and structure commands write, and the error tune prints for
+    a pdf that is not finite within a difference step of a draw."""
     workdir = Path(workdir)
     mix, blocks = workdir / "mix.csv", workdir / "blocks.csv"
     assert run(["generate", "--dist", "beta-uniform", "--T", "3000", "--d", "3",
@@ -322,6 +348,11 @@ def cli_cases(out, workdir):
                "--seed", "6", *DETECTOR_FLAGS],
         "tune": ["tune", "--density", "beta-uniform", "--d", "2", "--M", "2000",
                  "--n-mc", "100000", "--seed", "7"],
+        "tune-d6": ["tune", "--density", "beta-uniform", "--d", "6", "--M", "2000",
+                    "--n-mc", "100001", "--seed", "7"],
+        "tune-renyi": ["tune", "--density", "beta-uniform", "--d", "3", "--M", "2000",
+                       "--functional", "renyi", "--alpha", "0.5", "--n-mc", "100001",
+                       "--seed", "7"],
         "experiment": ["experiment", "--spec", str(spec), "--trials", "5",
                        "--trials-csv", str(trials)],
         "dimension": ["dimension", "--input", str(mani), "--k1", "15", "--seed", "8"],
@@ -337,6 +368,14 @@ def cli_cases(out, workdir):
         assert run(argv + ["-o", str(path)]) == 0, name
         out[f"cli/{name}"] = digest(path.read_bytes())
     out["cli/experiment:trials-csv"] = digest(trials.read_bytes())
+    # with a Beta shape of 1.5 the pdf is NaN outside the cube, so a draw
+    # within one difference step of a face stops tune
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        rc = run(["tune", "--density", "beta-uniform", "--a", "1.5", "--d", "6", "--M", "1000",
+                  "--n-mc", "300001", "--seed", "4"])
+    assert rc == 1, rc
+    out["cli/tune-nonfinite"] = {"error": stderr.getvalue()}
 
 
 def panel(workdir):
@@ -348,6 +387,7 @@ def panel(workdir):
     error_cases(out)
     monte_carlo_cases(out)
     truth_dimension_structure_cases(out)
+    oracle_cases(out)
     cli_cases(out, workdir)
     return out
 
