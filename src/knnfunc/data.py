@@ -9,6 +9,7 @@ ambient space, and block-dependent Beta mixtures for the factor-graph
 comparisons.
 """
 
+import copy
 import warnings
 from dataclasses import dataclass
 
@@ -30,9 +31,9 @@ __all__ = [
     "true_functional",
 ]
 
-# rows per block where an analytic density's draws are filled in or its pdf
-# evaluated a block at a time: the mixture sampler's Beta copy,
-# true_functional and tuning's Hessian trace
+# rows per block of an analytic density's draws: its sampler yields them a
+# block at a time, and true_functional and tuning's Hessian trace evaluate
+# the pdf on each block as it comes
 _HESSIAN_BLOCK_ROWS = 1 << 13
 
 
@@ -192,10 +193,7 @@ def sample_beta_uniform_mixture(
     """i.i.d. draws from (1-eps)*prod Beta(a,b) + eps*Uniform on [0,1]^dim."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    if a <= 0 or b <= 0:
-        raise ValueError("Beta shapes must be positive")
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError("mixture weight must lie in [0, 1]")
+    _check_mixture(a, b, eps)
     rng = make_rng(seed, "beta-uniform", count, dim)
     use_uniform = rng.random(count) < eps
     beta_part = rng.beta(a, b, size=(count, dim))
@@ -205,6 +203,14 @@ def sample_beta_uniform_mixture(
     np.copyto(beta_part, unif_part, where=use_uniform[:, None])
     del unif_part
     return Dataset(beta_part)
+
+
+def _check_mixture(a, b, eps):
+    """The Beta/uniform mixture's parameters, for its sampler and its pdf."""
+    if not (a > 0 and b > 0):
+        raise ValueError("Beta shapes must be positive")
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError("mixture weight must lie in [0, 1]")
 
 
 def sample_projected_manifold(
@@ -248,13 +254,11 @@ class AnalyticDensity:
     """A density on [0,1]^dim with an evaluable pdf and an exact sampler.
 
     ``pdf`` maps an (n, dim) array to n density values, each from its own
-    row alone; ``sampler`` maps (n, rng) to an (n, dim) array of draws.
-    Used by the Monte Carlo truth oracle and by the theory-constant
-    estimators, which evaluate the pdf a block of rows at a time.  The
-    Beta/uniform mixture's sampler copies its Beta draw into the uniform
-    one a block of rows at a time too: consecutive Generator.beta calls
-    continue one stream, so the draws are those of a single call, and
-    beside the result only a block's Beta draw is alive.
+    row alone; ``sampler`` maps (n, rng) to an iterator over (rows, dim)
+    blocks of n draws, _HESSIAN_BLOCK_ROWS rows a block but the last.  The
+    Monte Carlo truth oracle and the theory-constant estimators evaluate
+    the pdf on each block as it comes, so no n x dim array of draws is
+    ever alive.
     """
 
     dim: int
@@ -265,8 +269,15 @@ class AnalyticDensity:
         if self.dim < 1:
             raise ValueError(f"density dimension must be >= 1, got {self.dim}")
 
-    def sample(self, n: int, seed: int, *tags) -> np.ndarray:
-        return self.sampler(n, make_rng(seed, "analytic-density", *tags))
+
+def _blocks(n):
+    """The row slices of n draws, _HESSIAN_BLOCK_ROWS rows at a time."""
+    return (slice(start, min(start + _HESSIAN_BLOCK_ROWS, n))
+            for start in range(0, n, _HESSIAN_BLOCK_ROWS))
+
+
+def _draw_blocks(density: AnalyticDensity, n: int, seed: int, *tags):
+    return density.sampler(n, make_rng(seed, "analytic-density", *tags))
 
 
 def _beta_pdf_1d(x, a, b):
@@ -282,21 +293,25 @@ def beta_uniform_mixture_density(
     dim: int, a: float, b: float, eps: float
 ) -> AnalyticDensity:
     """Analytic form of the density drawn by sample_beta_uniform_mixture."""
+    _check_mixture(a, b, eps)
 
     def pdf(x):
         x = np.asarray(x, dtype=np.float64)
         return (1 - eps) * np.prod(_beta_pdf_1d(x, a, b), axis=-1) + eps
 
     def sampler(n, rng):
+        # the stream holds the n choices, then the n x dim uniform draw,
+        # then the n x dim Beta draw.  The uniform rows are read from a copy
+        # of the generator, and the original skips past them to the Beta
+        # draw, so the blocks are those of the three draws made whole
         use_uniform = rng.random(n) < eps
-        # the uniform draw comes first on the stream, and the Beta draw is
-        # copied into it where no uniform one was chosen
-        out = rng.random((n, dim))
-        for start in range(0, n, _HESSIAN_BLOCK_ROWS):
-            rows = slice(start, start + _HESSIAN_BLOCK_ROWS)
-            block = out[rows]
+        uniform = copy.deepcopy(rng)
+        for rows in _blocks(n):
+            rng.random((rows.stop - rows.start, dim))
+        for rows in _blocks(n):
+            block = uniform.random((rows.stop - rows.start, dim))
             np.copyto(block, rng.beta(a, b, size=block.shape), where=~use_uniform[rows, None])
-        return out
+            yield block
 
     return AnalyticDensity(dim=dim, pdf=pdf, sampler=sampler)
 
@@ -307,7 +322,8 @@ def uniform_density(dim: int) -> AnalyticDensity:
         return np.ones(x.shape[:-1])
 
     def sampler(n, rng):
-        return rng.random((n, dim))
+        for rows in _blocks(n):
+            yield rng.random((rows.stop - rows.start, dim))
 
     return AnalyticDensity(dim=dim, pdf=pdf, sampler=sampler)
 
@@ -316,16 +332,15 @@ def true_functional(density: AnalyticDensity, functional, n_mc: int, seed: int):
     """Monte Carlo truth for E[g(f(X))] under the analytic density, for a
     functionals.Functional: with renyi_functional(alpha), g = u^(alpha-1)
     gives the Renyi integral, not the entropy.  Returns (estimate, standard
-    error) from n_mc draws.  The pdf is evaluated a block of rows at a
-    time, which gives the same bits as one call on all of them.
+    error) from n_mc draws.  The pdf is evaluated on each block of draws as
+    the sampler yields it, and only the n_mc pdf values are kept, then
+    g of them.
     """
     if n_mc < 10_000:
         raise ValueError("n_mc must be at least 10^4")
-    x = density.sample(n_mc, seed, "truth", functional.id)
     f = np.empty(n_mc)
-    for start in range(0, n_mc, _HESSIAN_BLOCK_ROWS):
-        rows = slice(start, start + _HESSIAN_BLOCK_ROWS)
-        f[rows] = density.pdf(x[rows])
-    del x
+    for rows, x in zip(_blocks(n_mc), _draw_blocks(density, n_mc, seed, "truth", functional.id)):
+        f[rows] = density.pdf(x)
     vals = functional.g(f)
+    del f
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(n_mc))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _HESSIAN_BLOCK_ROWS, AnalyticDensity
+from .data import AnalyticDensity, _blocks, _draw_blocks
 from .functionals import Functional
 
 __all__ = [
@@ -63,25 +63,16 @@ def hessian_weight(d: int) -> float:
 
 def _trace_hessian(pdf, x, step):
     """Central-difference trace of the pdf Hessian at each row of x, and
-    the pdf there.  Each pdf value comes from its own row alone, so the
-    rows are stepped _HESSIAN_BLOCK_ROWS at a time, which keeps the seven
-    shifted copies of a block in cache: the same bits as on all of x.
-    """
-    n, d = x.shape
-    f0 = np.empty(n)
-    tr = np.empty(n)
-    for start in range(0, n, _HESSIAN_BLOCK_ROWS):
-        rows = slice(start, start + _HESSIAN_BLOCK_ROWS)
-        xb = x[rows]
-        f = f0[rows] = pdf(xb)
-        t = np.zeros(len(xb))
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = step
-            t += pdf(xb + e) - 2.0 * f + pdf(xb - e)
-        tr[rows] = t
+    the pdf there."""
+    d = x.shape[1]
+    f = pdf(x)
+    tr = np.zeros(len(x))
+    for i in range(d):
+        e = np.zeros(d)
+        e[i] = step
+        tr += pdf(x + e) - 2.0 * f + pdf(x - e)
     tr /= step**2
-    return tr, f0
+    return tr, f
 
 
 def constants_oracle(
@@ -94,47 +85,59 @@ def constants_oracle(
 
     Draws Z ~ f, evaluates h(Z) with a finite-difference Hessian trace, and
     averages.  c3 (the boundary-extrapolation term) is not modeled: it is
-    reported as 0.0.  Warns below 10^5 draws.  Raises ValueError naming
-    the first draw at which, or one difference step (1e-4) from which
-    along an axis, the pdf is not finite, as a Beta pdf with a non-integer
-    shape is past the edge of its support.
+    reported as 0.0.  Raises ValueError for n_mc < 2, and warns below 10^5
+    draws.  Raises ValueError naming the first draw at which, or one
+    difference step (1e-4) from which along an axis, the pdf is not
+    finite, as a Beta pdf with a non-integer shape is past the edge of its
+    support.
 
-    Beside the n_mc draws it holds a few n_mc-long arrays at once: the
-    draws are dropped once the pdf is known to be finite, h is built in
-    place, and each constant's array is dropped once it is reduced.
+    The pdf, the Hessian trace and h are computed on each block of draws
+    as the sampler yields it, and only f and h are kept.  The constants'
+    products are then formed in place, so at most three n_mc-long arrays
+    are alive at once, whatever the dimension.
     """
+    if n_mc < 2:
+        raise ValueError(f"n_mc must be at least 2, got {n_mc}")
     if n_mc < 100_000:
         warnings.warn(
             f"n_mc = {n_mc} < 1e5: oracle constants will be noisy", RuntimeWarning
         )
-    z = density.sample(n_mc, seed, "oracle-constants", functional.id)
-    step = 1e-4
-    with np.errstate(invalid="ignore"):
-        tr, f = _trace_hessian(density.pdf, z, step)
-    bad = ~(np.isfinite(f) & np.isfinite(tr))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(
-            f"the density's pdf is not finite at draw {i} {z[i]} or at a point one "
-            f"finite-difference step ({step:g}) from it along an axis; the Hessian "
-            "trace needs a finite pdf within the step of every draw"
-        )
-    del z
     d = density.dim
-    # hessian_weight(d) * f ** (-2/d) * tr, left to right
-    h = f ** (-2.0 / d)
-    h *= hessian_weight(d)
-    h *= tr
-    del tr
+    step = 1e-4
+    f = np.empty(n_mc)
+    h = np.empty(n_mc)
+    for rows, z in zip(_blocks(n_mc),
+                       _draw_blocks(density, n_mc, seed, "oracle-constants", functional.id)):
+        with np.errstate(invalid="ignore"):
+            tr, fb = _trace_hessian(density.pdf, z, step)
+        bad = ~(np.isfinite(fb) & np.isfinite(tr))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(
+                f"the density's pdf is not finite at draw {rows.start + i} {z[i]} or at a "
+                f"point one finite-difference step ({step:g}) from it along an axis; the "
+                "Hessian trace needs a finite pdf within the step of every draw"
+            )
+        f[rows] = fb
+        h[rows] = fb ** (-2.0 / d) * hessian_weight(d) * tr
     gp = np.asarray(functional.g_prime(f), dtype=np.float64)
-    c1 = float(np.mean(gp * h))
+    h *= gp
+    c1 = float(np.mean(h))
     del h
-    c5 = float(np.var(f * gp, ddof=1))
+    fgp = f * gp
     del gp
+    c5 = float(np.var(fgp, ddof=1))
+    del fgp
     gpp = np.asarray(functional.g_double_prime(f), dtype=np.float64)
-    c2 = float(np.mean(f**2 * gpp / 2.0))
+    c2_terms = f**2
+    c2_terms *= gpp
     del gpp
-    c4 = float(np.var(np.asarray(functional.g(f), dtype=np.float64), ddof=1))
+    c2_terms /= 2.0
+    c2 = float(np.mean(c2_terms))
+    del c2_terms
+    g = np.asarray(functional.g(f), dtype=np.float64)
+    del f
+    c4 = float(np.var(g, ddof=1))
     return TheoryConstants(c1=c1, c2=c2, c3=0.0, c4=c4, c5=c5, mode="oracle")
 
 

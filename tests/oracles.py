@@ -13,6 +13,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from knnfunc import NeighborResult
+from knnfunc.rng import make_rng
 
 # d=3 Beta(4,4)/uniform mixture, eps = 0.2 (the primary experimental density)
 MIX_A = 4.0
@@ -168,10 +169,18 @@ def brute_force_knn(points, queries, k: int) -> NeighborResult:
     return NeighborResult(dist, idx)
 
 
+def sample(density, n, seed, *tags):
+    """n draws of an analytic density as one array: its sampler's row
+    blocks joined, on the stream that true_functional and constants_oracle
+    draw from for the same seed and tags."""
+    return np.concatenate(list(density.sampler(n, make_rng(seed, "analytic-density", *tags))))
+
+
 def full_trace_hessian(pdf, x, step):
     """Central-difference trace of the pdf Hessian at each row of x, and the
     pdf there, from pdf calls on whole shifted copies of x: the reference
-    for tuning._trace_hessian, which steps a block of rows at a time."""
+    for constants_oracle, which takes the trace a block of draws at a
+    time."""
     n, d = x.shape
     f0 = pdf(x)
     tr = np.zeros(n)

@@ -428,6 +428,33 @@ def test_non_positive_dimension_is_named(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n_mc", ["-5", "0", "1"])
+def test_tune_rejects_fewer_than_two_draws(tmp_path, capsys, n_mc):
+    out = tmp_path / "never.json"
+    argv = ["tune", "--density", "uniform", "--M", "100", "--n-mc", n_mc, "-o", str(out)]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: n_mc must be at least 2, got {n_mc}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--eps", "1.5"], "mixture weight must lie in [0, 1]"),
+    (["--eps", "-0.5"], "mixture weight must lie in [0, 1]"),
+    (["--a", "0"], "Beta shapes must be positive"),
+    (["--b", "-2"], "Beta shapes must be positive"),
+], ids=["eps-above-1", "eps-below-0", "a-zero", "b-negative"])
+def test_tune_mixture_parameters_are_checked(tmp_path, capsys, flags, message):
+    # the sampler's checks, before any draw and with no numpy warning
+    out = tmp_path / "never.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run(["tune", "--density", "beta-uniform", *flags, "--M", "7000", "-o", str(out)])
+    assert rc == 1
+    assert caught == []
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("a", ["0.7", "1.5"])
 def test_tune_pdf_not_finite_near_a_draw_is_named(tmp_path, capsys, a):
     # a non-integer Beta shape has no real pdf left of 0, where the Hessian's

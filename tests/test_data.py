@@ -277,17 +277,26 @@ def test_mixture_marginal_mean():
 
 
 def test_analytic_mixture_sampler_equals_the_np_where_draw():
-    # the sampler copies its Beta draw a row block at a time, the reference
-    # draws it in one call; a < 1 takes another Beta algorithm than a >= 1
+    # the sampler yields a row block at a time, the reference draws the
+    # choices, the uniforms and the Betas each in one call; a < 1 takes
+    # another Beta algorithm than a >= 1
     block = knnfunc.data._HESSIAN_BLOCK_ROWS
     for a, b in ((4.0, 4.0), (0.7, 3.0), (0.3, 0.4)):
         for n in (1, 2, 17, block - 1, block, block + 1, 65_537):
             for dim, eps in ((1, 0.2), (3, 0.2), (3, 0.0), (2, 1.0)):
                 dens = beta_uniform_mixture_density(dim, a, b, eps)
-                got = dens.sampler(n, make_rng(n, "sampler", dim))
+                blocks = list(dens.sampler(n, make_rng(n, "sampler", dim)))
+                assert [len(x) for x in blocks[:-1]] == [block] * (len(blocks) - 1)
+                assert 0 < len(blocks[-1]) <= block
                 want = oracles.where_mixture_draw(n, dim, a, b, eps,
                                                   make_rng(n, "sampler", dim))
-                assert np.array_equal(got, want), (a, b, n, dim, eps)
+                assert np.array_equal(np.concatenate(blocks), want), (a, b, n, dim, eps)
+
+
+def test_uniform_sampler_blocks_are_one_draw():
+    n = 2 * knnfunc.data._HESSIAN_BLOCK_ROWS + 5
+    got = np.concatenate(list(uniform_density(3).sampler(n, make_rng(1, "uniform"))))
+    assert np.array_equal(got, make_rng(1, "uniform").random((n, 3)))
 
 
 def test_mixture_validation():
@@ -297,6 +306,17 @@ def test_mixture_validation():
         sample_beta_uniform_mixture(10, 2, 4, 4, 1.5, 0)
     with pytest.raises(ValueError):
         sample_beta_uniform_mixture(0, 2, 4, 4, 0.2, 0)
+
+
+def test_mixture_density_checks_as_the_sampler():
+    for a, b, eps, message in ((0.0, 4.0, 0.2, "Beta shapes must be positive"),
+                               (4.0, -1.0, 0.2, "Beta shapes must be positive"),
+                               (4.0, 4.0, 1.5, r"mixture weight must lie in \[0, 1\]"),
+                               (4.0, 4.0, -0.5, r"mixture weight must lie in \[0, 1\]")):
+        for make in (lambda: sample_beta_uniform_mixture(10, 2, a, b, eps, 0),
+                     lambda: beta_uniform_mixture_density(2, a, b, eps)):
+            with pytest.raises(ValueError, match=message):
+                make()
 
 
 def test_manifold_rank_one_line():
@@ -353,19 +373,20 @@ def test_true_functional_equals_one_pdf_call(functional_id, alpha):
     # the pdf runs a row block at a time; 20,001 rows end on a ragged block
     dens = beta_uniform_mixture_density(3, 2.0, 5.0, 0.2)
     n = 20_001
-    f = dens.pdf(dens.sample(n, 4, "truth", functional_id))
+    f = dens.pdf(oracles.sample(dens, n, 4, "truth", functional_id))
     vals = -np.log(f) if alpha is None else f ** (alpha - 1.0)
     want = (float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(n)))
     functional = shannon_functional() if alpha is None else renyi_functional(alpha)
     assert true_functional(dens, functional, n, 4) == want
 
 
-def test_true_functional_memory_is_the_draws(traced_peak):
-    # beside the draws: the pdf values and one block's temporaries
-    dens = beta_uniform_mixture_density(3, 4, 4, 0.2)
+def test_true_functional_memory_is_the_pdf_values(traced_peak):
+    # the pdf values, then g of them, and a block of draws at a time: no
+    # n x d array of draws, so the bound holds at any d
+    dens = beta_uniform_mixture_density(6, 4, 4, 0.2)
     n = 200_000
     _, peak = traced_peak(lambda: true_functional(dens, shannon_functional(), n, 5))
-    assert peak <= 8 * n * 3 + 2 * 8 * n + (1 << 20)
+    assert peak <= 2 * 8 * n + (1 << 20)
 
 
 def test_true_functional_validation():
@@ -376,7 +397,7 @@ def test_true_functional_validation():
 
 def test_mixture_pdf_integrates_to_one():
     dens = beta_uniform_mixture_density(2, 4, 4, 0.2)
-    x = dens.sample(100_000, 12, "normcheck")
+    x = oracles.sample(dens, 100_000, 12, "normcheck")
     # importance identity: E_f[1/f] = volume of support = 1
     vals = 1.0 / dens.pdf(x)
     assert abs(vals.mean() - 1.0) < 4 * vals.std() / math.sqrt(len(vals))

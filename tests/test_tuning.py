@@ -17,8 +17,10 @@ from knnfunc import (
     split,
     uniform_density,
 )
+from knnfunc.data import _HESSIAN_BLOCK_ROWS
 from knnfunc.inference import generate_dataset
-from knnfunc.tuning import _HESSIAN_BLOCK_ROWS, TheoryConstants, _trace_hessian, hessian_weight
+from knnfunc.rng import make_rng
+from knnfunc.tuning import TheoryConstants, _trace_hessian, hessian_weight
 
 import oracles
 
@@ -58,7 +60,14 @@ def test_constants_oracle_warns_small_mc():
         constants_oracle(uniform_density(2), shannon_functional(), 20_000, seed=0)
 
 
+def test_constants_oracle_needs_two_draws():
+    for n_mc in (-5, 0, 1):
+        with pytest.raises(ValueError, match=f"n_mc must be at least 2, got {n_mc}"):
+            constants_oracle(uniform_density(2), shannon_functional(), n_mc, seed=0)
+
+
 def test_block_hessian_equals_full_array_central_difference():
+    # constants_oracle takes the trace on each block the sampler yields;
     # 70,001 rows are no whole number of row blocks
     n = 70_001
     assert n > _HESSIAN_BLOCK_ROWS and n % _HESSIAN_BLOCK_ROWS
@@ -66,11 +75,11 @@ def test_block_hessian_equals_full_array_central_difference():
                  beta_uniform_mixture_density(1, 2.0, 5.0, 0.1),
                  beta_uniform_mixture_density(6, 2.0, 3.0, 0.3),
                  uniform_density(3)):
-        z = dens.sample(n, 3, "hessian")
-        got = _trace_hessian(dens.pdf, z, 1e-4)
-        want = oracles.full_trace_hessian(dens.pdf, z, 1e-4)
+        blocks = list(dens.sampler(n, make_rng(3, "hessian")))
+        got = zip(*(_trace_hessian(dens.pdf, z, 1e-4) for z in blocks))
+        want = oracles.full_trace_hessian(dens.pdf, np.concatenate(blocks), 1e-4)
         for a, b in zip(got, want):
-            assert np.array_equal(a, b), dens.dim
+            assert np.array_equal(np.concatenate(a), b), dens.dim
 
 
 @pytest.mark.parametrize("functional", [shannon_functional(), renyi_functional(0.5)],
@@ -78,7 +87,7 @@ def test_block_hessian_equals_full_array_central_difference():
 def test_constants_oracle_equals_the_full_array_expressions(functional):
     dens = beta_uniform_mixture_density(2, 4.0, 4.0, 0.2)
     n = 100_001
-    z = dens.sample(n, 6, "oracle-constants", functional.id)
+    z = oracles.sample(dens, n, 6, "oracle-constants", functional.id)
     tr, f = oracles.full_trace_hessian(dens.pdf, z, 1e-4)
     h = hessian_weight(2) * f ** (-2.0 / 2) * tr
     gp = functional.g_prime(f)
@@ -92,13 +101,14 @@ def test_constants_oracle_equals_the_full_array_expressions(functional):
     )
 
 
-def test_constants_oracle_memory_is_the_draws_and_a_few_arrays(traced_peak):
-    # the draws, the pdf and Hessian trace beside them, one block's shifted
-    # copies; the draws are dropped before h and the constants' arrays
-    dens = beta_uniform_mixture_density(3, 4.0, 4.0, 0.2)
+def test_constants_oracle_memory_is_three_arrays(traced_peak):
+    # f and h are kept, built a block of draws at a time, and the
+    # constants' products are formed in place: no n x d array of draws,
+    # so the bound holds at any d
+    dens = beta_uniform_mixture_density(6, 4.0, 4.0, 0.2)
     n = 200_000
     _, peak = traced_peak(lambda: constants_oracle(dens, shannon_functional(), n, 1))
-    assert peak <= 8 * n * 3 + 4 * 8 * n
+    assert peak <= 3 * 8 * n + (2 << 20)
 
 
 def test_hessian_weight_d3_value():
