@@ -4,6 +4,7 @@ script that calls a deleted name, passes a field the library no longer
 takes or imports from tests/ fails here rather than when someone next
 runs it."""
 
+import ast
 import importlib.util
 import os
 import subprocess
@@ -70,6 +71,26 @@ def test_code_lines_leaves_out_blank_comment_and_docstring_lines(tmp_path):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split("\n")[:2] == ["     8  fixture.py", f"     8  total ({tmp_path})"]
+
+
+def test_op_memory_reports_each_operation_of_a_round():
+    # in a process of its own: it puts perfbench's modules on the path
+    code = ("import importlib.util, sys\n"
+            "spec = importlib.util.spec_from_file_location('op_memory', sys.argv[1])\n"
+            "module = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(module)\n"
+            "print(repr(module.op_memory('cli-suite', 1, short=True)))\n")
+    out = subprocess.run([sys.executable, "-c", code, str(ROOT / "scripts" / "op_memory.py")],
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    rows = ast.literal_eval(out.stdout.strip().splitlines()[-1])
+    assert rows[0][0] == "setup" and rows[0][2] is None
+    assert sorted(label for label, _, _ in rows[1:]) == sorted(
+        ["entropy", "mi-within", "mi-across", "dimension", "dimension-scan", "structure",
+         "tune"])
+    rss = [r for _, r, _ in rows]
+    assert rss == sorted(rss) and rss[0] > 0
+    assert all(peak > 0 for _, _, peak in rows[1:])
 
 
 def _bench_pairs():
