@@ -233,17 +233,18 @@ def _mi(args, data, sp, k):
 
 def cmd_tune(args):
     from .data import beta_uniform_mixture_density, uniform_density
-    from .functionals import renyi_functional, shannon_functional
+    from .functionals import _named_functional
     from .tuning import constants_oracle, optimal_k, rate_matched_k
 
     make = beta_uniform_mixture_density if args.density == "beta-uniform" else uniform_density
     dens = make(*(getattr(args, flag) for flag in DISTRIBUTIONS[args.density][1]))
-    func = shannon_functional() if args.functional == "shannon" else renyi_functional(args.alpha)
+    func = _named_functional(args.functional, args.alpha)
+    k_rate_matched = rate_matched_k(args.M, args.d)  # checks M before the Monte Carlo
     consts = constants_oracle(dens, func, args.n_mc, args.seed)
     _emit_seeded({
         **dataclasses.asdict(consts),  # c1..c5 and mode
         "k_opt": optimal_k(consts.c1 + consts.c3, consts.c2, args.d, args.M),
-        "k_rate_matched": rate_matched_k(args.M, args.d),
+        "k_rate_matched": k_rate_matched,
         "M": args.M,
     }, args)
 

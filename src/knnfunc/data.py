@@ -251,23 +251,33 @@ def sample_block_beta_mixture(count: int, block_sizes, seed: int) -> Dataset:
 
 @dataclass(frozen=True)
 class AnalyticDensity:
-    """A density on [0,1]^dim with an evaluable pdf and an exact sampler.
+    """A density on [0,1]^dim of product form, (1 - eps) prod_j factor(x_j)
+    + eps, with an exact sampler.
 
-    ``pdf`` maps an (n, dim) array to n density values, each from its own
-    row alone; ``sampler`` maps (n, rng) to an iterator over (rows, dim)
-    blocks of n draws, _HESSIAN_BLOCK_ROWS rows a block but the last.  The
-    Monte Carlo truth oracle and the theory-constant estimators evaluate
-    the pdf on each block as it comes, so no n x dim array of draws is
-    ever alive.
+    ``factor`` is the one-dimensional density phi, applied elementwise to
+    an array of coordinates; ``pdf`` maps an (n, dim) array to n density
+    values, each from its own row alone.  The Beta/uniform mixture has phi
+    the Beta pdf; the uniform cube has phi = 1 and eps = 0.  tuning's
+    Hessian trace evaluates phi once per axis at each point and at each
+    difference step, rather than the whole pdf at every shifted point.
+    ``sampler`` maps (n, rng) to an iterator over (rows, dim) blocks of n
+    draws, _HESSIAN_BLOCK_ROWS rows a block but the last.  The Monte Carlo
+    truth oracle and the theory-constant estimators evaluate the pdf on
+    each block as it comes, so no n x dim array of draws is ever alive.
     """
 
     dim: int
-    pdf: callable
+    factor: callable
+    eps: float
     sampler: callable
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"density dimension must be >= 1, got {self.dim}")
+
+    def pdf(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        return (1 - self.eps) * np.prod(self.factor(x), axis=-1) + self.eps
 
 
 def _blocks(n):
@@ -295,10 +305,6 @@ def beta_uniform_mixture_density(
     """Analytic form of the density drawn by sample_beta_uniform_mixture."""
     _check_mixture(a, b, eps)
 
-    def pdf(x):
-        x = np.asarray(x, dtype=np.float64)
-        return (1 - eps) * np.prod(_beta_pdf_1d(x, a, b), axis=-1) + eps
-
     def sampler(n, rng):
         # the stream holds the n choices, then the n x dim uniform draw,
         # then the n x dim Beta draw.  The uniform rows are read from a copy
@@ -313,19 +319,16 @@ def beta_uniform_mixture_density(
             np.copyto(block, rng.beta(a, b, size=block.shape), where=~use_uniform[rows, None])
             yield block
 
-    return AnalyticDensity(dim=dim, pdf=pdf, sampler=sampler)
+    return AnalyticDensity(dim=dim, factor=lambda x: _beta_pdf_1d(x, a, b), eps=eps,
+                           sampler=sampler)
 
 
 def uniform_density(dim: int) -> AnalyticDensity:
-    def pdf(x):
-        x = np.asarray(x, dtype=np.float64)
-        return np.ones(x.shape[:-1])
-
     def sampler(n, rng):
         for rows in _blocks(n):
             yield rng.random((rows.stop - rows.start, dim))
 
-    return AnalyticDensity(dim=dim, pdf=pdf, sampler=sampler)
+    return AnalyticDensity(dim=dim, factor=np.ones_like, eps=0.0, sampler=sampler)
 
 
 def true_functional(density: AnalyticDensity, functional, n_mc: int, seed: int):

@@ -98,6 +98,19 @@ def renyi_functional(alpha: float) -> Functional:
     )
 
 
+def _named_functional(functional_id: str, alpha=None) -> Functional:
+    """The Functional a name selects: "shannon", which reads no alpha, or
+    "renyi" at alpha.  The one mapping behind TrialSpec and the tune
+    command."""
+    if functional_id == "shannon":
+        return shannon_functional()
+    if functional_id != "renyi":
+        raise ValueError(f"unknown functional {functional_id!r}")
+    if alpha is None:
+        raise ValueError("renyi requires alpha")
+    return renyi_functional(alpha)
+
+
 # -- reports ------------------------------------------------------------------
 
 @dataclass(frozen=True)

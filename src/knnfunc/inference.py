@@ -25,8 +25,7 @@ from .functionals import (
     bpi_estimate,
     bpi_estimate_bc,
     normal_interval,
-    renyi_functional,
-    shannon_functional,
+    _named_functional,
 )
 from .knn import _ordered_map
 from .rng import derive_key, make_rng
@@ -104,24 +103,18 @@ class TrialSpec:
                 f"rate k rule picks k from M, so k={self.k} would be ignored; "
                 "use k_rule 'fixed'"
             )
-        if self.functional_id not in ("shannon", "renyi"):
-            raise ValueError(f"unknown functional {self.functional_id!r}")
         if self.functional_id == "shannon" and self.alpha is not None:
             raise ValueError(
                 f"shannon takes no alpha, so alpha={self.alpha} would be ignored; "
                 "use functional_id 'renyi'"
             )
-        self.functional()  # a renyi alpha that renyi_functional rejects raises
+        self.functional()  # an unknown name, or an alpha renyi_functional rejects, raises
 
     def resolve_k(self, M: int, d: int) -> int:
         return self.k if self.k_rule == "fixed" else rate_matched_k(M, d)
 
     def functional(self):
-        if self.functional_id == "shannon":
-            return shannon_functional()
-        if self.alpha is None:
-            raise ValueError("renyi requires alpha")
-        return renyi_functional(self.alpha)
+        return _named_functional(self.functional_id, self.alpha)
 
 
 @dataclass(frozen=True)

@@ -437,6 +437,19 @@ def test_tune_rejects_fewer_than_two_draws(tmp_path, capsys, n_mc):
     assert not out.exists()
 
 
+def test_tune_checks_M_before_the_monte_carlo(tmp_path, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("constants_oracle ran before M was checked")
+
+    monkeypatch.setattr("knnfunc.tuning.constants_oracle", never)
+    out = tmp_path / "never.json"
+    argv = ["tune", "--density", "beta-uniform", "--d", "3", "--M", "1",
+            "--n-mc", "2000000", "-o", str(out)]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "error: M must be >= 2\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags,message", [
     (["--eps", "1.5"], "mixture weight must lie in [0, 1]"),
     (["--eps", "-0.5"], "mixture weight must lie in [0, 1]"),

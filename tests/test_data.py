@@ -299,6 +299,21 @@ def test_uniform_sampler_blocks_are_one_draw():
     assert np.array_equal(got, make_rng(1, "uniform").random((n, 3)))
 
 
+def test_pdf_is_the_product_form_bit_for_bit():
+    # (1 - eps) prod_j phi(x_j) + eps with phi the Beta pdf, and phi = 1 with
+    # eps = 0 for the cube; rows on the faces make the a < 1 factor infinite
+    x_all = make_rng(5, "product-form").random((1000, 6))
+    x_all[:2] = [[0.0] * 6, [1.0, 0.0] * 3]
+    for dim in range(1, 7):
+        x = x_all[:, :dim]
+        for a, b, eps in ((4.0, 4.0, 0.2), (0.7, 3.0, 0.2), (2.0, 5.0, 0.0)):
+            with np.errstate(invalid="ignore"):
+                got = beta_uniform_mixture_density(dim, a, b, eps).pdf(x)
+                want = (1 - eps) * np.prod(knnfunc.data._beta_pdf_1d(x, a, b), axis=-1) + eps
+            assert np.array_equal(got, want, equal_nan=True), (dim, a, b, eps)
+        assert np.array_equal(uniform_density(dim).pdf(x), np.ones(len(x)))
+
+
 def test_mixture_validation():
     with pytest.raises(ValueError):
         sample_beta_uniform_mixture(10, 2, -1, 4, 0.2, 0)

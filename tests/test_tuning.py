@@ -67,19 +67,26 @@ def test_constants_oracle_needs_two_draws():
 
 
 def test_block_hessian_equals_full_array_central_difference():
-    # constants_oracle takes the trace on each block the sampler yields;
-    # 70,001 rows are no whole number of row blocks
+    # constants_oracle takes the trace from the product form on each block
+    # the sampler yields, the reference from whole pdf calls on the whole
+    # draw; 70,001 rows are no whole number of row blocks.  The a = 0.7
+    # factor has no real value left of 0, so some traces are nan there
     n = 70_001
     assert n > _HESSIAN_BLOCK_ROWS and n % _HESSIAN_BLOCK_ROWS
     for dens in (beta_uniform_mixture_density(3, 4.0, 4.0, 0.2),
                  beta_uniform_mixture_density(1, 2.0, 5.0, 0.1),
+                 beta_uniform_mixture_density(2, 4.0, 4.0, 0.2),
+                 beta_uniform_mixture_density(4, 2.0, 5.0, 0.1),
+                 beta_uniform_mixture_density(5, 4.0, 2.0, 0.3),
                  beta_uniform_mixture_density(6, 2.0, 3.0, 0.3),
+                 beta_uniform_mixture_density(2, 0.7, 3.0, 0.2),
                  uniform_density(3)):
         blocks = list(dens.sampler(n, make_rng(3, "hessian")))
-        got = zip(*(_trace_hessian(dens.pdf, z, 1e-4) for z in blocks))
-        want = oracles.full_trace_hessian(dens.pdf, np.concatenate(blocks), 1e-4)
+        with np.errstate(invalid="ignore"):
+            got = zip(*(_trace_hessian(dens, z, 1e-4) for z in blocks))
+            want = oracles.full_trace_hessian(dens.pdf, np.concatenate(blocks), 1e-4)
         for a, b in zip(got, want):
-            assert np.array_equal(np.concatenate(a), b), dens.dim
+            assert np.array_equal(np.concatenate(a), b, equal_nan=True), dens.dim
 
 
 @pytest.mark.parametrize("functional", [shannon_functional(), renyi_functional(0.5)],
