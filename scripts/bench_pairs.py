@@ -10,14 +10,17 @@ at even pair index and the change first at odd.  The result line of every run (t
 standard output) goes into the output file with the fields what, parent,
 command, host, order, runs, summary and, if --bit-identity names a JSON
 file, bit_identity.  The summary, also printed, gives each metric's
-medians and the pairs the change won, with two verdicts per metric:
+medians and the pairs the change won, with three verdicts per metric:
 
 - claim holds: the change won at least 9 in 10 of at least 10 pairs
   (a tie counts for neither side), and its median beats the parent's by
   more than the parent's interquartile range;
 - WORSE: the change's median is worse than the parent's by more than
   the metric's bound in BENCHMARK.json, read as a fraction of the
-  parent's median.
+  parent's median;
+- unresolved: the parent's interquartile range is wider than that
+  bound, so a median within it does not show the metric unchanged,
+  unless every change run beats every parent run.
 
 Nothing under perfbench/ is written to except its out/ directory.
 """
@@ -86,7 +89,7 @@ def run_once(tree, workload, seed):
 
 def summarize(runs):
     """Per workload and metric: parent median [quartiles] -> change median,
-    the pairs won, lost and tied, and the two verdicts of the module
+    the pairs won, lost and tied, and the verdicts of the module
     docstring."""
     lines = []
     for workload in dict.fromkeys(r["workload"] for r in runs):
@@ -114,6 +117,10 @@ def summarize(runs):
                     f"claim {'holds' if claim else 'does not hold'}")
             if -gain > bound * abs(med):
                 line += f"; WORSE than the parent by more than the bound {bound:g}"
+            if q[2] - q[0] > bound * abs(med) and not all(
+                    sign * (c - p) > 0 for c in chg for p in par):
+                line += ("; unresolved: the parent's interquartile range is wider than "
+                         f"the bound {bound:g}")
             lines.append(line)
     return "\n".join(lines)
 

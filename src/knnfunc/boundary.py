@@ -7,10 +7,12 @@ estimator's).  A point is labeled boundary when its count falls below
 (1 - q(K,N))*K; every boundary point is mapped to its nearest interior
 point so the density layer can extrapolate.
 
-One detection resolves q first.  Numeric constants give it directly;
-"auto" ones are estimated from the evaluation set (_resolve_auto): eps0
-from the (K+1)-th radii of one k-th-distance search, and L from the N*K
-edge ratios, filled a row block of knn_query at a time.  When q >= 1 the
+One detection resolves q first, and q_threshold reads it from a config
+of numeric constants alone.  "auto" ones are estimated from the
+evaluation set (_resolve_auto), eps0 from the (K+1)-th radii of one
+k-th-distance search and L from the N*K edge ratios, filled a row block
+of knn_query at a time; the estimates go into a new BoundaryConfig, whose
+checks they pass as given constants do.  When q >= 1 the
 threshold is <= 0, every point is interior and no reverse count is
 taken; with numeric constants no index is built either.  Otherwise one
 (K+1)-NN self-query of the evaluation set (knn._self_query) adds the
@@ -33,8 +35,8 @@ detector that actually fires at practical sample sizes.
 import math
 import numbers
 import warnings
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import dataclass, replace
+from typing import Union
 
 import numpy as np
 
@@ -122,8 +124,9 @@ def p_k(k: int, delta: float) -> float:
 
 
 def _resolve_auto(index, points, K, config):
-    """(L, eps0) of the config, each estimated from the N evaluation
-    points when it is "auto"; index is built on the points.
+    """config with each "auto" constant estimated from the N evaluation
+    points, index built on the points; BoundaryConfig checks the estimates
+    as it checks given constants.
 
     eps0: 10th percentile of standard K-NN density estimates computed
     within the evaluation set (self excluded), from each point's (K+1)-th
@@ -135,9 +138,10 @@ def _resolve_auto(index, points, K, config):
     radii = np.maximum(_kth_distances(index, points, (K + 1,))[:, 0], 1e-300)
     cd = unit_ball_volume(d)
     dens = K / ((N - 1) * cd * radii**d)
-    eps0 = float(config.eps0) if config.eps0 != "auto" else float(np.percentile(dens, 10.0))
+    if config.eps0 == "auto":
+        config = replace(config, eps0=float(np.percentile(dens, 10.0)))
     if config.lipschitz_L != "auto":
-        return float(config.lipschitz_L), eps0
+        return config
     ratios = np.empty((N, K))
     for rows in _row_blocks(N, K + 1):
         res = knn_query(index, points[rows], K + 1)
@@ -148,23 +152,19 @@ def _resolve_auto(index, points, K, config):
         np.abs(r, out=r)
         np.divide(r, edges, out=ratios[rows])
         del res, edges, r  # before the next block's query
-    return float(np.percentile(ratios, 95.0, overwrite_input=True)), eps0
+    return replace(config, lipschitz_L=float(np.percentile(ratios, 95.0, overwrite_input=True)))
 
 
-def q_threshold(K: int, N: int, k: int, d: int, config: BoundaryConfig,
-                lipschitz_L: Optional[float] = None, eps0: Optional[float] = None) -> float:
+def q_threshold(K: int, N: int, k: int, d: int, config: BoundaryConfig) -> float:
     """q(K,N) = (L/eps0)*(K/(c_d*N*eps0))^(1/d) + pk_scale*2*sqrt(6)/k^(delta/2).
 
-    Resolved L and eps0 must be supplied when the config says "auto"
-    (detect_boundary does this).  Emits a warning when q >= 1, in which
-    case the threshold degenerates and everything is labeled interior.
+    The config's L and eps0 must be numbers: detect_boundary resolves
+    "auto" ones first.  Emits a warning when q >= 1, in which case the
+    threshold degenerates and everything is labeled interior.
     """
-    L = config.lipschitz_L if lipschitz_L is None else lipschitz_L
-    e0 = config.eps0 if eps0 is None else eps0
+    L, e0 = config.lipschitz_L, config.eps0
     if isinstance(L, str) or isinstance(e0, str):
         raise ValueError("auto constants must be resolved before q_threshold")
-    if e0 <= 0:
-        raise ValueError("eps0 must be positive")
     cd = unit_ball_volume(d)
     q = (L / e0) * (K / (cd * N * e0)) ** (1.0 / d)
     q += config.pk_scale * 2.0 * p_k(k, config.delta)
@@ -204,10 +204,11 @@ def detect_boundary(eval_points, k: int, M: int, config: BoundaryConfig = Bounda
         raise ValueError("all evaluation points identical; k-NN radii are zero")
     if not np.all(np.isfinite(eval_points)):
         raise ValueError("evaluation points must be finite")
-    auto = "auto" in (config.lipschitz_L, config.eps0)
-    index = build_index(eval_points) if auto else None
-    constants = _resolve_auto(index, eval_points, K, config) if auto else (None, None)
-    q = q_threshold(K, N, k, d, config, *constants)
+    index = None
+    if "auto" in (config.lipschitz_L, config.eps0):
+        index = build_index(eval_points)
+        config = _resolve_auto(index, eval_points, K, config)
+    q = q_threshold(K, N, k, d, config)
     if q >= 1.0:
         # threshold <= 0 <= every count: all interior, no reverse counts needed
         none = np.empty(0, dtype=np.intp)

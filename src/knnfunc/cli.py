@@ -22,6 +22,17 @@ from functools import partial
 
 import numpy as np
 
+from .boundary import BoundaryConfig
+from .data import beta_uniform_mixture_density, load_csv, split, uniform_density
+from .density import knn_density
+from .dimension import anomaly_scan, estimate_dimension
+from .functionals import (_named_functional, bpi_estimate, bpi_estimate_bc, mutual_information,
+                          renyi_entropy, shannon_functional)
+from .inference import TrialSpec, generate_dataset, monte_carlo, normality_diagnostics
+from .knn import build_index
+from .structure import Factorization, compare_models
+from .tuning import TheoryConstants, constants_oracle, optimal_k, rate_matched_k
+
 SCHEMA_VERSION = 1
 
 # generate --dist: the generate_dataset name, and the flags its params come
@@ -40,8 +51,6 @@ _CHOICE_DEFAULTS = {"d": 3, "a": 4.0, "b": 4.0, "eps": 0.2, "intrinsic_d": 2, "a
 
 def _boundary_config(args):
     """The detector the flags ask for, or None when they ask for none."""
-    from .boundary import BoundaryConfig
-
     if args.lipschitz is None:
         return None
     tuning = {"delta": args.delta, "pk_scale": args.pk_scale}
@@ -131,16 +140,11 @@ def _add_dimension(p, k1):
 
 
 def _load(args):
-    from .data import load_csv
-
     return load_csv(args.input, header=args.header)
 
 
 def _prepare(args):
     """Load the input, split it, and resolve k: (data, split, k)."""
-    from .data import split
-    from .tuning import rate_matched_k
-
     data = _load(args)
     sp = split(data, args.alpha_frac, args.seed)
     k = args.k if args.k is not None else rate_matched_k(sp.n_ref, data.dim)
@@ -169,8 +173,6 @@ def _csv_row(values):
 
 
 def cmd_generate(args):
-    from .inference import generate_dataset
-
     name, flags = DISTRIBUTIONS[args.dist]
     params = {flag: getattr(args, flag) for flag in flags}
     data = generate_dataset(name, args.T, args.seed, params)
@@ -178,9 +180,6 @@ def cmd_generate(args):
 
 
 def cmd_density(args):
-    from .density import knn_density
-    from .knn import build_index
-
     data, sp, k = _prepare(args)
     ev = sp.eval_points(data)
     dens = knn_density(build_index(sp.ref_points(data)), ev, k, _boundary_config(args))
@@ -203,8 +202,6 @@ def cmd_estimate(estimate, args):
 
 
 def _shannon(args, data, sp, k):
-    from .functionals import bpi_estimate, bpi_estimate_bc, shannon_functional
-
     estimator = bpi_estimate if args.no_bias_correction else bpi_estimate_bc
     report = estimator(data, sp, shannon_functional(), k,
                        config=_boundary_config(args), ci_level=args.ci_level)
@@ -212,8 +209,6 @@ def _shannon(args, data, sp, k):
 
 
 def _renyi(args, data, sp, k):
-    from .functionals import renyi_entropy
-
     report = renyi_entropy(
         data, sp, args.alpha, k, config=_boundary_config(args), ci_level=args.ci_level
     )
@@ -221,8 +216,6 @@ def _renyi(args, data, sp, k):
 
 
 def _mi(args, data, sp, k):
-    from .functionals import mutual_information
-
     report = mutual_information(
         data, sp, args.x_cols, args.y_cols, k,
         config=_boundary_config(args), ci_level=args.ci_level,
@@ -232,10 +225,6 @@ def _mi(args, data, sp, k):
 
 
 def cmd_tune(args):
-    from .data import beta_uniform_mixture_density, uniform_density
-    from .functionals import _named_functional
-    from .tuning import constants_oracle, optimal_k, rate_matched_k
-
     make = beta_uniform_mixture_density if args.density == "beta-uniform" else uniform_density
     dens = make(*(getattr(args, flag) for flag in DISTRIBUTIONS[args.density][1]))
     func = _named_functional(args.functional, args.alpha)
@@ -250,10 +239,6 @@ def cmd_tune(args):
 
 
 def cmd_experiment(args):
-    from .boundary import BoundaryConfig
-    from .inference import TrialSpec, monte_carlo, normality_diagnostics
-    from .tuning import TheoryConstants
-
     with open(args.spec, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -284,8 +269,6 @@ def cmd_experiment(args):
 
 
 def cmd_dimension(args):
-    from .dimension import estimate_dimension
-
     est = estimate_dimension(
         _load(args), args.k1, args.k2, gamma=args.gamma, variant=args.variant,
         alpha_frac=args.alpha_frac, seed=args.seed,
@@ -294,8 +277,6 @@ def cmd_dimension(args):
 
 
 def cmd_dimension_scan(args):
-    from .dimension import anomaly_scan
-
     results = anomaly_scan(
         _load(args), args.window, args.stride, args.k1, args.k2,
         gamma=args.gamma, alpha_frac=args.alpha_frac, seed=args.seed,
@@ -311,8 +292,6 @@ def _load_models(path):
     """The models and the pairs to compare of a --models file: an object
     whose "models" maps names to lists of column lists, and whose optional
     "pairs" lists [name, name] pairs (default: every pair, by name)."""
-    from .structure import Factorization
-
     with open(path, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
     if not isinstance(spec, dict) or not isinstance(spec.get("models"), dict):
@@ -337,8 +316,6 @@ def _load_models(path):
 
 
 def cmd_structure(args):
-    from .structure import compare_models
-
     models, pairs = _load_models(args.models)
     data = _load(args)
     comparisons = [

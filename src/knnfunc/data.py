@@ -49,7 +49,10 @@ class Dataset:
 
     def __post_init__(self):
         # a private copy: freezing it leaves the caller's array writeable
-        pts = np.array(self.points, dtype=np.float64, order="C")
+        self._own(np.array(self.points, dtype=np.float64, order="C"))
+
+    def _own(self, pts):
+        """Check pts, freeze it and hold it as the points, not a copy."""
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ValueError(f"points must be a T x d matrix, got shape {pts.shape}")
         if not np.all(np.isfinite(pts)):
@@ -124,7 +127,10 @@ def load_csv(path, header: bool = False) -> Dataset:
         raise
     if points.size == 0:
         raise ValueError("empty input file")
-    return Dataset(points)
+    # loadtxt's array is no caller's, so the Dataset holds it without a copy
+    data = object.__new__(Dataset)
+    data._own(points)
+    return data
 
 
 def _loadtxt(source, skiprows: int = 0) -> np.ndarray:
@@ -287,7 +293,9 @@ def _blocks(n):
 
 
 def _draw_blocks(density: AnalyticDensity, n: int, seed: int, *tags):
-    return density.sampler(n, make_rng(seed, "analytic-density", *tags))
+    """(rows, block) for each block of the density's n draws: the block's
+    row slice of the whole draw, and its draws."""
+    return zip(_blocks(n), density.sampler(n, make_rng(seed, "analytic-density", *tags)))
 
 
 def _beta_pdf_1d(x, a, b):
@@ -342,7 +350,7 @@ def true_functional(density: AnalyticDensity, functional, n_mc: int, seed: int):
     if n_mc < 10_000:
         raise ValueError("n_mc must be at least 10^4")
     f = np.empty(n_mc)
-    for rows, x in zip(_blocks(n_mc), _draw_blocks(density, n_mc, seed, "truth", functional.id)):
+    for rows, x in _draw_blocks(density, n_mc, seed, "truth", functional.id):
         f[rows] = density.pdf(x)
     vals = functional.g(f)
     del f

@@ -24,7 +24,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .data import AnalyticDensity, _blocks, _draw_blocks
+from .data import AnalyticDensity, _draw_blocks
 from .functionals import Functional
 
 __all__ = [
@@ -121,8 +121,7 @@ def constants_oracle(
     step = 1e-4
     f = np.empty(n_mc)
     h = np.empty(n_mc)
-    for rows, z in zip(_blocks(n_mc),
-                       _draw_blocks(density, n_mc, seed, "oracle-constants", functional.id)):
+    for rows, z in _draw_blocks(density, n_mc, seed, "oracle-constants", functional.id):
         with np.errstate(invalid="ignore"):
             tr, fb = _trace_hessian(density, z, step)
         bad = ~(np.isfinite(fb) & np.isfinite(tr))
@@ -175,13 +174,10 @@ def optimal_k(c0: float, c2: float, d: int, M: int) -> int:
     reports c3 = 0); c0 = 0 falls back to the rate-matched rule with a
     warning.
     """
-    if M < 2:
-        raise ValueError("M must be >= 2")
-    if d < 1:
-        raise ValueError(f"dimension d must be >= 1, got {d}")
+    k_rate_matched = rate_matched_k(M, d)  # checks M and d
     if c0 == 0.0:
         warnings.warn("c0 = 0: falling back to rate-matched k", RuntimeWarning)
-        return rate_matched_k(M, d)
+        return k_rate_matched
     if c2 == 0.0:
         warnings.warn("c2 = 0: k0 degenerates, clamping to 3", RuntimeWarning)
         return 3

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -69,17 +70,35 @@ def test_config_validation():
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 BoundaryConfig(**{name: bad})
     # q divides by eps0, so eps0 <= 0 fails where the config is made, before
-    # detect_boundary builds its graph; q_threshold still checks an override
+    # detect_boundary builds its graph
     for bad in (0.0, -0.0, -1.0):
         with pytest.raises(ValueError, match="eps0 must be positive"):
             BoundaryConfig(lipschitz_L=1.0, eps0=bad)
-    with pytest.raises(ValueError, match="eps0 must be positive"):
-        q_threshold(5, 100, 10, 2, BoundaryConfig(lipschitz_L=1.0, eps0=1.0), eps0=0.0)
     # a non-numeric field is named, not left to a TypeError from math or <
     for name, bad, allowed in (("delta", "0.9", ""), ("pk_scale", "0.3", ""),
                                ("lipschitz_L", None, " or 'auto'"), ("eps0", [1.0], " or 'auto'")):
         with pytest.raises(ValueError, match=f"^{name} must be a real number{allowed}, got"):
             BoundaryConfig(**{name: bad})
+
+
+def test_q_threshold_takes_resolved_constants_only():
+    for cfg in (BoundaryConfig(), BoundaryConfig(lipschitz_L=1.0),
+                BoundaryConfig(eps0=1.0)):
+        with pytest.raises(ValueError, match="auto constants must be resolved"):
+            q_threshold(5, 100, 10, 2, cfg)
+
+
+def test_auto_constants_pass_the_configs_checks():
+    # the estimates go into a BoundaryConfig, whose checks reject them as
+    # they reject given constants: on points spread so far that every K-NN
+    # density underflows to 0, and on points so close that every density
+    # overflows and their percentile is NaN
+    points = np.random.default_rng(3).random((300, 2))
+    cfg = BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0="auto", pk_scale=0.1)
+    for scale, message in ((1e200, "eps0 must be positive"),
+                           (1e-200, "eps0 must be finite, got nan")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            detect_boundary(points * scale, 10, 600, cfg)
 
 
 def _counts_and_threshold(points, k, M, cfg):
@@ -236,7 +255,7 @@ def _recompute_labels(points, k, M, cfg):
         if L == "auto":
             dst = np.maximum(res.distances[:, 1:], 1e-300)
             L = float(np.percentile(np.abs(dens[res.indices[:, 1:]] - dens[:, None]) / dst, 95.0))
-    q = q_threshold(K, N, k, d, cfg, lipschitz_L=L, eps0=e0)
+    q = q_threshold(K, N, k, d, dataclasses.replace(cfg, lipschitz_L=L, eps0=e0))
     interior_mask = count_reverse_neighbors(points, K) >= (1.0 - q) * K
     interior = np.where(interior_mask)[0]
     boundary = np.where(~interior_mask)[0]

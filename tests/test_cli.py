@@ -441,7 +441,7 @@ def test_tune_checks_M_before_the_monte_carlo(tmp_path, capsys, monkeypatch):
     def never(*args):
         raise AssertionError("constants_oracle ran before M was checked")
 
-    monkeypatch.setattr("knnfunc.tuning.constants_oracle", never)
+    monkeypatch.setattr("knnfunc.cli.constants_oracle", never)
     out = tmp_path / "never.json"
     argv = ["tune", "--density", "beta-uniform", "--d", "3", "--M", "1",
             "--n-mc", "2000000", "-o", str(out)]

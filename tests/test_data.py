@@ -239,6 +239,18 @@ def test_dataset_and_split_leave_the_callers_arrays_writeable():
     assert sp.eval_indices.tolist() == [0, 1] and sp.ref_indices.tolist() == [2, 3, 4]
 
 
+def test_load_csv_holds_one_copy_of_the_data(tmp_path, traced_peak):
+    # the Dataset takes np.loadtxt's array rather than copying it: a
+    # 50,000 x 4 block mixture, as the cli-suite benchmark writes it,
+    # peaked at 2.1x its data bytes when both copies were alive
+    path = tmp_path / "blocks.csv"
+    np.savetxt(path, sample_block_beta_mixture(50_000, [2, 1, 1], 5).points,
+               fmt="%.17g", delimiter=",")
+    data, peak = traced_peak(lambda: load_csv(path))
+    assert data.points.shape == (50_000, 4) and not data.points.flags.writeable
+    assert peak < 1.5 * data.points.nbytes
+
+
 @given(
     T=st.integers(min_value=2, max_value=400),
     alpha=st.floats(min_value=0.01, max_value=0.99),

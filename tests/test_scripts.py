@@ -127,7 +127,14 @@ def test_bench_pairs_summary_states_the_claim_rule_and_the_bounds():
         "call_s_p50": ([0.1] * 10, [0.16] * 10),
         # identical: ten ties
         "rmse": ([0.05] * 10, [0.05] * 10),
-    }) + _runs("monte-carlo", {"peak_rss_mb": ([80.0, 80.5, 81.0], [70.0] * 3)})
+    }) + _runs("monte-carlo", {"peak_rss_mb": ([80.0, 80.5, 81.0], [70.0] * 3)}) + _runs(
+        "large-estimate", {
+            # a bimodal parent: its interquartile range, 20 MB, is wider than
+            # the 10% bound, so a level median shows nothing
+            "peak_rss_mb": ([90.0, 110.0] * 5, [100.0] * 10),
+            # as wide, but every change run beats every parent run
+            "setup_s": ([0.4, 0.8] * 5, [0.3] * 10),
+        })
     lines = summarize(runs).splitlines()
     assert lines[0] == "cli-suite (10 pairs)"
     assert lines[1] == ("  estimates_per_s: 90.9 [90.35, 91.45] -> 91, change won 9/10, "
@@ -140,6 +147,14 @@ def test_bench_pairs_summary_states_the_claim_rule_and_the_bounds():
     assert lines[4] == ("  rmse: 0.05 [0.05, 0.05] -> 0.05, change won 0/10, lost 0, "
                         "tied 10; claim does not hold")
     # three pairs are too few for a claim, however large the gain
-    assert lines[5:] == ["monte-carlo (3 pairs)",
-                         "  peak_rss_mb: 80.5 [80, 81] -> 70, change won 3/3, lost 0, "
-                         "tied 0; claim does not hold"]
+    assert lines[5:7] == ["monte-carlo (3 pairs)",
+                          "  peak_rss_mb: 80.5 [80, 81] -> 70, change won 3/3, lost 0, "
+                          "tied 0; claim does not hold"]
+    assert lines[7:] == [
+        "large-estimate (10 pairs)",
+        "  setup_s: 0.6 [0.4, 0.8] -> 0.3, change won 10/10, lost 0, tied 0; "
+        "claim does not hold",
+        "  peak_rss_mb: 100 [90, 110] -> 100, change won 5/10, lost 5, tied 0; "
+        "claim does not hold; unresolved: the parent's interquartile range is wider "
+        "than the bound 0.1",
+    ]
