@@ -204,6 +204,27 @@ def wide_detector_cases(out):
                         _record(out, name, lambda: {"": count_reverse_neighbors(points, K)})
 
 
+def window_detector_cases(out):
+    """detect_boundary and count_reverse_neighbors at d = 1 on an integer
+    grid (repeated values, and points equally far on either side of a
+    value), on continuous values with every fifth one repeated, and on
+    continuous values: detection at K + 1 = 301 and 49, reverse counts at
+    K = 1, 40, 300 and N - 1."""
+    rng = np.random.default_rng(300)
+    uniform = rng.random((1200, 1))
+    repeated = uniform.copy()
+    repeated[::5] = repeated[1::5]
+    grid = rng.integers(0, 250, size=(1200, 1)).astype(float)
+    for kind, points in (("grid", grid), ("repeated", repeated), ("uniform", uniform)):
+        for cname, config in (("sweep", SWEEP), ("edge", WIDE["edge"])):
+            for k, M in ((100, 400), (12, 300)):
+                _record(out, f"detect1d/{kind}/k{k}/M{M}/{cname}",
+                        lambda: _labels(detect_boundary(points, k, M, config)))
+        for K in (1, 40, 300, len(points) - 1):
+            _record(out, f"reverse1d/{kind}/K{K}",
+                    lambda: {"": count_reverse_neighbors(points, K)})
+
+
 def error_cases(out):
     """Duplicates, k = M, k > M, k < 3 and identical evaluation points,
     with and without a detector."""
@@ -384,6 +405,7 @@ def panel(workdir):
     knn_cases(out)
     density_cases(out)
     wide_detector_cases(out)
+    window_detector_cases(out)
     error_cases(out)
     monte_carlo_cases(out)
     truth_dimension_structure_cases(out)
