@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Print the memory and wall time of each operation of one round of a perfbench
-workload.
+"""Print the memory, wall time and CPU time of each operation of one round of a
+perfbench workload.
 
     python3 scripts/op_memory.py --workload cli-suite --seed 801
 
@@ -13,7 +13,10 @@ it runs each operation again under tracemalloc and prints the peak of what
 the operation allocated beyond what was alive when it started.  The
 ru_maxrss pass runs untraced, since tracemalloc's own bookkeeping would
 count in it, and the wall time printed is that pass's: the operation in the
-middle of a round's times is the one nearest perfbench's call_s_p50.
+middle of a round's times is the one nearest perfbench's call_s_p50.  Beside
+it stand the process CPU time of that pass, summed over all its threads,
+and CPU over wall: about 1 for an operation that runs on one CPU, up to the
+CPUs the process may use for one whose tree searches run on every CPU.
 """
 
 import argparse
@@ -33,23 +36,26 @@ def _maxrss_mb():
 
 def op_memory(workload_name, seed, short=False):
     """[(label, ru_maxrss in MB after it, its traced peak in MB, its
-    untraced wall time in s)] for the setup, which has no traced peak, and
-    then each operation of one round of the workload, in its order."""
+    untraced wall time in s, the process CPU time of that run in s)] for
+    the setup, which has no traced peak, and then each operation of one
+    round of the workload, in its order."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     from workloads import WORKLOADS
 
     with tempfile.TemporaryDirectory() as tmp:
         workload = WORKLOADS[workload_name](seed, Path(tmp), ROOT / "docs" / "schemas",
                                             short=short)
-        start = time.perf_counter()
+        start, cpu = time.perf_counter(), time.process_time()
         workload.setup()
-        rows = [("setup", _maxrss_mb(), None, time.perf_counter() - start)]
+        rows = [("setup", _maxrss_mb(), None, time.perf_counter() - start,
+                 time.process_time() - cpu)]
         ops = workload.operations()
-        rss, seconds = [], []
+        rss, seconds, cpus = [], [], []
         for op in ops:
-            start = time.perf_counter()
+            start, cpu = time.perf_counter(), time.process_time()
             op.call()
             seconds.append(time.perf_counter() - start)
+            cpus.append(time.process_time() - cpu)
             rss.append(_maxrss_mb())
         peaks = []
         for op in ops:
@@ -60,7 +66,7 @@ def op_memory(workload_name, seed, short=False):
                 peaks.append((tracemalloc.get_traced_memory()[1] - base) / 2**20)
             finally:
                 tracemalloc.stop()
-    return rows + [(op.label, *row) for op, row in zip(ops, zip(rss, peaks, seconds))]
+    return rows + [(op.label, *row) for op, row in zip(ops, zip(rss, peaks, seconds, cpus))]
 
 
 def main(argv=None):
@@ -70,12 +76,14 @@ def main(argv=None):
     p.add_argument("--seed", type=int, required=True)
     args = p.parse_args(argv)
     rows = op_memory(args.workload, args.seed)
-    print(f"{'operation':<24} {'ru_maxrss MB':>12}   {'traced peak MB':>14} {'wall s':>8}")
+    print(f"{'operation':<24} {'ru_maxrss MB':>12}   {'traced peak MB':>14} {'wall s':>8} "
+          f"{'cpu s':>8} {'cpu/wall':>8}")
     before = rows[0][1]
-    for label, rss, peak, seconds in rows:
+    for label, rss, peak, seconds, cpu in rows:
         grew = "*" if rss > before else " "
         traced = "-" if peak is None else f"{peak:.2f}"
-        print(f"{label:<24} {rss:>12.1f} {grew} {traced:>14} {seconds:>8.3f}")
+        print(f"{label:<24} {rss:>12.1f} {grew} {traced:>14} {seconds:>8.3f} "
+              f"{cpu:>8.3f} {cpu / seconds:>8.2f}")
         before = rss
 
 

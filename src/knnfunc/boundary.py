@@ -15,14 +15,17 @@ of knn_query at a time; the estimates go into a new BoundaryConfig, whose
 checks they pass as given constants do.  When q >= 1 the
 threshold is <= 0, every point is interior and no reverse count is
 taken; with numeric constants no index is built either.  Otherwise one
-(K+1)-NN self-query of the evaluation set (knn._self_query) adds the
-reverse counts a row block at a time and keeps the first min(K + 1,
-_HEAD) indices of each row, as int32, where a boundary point finds its
-nearest interior point.  Only a boundary point with no interior point in
-that head needs a second index, over the interior points.  The
-detector's working memory is the head and one block of the self-query,
-or, while an "auto" L is estimated, the N*K edge ratios (8 bytes each)
-and one block of about knn._BLOCK_SLOTS slots.
+(K+1)-NN self-query of the evaluation set (knn._self_query) gives the
+reverse counts.  At d >= 2 it adds them a row block at a time and keeps
+the first min(K + 1, _HEAD) indices of each row, as int32, where a
+boundary point finds its nearest interior point; only a boundary point
+with no interior point in that head needs a second index, over the
+interior points.  At d = 1 the counts come from the sorted windows, with
+no neighbour lists and no head, and every boundary point asks the
+interior index, one sorted-window search.  The detector's working memory
+is the head and one block of the self-query, or, while an "auto" L is
+estimated, the N*K edge ratios (8 bytes each) and one block of about
+knn._BLOCK_SLOTS slots.
 
 The threshold ``q`` has two parts: a Lipschitz/density term
 (L/eps0)*(K/(c_d*N*eps0))^(1/d) and a concentration term
@@ -46,14 +49,15 @@ __all__ = ["BoundaryConfig", "BoundaryLabels", "q_threshold", "p_k", "detect_bou
 
 Auto = Union[float, str]
 
-# Of each point's K + 1 nearest, the detector keeps the first _HEAD
-# indices (int32, in (distance, index) order), where a boundary point looks
-# for its nearest interior point; one with none there asks an index over
-# the interior points, which gives the same point.  On large-estimate's
+# At d >= 2, of each point's K + 1 nearest, the detector keeps the first
+# _HEAD indices (int32, in (distance, index) order), where a boundary point
+# looks for its nearest interior point; one with none there asks an index
+# over the interior points, which gives the same point.  On large-estimate's
 # mixture with its live detector, d = 3 (N = 30,000, K + 1 = 38): 129 of
 # 2,485 boundary points have their first interior neighbour past column 8,
-# 4 past 16 and none past 24.  At d = 1 (N = 9,000, K + 1 = 327) 353 of 462
-# are past 24 and take the sorted-window search; at d = 6 K + 1 is 7.
+# 4 past 16 and none past 24; at d = 6 K + 1 is 7.  At d = 1 no head is
+# kept: there (N = 9,000, K + 1 = 327) 353 of 462 boundary points had none
+# in a head of 24, and the interior index is one sorted-window search.
 _HEAD = 24
 
 
@@ -214,7 +218,9 @@ def detect_boundary(eval_points, k: int, M: int, config: BoundaryConfig = Bounda
         none = np.empty(0, dtype=np.intp)
         return BoundaryLabels(interior=np.arange(N), boundary=none, nearest_interior=none,
                               threshold_used=float((1.0 - q) * K), K_used=K, q_used=float(q))
-    counts, head = _self_query(index or build_index(eval_points), K + 1, min(K + 1, _HEAD))
+    # at d = 1 no head is kept: the reverse counts come from sorted windows
+    keep = min(K + 1, _HEAD) if d > 1 else 0
+    counts, head = _self_query(index or build_index(eval_points), K + 1, keep)
     threshold = (1.0 - q) * K
     interior_mask = counts >= threshold
     interior = np.where(interior_mask)[0]
@@ -223,12 +229,15 @@ def detect_boundary(eval_points, k: int, M: int, config: BoundaryConfig = Bounda
         raise ValueError("no interior points; increase T or adjust config")
     # a head row lists the first of its point's K + 1 nearest in (distance,
     # index) order, so its first interior entry is the nearest interior
-    # point; only rows with no interior entry need a tree over the interior
-    # points, whose (distance, index)-nearest is the same point
-    rows = head[boundary]
-    hits = interior_mask[rows]
-    picks = rows[np.arange(boundary.size), hits.argmax(axis=1)].astype(np.intp)
-    lonely = ~hits.any(axis=1)
+    # point; only rows with no interior entry need an index over the
+    # interior points, whose (distance, index)-nearest is the same point
+    picks = np.empty(boundary.size, dtype=np.intp)
+    lonely = np.ones(boundary.size, dtype=bool)
+    if keep:
+        rows = head[boundary]
+        hits = interior_mask[rows]
+        picks = rows[np.arange(boundary.size), hits.argmax(axis=1)].astype(np.intp)
+        lonely = ~hits.any(axis=1)
     if lonely.any():
         res = knn_query(build_index(eval_points[interior]), eval_points[boundary[lonely]], 1)
         picks[lonely] = interior[res.indices[:, 0]]

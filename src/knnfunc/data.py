@@ -51,6 +51,14 @@ class Dataset:
         # a private copy: freezing it leaves the caller's array writeable
         self._own(np.array(self.points, dtype=np.float64, order="C"))
 
+    @classmethod
+    def _of(cls, pts):
+        """A Dataset holding pts itself, an array no caller holds: checked
+        and frozen as the constructor's copy would be, but not copied."""
+        data = object.__new__(cls)
+        data._own(np.ascontiguousarray(pts, dtype=np.float64))
+        return data
+
     def _own(self, pts):
         """Check pts, freeze it and hold it as the points, not a copy."""
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
@@ -127,10 +135,7 @@ def load_csv(path, header: bool = False) -> Dataset:
         raise
     if points.size == 0:
         raise ValueError("empty input file")
-    # loadtxt's array is no caller's, so the Dataset holds it without a copy
-    data = object.__new__(Dataset)
-    data._own(points)
-    return data
+    return Dataset._of(points)
 
 
 def _loadtxt(source, skiprows: int = 0) -> np.ndarray:
@@ -202,13 +207,13 @@ def sample_beta_uniform_mixture(
     _check_mixture(a, b, eps)
     rng = make_rng(seed, "beta-uniform", count, dim)
     use_uniform = rng.random(count) < eps
-    beta_part = rng.beta(a, b, size=(count, dim))
-    unif_part = rng.random((count, dim))
-    # in place and the uniform draw freed, so beside the Dataset's own copy
-    # only one sample-sized array is alive
-    np.copyto(beta_part, unif_part, where=use_uniform[:, None])
-    del unif_part
-    return Dataset(beta_part)
+    points = rng.beta(a, b, size=(count, dim))
+    # the count x dim uniform draw comes a block of rows at a time, the same
+    # stream, and goes in place: only the sample itself is sample-sized
+    for rows in _blocks(count):
+        np.copyto(points[rows], rng.random((rows.stop - rows.start, dim)),
+                  where=use_uniform[rows, None])
+    return Dataset._of(points)
 
 
 def _check_mixture(a, b, eps):
@@ -234,7 +239,7 @@ def sample_projected_manifold(
     rng = make_rng(seed, "manifold-basis", intrinsic_dim, ambient_dim)
     gauss = rng.normal(size=(ambient_dim, intrinsic_dim))
     u, _ = np.linalg.qr(gauss)
-    return Dataset(base.points @ u.T)
+    return Dataset._of(base.points @ u.T)
 
 
 def sample_block_beta_mixture(count: int, block_sizes, seed: int) -> Dataset:
@@ -252,7 +257,7 @@ def sample_block_beta_mixture(count: int, block_sizes, seed: int) -> Dataset:
         first = rng.beta(5.0, 2.0, size=(count, m))
         second = rng.beta(2.0, 5.0, size=(count, m))
         cols.append(np.where(pick_first[:, None], first, second))
-    return Dataset(np.hstack(cols))
+    return Dataset._of(np.hstack(cols))
 
 
 @dataclass(frozen=True)
@@ -267,9 +272,10 @@ class AnalyticDensity:
     Hessian trace evaluates phi once per axis at each point and at each
     difference step, rather than the whole pdf at every shifted point.
     ``sampler`` maps (n, rng) to an iterator over (rows, dim) blocks of n
-    draws, _HESSIAN_BLOCK_ROWS rows a block but the last.  The Monte Carlo
-    truth oracle and the theory-constant estimators evaluate the pdf on
-    each block as it comes, so no n x dim array of draws is ever alive.
+    draws in all; the samplers here yield _HESSIAN_BLOCK_ROWS rows a block
+    but the last.  The Monte Carlo truth oracle and the theory-constant
+    estimators evaluate the pdf on each block as it comes, so no n x dim
+    array of draws is ever alive.
     """
 
     dim: int
@@ -294,8 +300,21 @@ def _blocks(n):
 
 def _draw_blocks(density: AnalyticDensity, n: int, seed: int, *tags):
     """(rows, block) for each block of the density's n draws: the block's
-    row slice of the whole draw, and its draws."""
-    return zip(_blocks(n), density.sampler(n, make_rng(seed, "analytic-density", *tags)))
+    row slice of the whole draw, as long as the block, and its draws.
+    Raises ValueError when a block is not (rows, dim) or the blocks do not
+    hold n draws in all."""
+    start = 0
+    for block in density.sampler(n, make_rng(seed, "analytic-density", *tags)):
+        if block.ndim != 2 or block.shape[1] != density.dim:
+            raise ValueError(f"the sampler yielded a block of shape {block.shape}; "
+                             f"a density of dimension {density.dim} needs (rows, {density.dim})")
+        if start + len(block) > n:
+            raise ValueError(f"the sampler yielded at least {start + len(block)} draws; "
+                             f"{n} were asked for")
+        yield slice(start, start + len(block)), block
+        start += len(block)
+    if start != n:
+        raise ValueError(f"the sampler yielded {start} draws; {n} were asked for")
 
 
 def _beta_pdf_1d(x, a, b):

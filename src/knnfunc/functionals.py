@@ -291,7 +291,7 @@ def mutual_information(
                 raise ValueError(f"{name} column {c} repeated")
     if set(x_cols) & set(y_cols):
         raise ValueError("x and y column blocks overlap")
-    dens = [_density_values(Dataset(data.points[:, cols]), split, k, config)
+    dens = [_density_values(Dataset._of(data.points.take(cols, axis=1)), split, k, config)
             for cols in (x_cols, y_cols, x_cols + y_cols)]
     (hx, _, rx), (hy, _, ry), (hxy, _, rxy) = (
         _bias_corrected(shannon_functional(), f, k, split.n_ref) for f in dens

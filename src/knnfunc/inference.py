@@ -51,7 +51,7 @@ def generate_dataset(name: str, T: int, seed: int, params: dict) -> Dataset:
         )
     if name == "uniform":
         rng = make_rng(seed, "uniform-cube", T, params["d"])
-        return Dataset(rng.random((T, params["d"])))
+        return Dataset._of(rng.random((T, params["d"])))
     if name == "projected_manifold":
         return sample_projected_manifold(
             T, params["intrinsic_d"], params["ambient_D"], seed

@@ -26,6 +26,9 @@ its choices changes a result:
   (value, index)-sorted references, which gives the k-th distances
   directly, one window search per k, and the full neighbour lists after
   merging the window's two runs on either side of the query;
+- the reverse counts of a d = 1 self-query come from the windows' bounds
+  by one prefix sum (_window_counts), with no neighbour list for any point
+  whose window has no tie at its edge;
 - the zero-distance check is the same search bounded at 1e-150, so it
   visits little more than each query's own leaf;
 - one loop ranks every row holding a tie by a row-wise lexsort on
@@ -34,12 +37,13 @@ its choices changes a result:
 - passes over a neighbour list (the d = 1 lists, the ranking of tied
   rows) go a row block at a time, so that beside the result they hold a
   few MB, whatever its size;
-- a self-query (_self_query), such as the boundary detector's, is one
-  knn_query per row block of stored rows, read as views, in storage
-  order.  Each block adds its reverse counts and keeps the first columns
-  of its rows that the caller asks for, as int32 indices; the rest is
-  dropped before the next block, so no (N, k) graph is stored unless
-  every column is kept.
+- any other self-query (_self_query), such as the boundary detector's at
+  d >= 2, is one knn_query per row block of stored rows, read as views, in
+  storage order.  Each block adds its reverse counts and keeps the first
+  columns of its rows that the caller asks for, as int32 indices; the
+  rest is dropped before the next block, so no (N, k) graph is stored
+  unless every column is kept.  At d = 1 with no columns kept, only the
+  points whose windows tie go through it.
 """
 
 import math
@@ -95,15 +99,11 @@ _BLOCK_SLOTS = 1 << 15
 # take 16 bytes a slot, and its reverse-count mask and entries 9 more once
 # the distances are dropped.  Measured detect_boundary time and
 # tracemalloc peak with a numeric config on a 2-core host, median of 9
-# (the mixture's evaluation sets: d = 1, N = 9,000, K + 1 = 327; d = 3,
-# N = 30,000, K + 1 = 38; d = 1, N = 30,000, K + 1 = 728):
-#   2^14        93 ms  2.9 MB;  218 ms  5.1 MB;  681 ms   5.5 MB
-#   2^16        93 ms  3.4 MB;  189 ms  5.7 MB;  613 ms   6.0 MB
-#   2^18        82 ms  6.6 MB;  155 ms  9.0 MB;  564 ms   9.1 MB
-#   2^20        80 ms 19.2 MB;  142 ms 22.7 MB;  591 ms  21.7 MB
-#   one block  104 ms 51.4 MB;  153 ms 24.3 MB;  840 ms 375.5 MB
-# Each block is one more tree call, which costs the most at d >= 2, and
-# one more N-long bincount.
+# (the mixture's evaluation set at d = 3, N = 30,000, K + 1 = 38):
+#   2^14 218 ms 5.1 MB;  2^16 189 ms 5.7 MB;  2^18 155 ms 9.0 MB;
+#   2^20 142 ms 22.7 MB;  one block 153 ms 24.3 MB
+# Each block is one more tree call and one more N-long bincount.  At d = 1
+# only the rows _window_counts leaves unsettled take this path.
 _GRAPH_BLOCK_SLOTS = 1 << 18
 
 
@@ -472,13 +472,21 @@ def _self_query(index: NeighborIndex, k: int, keep: int = 0):
     counts are the reverse (k - 1)-NN counts, self excluded; head holds
     the first keep int32 indices of each point's row in (distance, index)
     order.  The rest of a block is dropped before the next block's query.
+    At d = 1 with no head, the sorted windows settle the counts of most
+    points (_window_counts), and only the rest are queried.
     """
     N = index.size
     if N > np.iinfo(np.int32).max:
         raise ValueError("a self-query graph holds fewer than 2^31 points")
     counts = np.zeros(N, dtype=np.int64)
     head = np.empty((N, keep), dtype=np.int32)
-    for rows in _row_blocks(N, k, min_slots=_GRAPH_BLOCK_SLOTS):
+    if index._sorted is not None and not keep:
+        covered, todo = _window_counts(index._sorted, k)
+        counts[index._order] = covered
+        blocks = [todo[b] for b in _row_blocks(todo.size, k, min_slots=_GRAPH_BLOCK_SLOTS)]
+    else:
+        blocks = _row_blocks(N, k, min_slots=_GRAPH_BLOCK_SLOTS)
+    for rows in blocks:
         src = np.arange(rows.start, rows.stop) if index._order is None else index._order[rows]
         nbrs = knn_query(index, index._stored_rows(rows), k).indices
         head[src] = nbrs[:, :keep]
@@ -491,3 +499,32 @@ def _self_query(index: NeighborIndex, k: int, keep: int = 0):
         counts += np.bincount(nbrs[counted], minlength=N)
         del nbrs, is_self, counted  # before the next block's query
     return counts, head
+
+
+def _window_counts(s: np.ndarray, k: int):
+    """(covered, todo) for the k-NN self-query of the sorted 1-d column s.
+
+    Stored row j's k nearest are the window s[w..w+k-1] found by
+    _window_start when the nearest point outside it is farther than the
+    window's farthest, in the sqrt(r*r) distances knn_query ranks by: the
+    row is settled.  Its own point, at distance 0, is then in the window,
+    and so is every copy of its value.  The other rows, todo, have a tie
+    at the window's edge, or a squared distance that overflows, and go to
+    knn_query.  covered[p] counts the settled rows, other than p itself,
+    whose window holds stored row p: +1 at each window's start and -1 past
+    its end, summed by one cumsum (reverse-NN counting from windows, Korn
+    and Muthukrishnan, SIGMOD 2000).
+    """
+    N = len(s)
+    w = _window_start(s, s, k)
+    with np.errstate(over="ignore"):  # inf past 1e154, as the tree gives
+        far = np.maximum(s - s[w], s[w + k - 1] - s)
+        near = np.minimum(np.where(w > 0, s - s[np.maximum(w - 1, 0)], np.inf),
+                          np.where(w + k < N, s[np.minimum(w + k, N - 1)] - s, np.inf))
+        settled = np.sqrt(near * near) > np.sqrt(far * far)
+    starts = w[settled]
+    edges = np.bincount(starts, minlength=N + 1)
+    edges -= np.bincount(starts + k, minlength=N + 1)
+    covered = np.cumsum(edges[:N])
+    covered -= settled
+    return covered, np.flatnonzero(~settled)

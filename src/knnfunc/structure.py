@@ -58,7 +58,7 @@ class Factorization:
 
 
 def _entropy_on_slice(data, rows, cols, k, alpha_frac, config, seed):
-    sub = Dataset(data.points[np.ix_(rows, list(cols))])
+    sub = Dataset._of(data.points[np.ix_(rows, list(cols))])
     sp = split(sub, alpha_frac, seed)
     if k >= sp.n_ref:
         raise ValueError(

@@ -514,20 +514,27 @@ def test_default_config_builds_no_evaluation_graph(monkeypatch, tmp_path):
 
 def test_live_configs_share_one_evaluation_graph(monkeypatch):
     rng = np.random.default_rng(34)
-    for pts in (rng.random((500, 2)), rng.random((500, 1))):  # tree and d = 1 window
+    for pts in (rng.random((500, 2)), rng.random((500, 1))):  # tree and d = 1 windows
         for cfg in (BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0="auto", pk_scale=0.1),
                     BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0=1.0, pk_scale=0.3)):
             calls, labels = _count_graph_calls(monkeypatch, pts, 20, 1000, cfg)
             assert labels.n_boundary > 0
-            # the self-query also gives every boundary point an interior neighbour
-            assert calls == {"build_index": 1, "knn_query": 1, "self_queries": 1}, cfg
+            if pts.shape[1] > 1:
+                # the self-query also gives every boundary point an interior neighbour
+                assert calls == {"build_index": 1, "knn_query": 1, "self_queries": 1}, cfg
+            else:
+                # the sorted windows settle every count of these distinct
+                # values with no query, and the boundary points ask one
+                # index over the interior points
+                assert calls == {"build_index": 2, "knn_query": 1, "self_queries": 0}, cfg
 
 
 def test_nearest_interior_fallback_queries_only_rows_without_an_interior_neighbour(monkeypatch):
     # L = 0 and pk_scale = 0 put the threshold at K itself, so about a third
     # of the points are boundary, and at K = 2 a few have only boundary
-    # points among their 3 nearest; their nearest interior point needs the
-    # interior tree (the tree path at d = 2, the window path at d = 1)
+    # points among their 3 nearest; their nearest interior point needs an
+    # index over the interior points.  At d = 1 no head is kept, and every
+    # boundary point asks that index, a sorted-window search
     cfg = BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0=1.0, pk_scale=0.0)
     rng = np.random.default_rng(35)
     for pts in (rng.random((300, 2)), rng.random((300, 1))):
@@ -538,7 +545,11 @@ def test_nearest_interior_fallback_queries_only_rows_without_an_interior_neighbo
         interior_mask[labels.interior] = True
         lonely = [b for b in labels.boundary if not interior_mask[graph.indices[b]].any()]
         assert lonely
-        # one more index build and query, for the lonely rows
-        assert calls == {"build_index": 2, "knn_query": 2, "self_queries": 1}
+        if pts.shape[1] > 1:
+            # one more index build and query, for the lonely rows
+            assert calls == {"build_index": 2, "knn_query": 2, "self_queries": 1}
+        else:
+            # the windows settle every count with no query
+            assert calls == {"build_index": 2, "knn_query": 1, "self_queries": 0}
         want = oracles.brute_force_knn(pts[labels.interior], pts[labels.boundary], 1)
         assert np.array_equal(labels.nearest_interior, labels.interior[want.indices[:, 0]])

@@ -1,3 +1,4 @@
+import dataclasses
 import gzip
 import math
 import warnings
@@ -11,6 +12,7 @@ from knnfunc import (
     Dataset,
     SampleSplit,
     beta_uniform_mixture_density,
+    constants_oracle,
     load_csv,
     renyi_functional,
     sample_beta_uniform_mixture,
@@ -305,6 +307,29 @@ def test_analytic_mixture_sampler_equals_the_np_where_draw():
                 assert np.array_equal(np.concatenate(blocks), want), (a, b, n, dim, eps)
 
 
+def test_mixture_sample_equals_the_one_call_draw():
+    # the uniform part is drawn a row block at a time, the same stream as
+    # the choices, the Betas and the uniforms each drawn in one call
+    block = knnfunc.data._HESSIAN_BLOCK_ROWS
+    for count in (1, block, block + 1, 3 * block - 7):
+        for dim, eps in ((1, 0.2), (3, 0.2), (2, 1.0)):
+            rng = make_rng(9, "beta-uniform", count, dim)
+            use_uniform = rng.random(count) < eps
+            beta = rng.beta(4.0, 2.0, size=(count, dim))
+            want = np.where(use_uniform[:, None], rng.random((count, dim)), beta)
+            got = sample_beta_uniform_mixture(count, dim, 4.0, 2.0, eps, 9).points
+            assert np.array_equal(got, want), (count, dim, eps)
+
+
+def test_mixture_sample_holds_one_copy_of_its_draw(traced_peak):
+    # the Dataset takes the sampler's array, and the uniform part comes a
+    # row block at a time: the peak was 2.17x the data's bytes with a whole
+    # uniform draw and a copy for the Dataset
+    data, peak = traced_peak(lambda: sample_beta_uniform_mixture(100_000, 3, 4, 4, 0.2, 1))
+    assert not data.points.flags.writeable
+    assert peak < 1.5 * data.points.nbytes, peak / data.points.nbytes
+
+
 def test_uniform_sampler_blocks_are_one_draw():
     n = 2 * knnfunc.data._HESSIAN_BLOCK_ROWS + 5
     got = np.concatenate(list(uniform_density(3).sampler(n, make_rng(1, "uniform"))))
@@ -414,6 +439,40 @@ def test_true_functional_memory_is_the_pdf_values(traced_peak):
     n = 200_000
     _, peak = traced_peak(lambda: true_functional(dens, shannon_functional(), n, 5))
     assert peak <= 2 * 8 * n + (1 << 20)
+
+
+def _thousand_row_blocks(n, rng):
+    """A uniform sampler whose blocks hold 1,000 rows but the last."""
+    for start in range(0, n, 1000):
+        yield rng.random((min(1000, n - start), 1))
+
+
+def test_draws_follow_the_samplers_own_block_lengths():
+    # a sampler with 1,000-row blocks gives the results of uniform_density's
+    # 2^13-row blocks of the same stream, under a flat and a sloped pdf
+    functional = shannon_functional()
+    for factor in (np.ones_like, lambda x: 2.0 * x):
+        want = dataclasses.replace(uniform_density(1), factor=factor)
+        got = dataclasses.replace(want, sampler=_thousand_row_blocks)
+        for n in (10_000, 20_001):
+            assert true_functional(got, functional, n, 3) == true_functional(want, functional, n, 3)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # n_mc < 1e5
+                assert constants_oracle(got, functional, n, 3) == \
+                    constants_oracle(want, functional, n, 3)
+
+
+def test_draws_that_do_not_fit_the_density_are_rejected():
+    dens = uniform_density(2)
+    for sampler, message in (
+        (lambda n, rng: iter([rng.random((n - 1, 2))]), "yielded 9999 draws; 10000"),
+        (lambda n, rng: iter([rng.random((n, 2)), rng.random((1, 2))]),
+         "yielded at least 10001 draws; 10000"),
+        (lambda n, rng: iter([rng.random((n, 3))]), r"block of shape \(10000, 3\)"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            true_functional(dataclasses.replace(dens, sampler=sampler), shannon_functional(),
+                            10_000, 0)
 
 
 def test_true_functional_validation():

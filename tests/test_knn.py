@@ -165,9 +165,12 @@ def test_knn_radii_matches_query():
 
 
 def _1d_inputs(seed):
-    """References (random, duplicate-heavy, 2-decimal, symmetric about 0)
-    with queries outside their range, equal to references and, for the
-    symmetric set, midway between tied pairs."""
+    """References (random, duplicate-heavy, 2-decimal, symmetric about 0,
+    an evenly spaced grid and random values beside such a grid) with
+    queries outside their range, equal to references and, for the
+    symmetric set, midway between tied pairs.  On the grid a point's
+    window of an even number of nearest ties its farthest point with the
+    nearest one outside it."""
     rng = np.random.default_rng(seed)
     offsets = rng.integers(1, 40, 150).astype(float)
     refs = {
@@ -175,6 +178,9 @@ def _1d_inputs(seed):
         "duplicates": rng.integers(0, 12, 300).astype(float),
         "rounded": np.round(rng.standard_normal(300), 2),
         "symmetric": rng.permutation(np.concatenate([-offsets, offsets])),
+        "grid": rng.permutation(np.arange(300.0)),
+        "grid-and-random": rng.permutation(np.concatenate([rng.random(200),
+                                                           np.arange(2.0, 102.0)])),
     }
     for name, s in refs.items():
         span = s.max() - s.min()
@@ -242,8 +248,14 @@ def _tree_neighbors(index, x, k):
     return dist.reshape(len(x), k), idx.reshape(len(x), k)
 
 
+def _settle_nothing(s, k):
+    """In place of knnfunc.knn._window_counts: every row to knn_query."""
+    return np.zeros(len(s), dtype=np.int64), np.arange(len(s))
+
+
 def test_1d_graph_equals_tree_graph(monkeypatch):
-    # the window graph gives the reverse counts and labels the tree gave
+    # the sorted windows and window lists give the reverse counts and
+    # labels that the tree's lists of every row gave
     configs = (BoundaryConfig(),
                BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0=1.0, pk_scale=0.3))
     fired = 0
@@ -251,6 +263,7 @@ def test_1d_graph_equals_tree_graph(monkeypatch):
         out = {}
         for path in ("window", "tree"):
             if path == "tree":
+                monkeypatch.setattr(knnfunc.knn, "_window_counts", _settle_nothing)
                 monkeypatch.setattr(knnfunc.knn, "_window_neighbors", _tree_neighbors)
             counts = [count_reverse_neighbors(refs, K) for K in (1, 5, 40)]
             with warnings.catch_warnings():
@@ -264,6 +277,30 @@ def test_1d_graph_equals_tree_graph(monkeypatch):
             assert np.array_equal(ba, bb) and qa == qb, name
             fired += ba.size > 0
     assert fired >= 2  # live labels are compared, not only q >= 1
+
+
+def test_1d_window_counts_equal_brute_force():
+    # a row whose window is its k nearest with no tie at the window's edge
+    # and no repeat of its own value is settled by the window; the rest,
+    # ranked by knn_query, give the oracle's counts too, also at K = N - 1
+    pk0 = BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0=1.0, pk_scale=0.0)
+    fired = 0
+    for name, refs, _ in _1d_inputs(17):
+        for K in (1, 2, 5, 40, len(refs) - 1):
+            want = oracles.brute_force_counts(refs, K)
+            assert np.array_equal(count_reverse_neighbors(refs, K), want), (name, K)
+        # threshold K: every point with a deficient count is boundary
+        labels = detect_boundary(refs, 25, 600, pk0)
+        counts = oracles.brute_force_counts(refs, labels.K_used)
+        assert np.array_equal(labels.boundary, np.flatnonzero(counts < labels.K_used)), name
+        want = oracles.brute_force_knn(refs[labels.interior], refs[labels.boundary], 1)
+        assert np.array_equal(labels.nearest_interior, labels.interior[want.indices[:, 0]])
+        fired += labels.n_boundary > 0
+    assert fired == 6
+    # the K = 5 call above settles some rows and ranks the rest
+    refs = dict((name, refs) for name, refs, _ in _1d_inputs(17))["grid-and-random"]
+    todo = knnfunc.knn._window_counts(build_index(refs)._sorted, 6)[1]
+    assert 0 < todo.size < len(refs)
 
 
 def _zorder_inputs():

@@ -85,13 +85,17 @@ def test_op_memory_reports_each_operation_of_a_round():
     assert out.returncode == 0, out.stderr
     rows = ast.literal_eval(out.stdout.strip().splitlines()[-1])
     assert rows[0][0] == "setup" and rows[0][2] is None
-    assert sorted(label for label, _, _, _ in rows[1:]) == sorted(
+    assert sorted(label for label, _, _, _, _ in rows[1:]) == sorted(
         ["entropy", "mi-within", "mi-across", "dimension", "dimension-scan", "structure",
          "tune"])
-    rss = [r for _, r, _, _ in rows]
+    rss = [r for _, r, _, _, _ in rows]
     assert rss == sorted(rss) and rss[0] > 0
-    assert all(peak > 0 for _, _, peak, _ in rows[1:])
-    assert all(seconds > 0 for _, _, _, seconds in rows)
+    assert all(peak > 0 for _, _, peak, _, _ in rows[1:])
+    assert all(seconds > 0 for _, _, _, seconds, _ in rows)
+    # process CPU time: some for each operation, and no more than every CPU
+    # the process may use could give over its wall time
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert all(0 < cpu <= 1.05 * cpus * seconds + 0.01 for _, _, _, seconds, cpu in rows)
 
 
 def _bench_pairs():
