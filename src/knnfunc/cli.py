@@ -24,12 +24,10 @@ import numpy as np
 
 from .boundary import BoundaryConfig
 from .data import beta_uniform_mixture_density, load_csv, split, uniform_density
-from .density import knn_density
 from .dimension import anomaly_scan, estimate_dimension
-from .functionals import (_named_functional, bpi_estimate, bpi_estimate_bc, mutual_information,
-                          renyi_entropy, shannon_functional)
+from .functionals import (_density_values, _named_functional, bpi_estimate, bpi_estimate_bc,
+                          mutual_information, renyi_entropy, shannon_functional)
 from .inference import TrialSpec, generate_dataset, monte_carlo, normality_diagnostics
-from .knn import build_index
 from .structure import Factorization, compare_models
 from .tuning import TheoryConstants, constants_oracle, optimal_k, rate_matched_k
 
@@ -181,14 +179,13 @@ def cmd_generate(args):
 
 def cmd_density(args):
     data, sp, k = _prepare(args)
-    ev = sp.eval_points(data)
-    dens = knn_density(build_index(sp.ref_points(data)), ev, k, _boundary_config(args))
+    dens = _density_values(data, sp, k, _boundary_config(args))
     interior_flag = np.ones(sp.n_eval, dtype=bool)
     if dens.labels is not None:
         interior_flag[dens.labels.boundary] = False
     kind = "standard" if dens.labels is None else "corrected"
     lines = [f"# seed={args.seed} k={k} N={sp.n_eval} M={sp.n_ref} kind={kind}"]
-    for row, val, flag in zip(ev, dens.values, interior_flag):
+    for row, val, flag in zip(sp.eval_points(data), dens.values, interior_flag):
         lines.append(f"{_csv_row(row)},{val:.17g},{'interior' if flag else 'boundary'}")
     _write("\n".join(lines) + "\n", args)
 

@@ -251,13 +251,17 @@ def sample_block_beta_mixture(count: int, block_sizes, seed: int) -> Dataset:
     within a multi-column block are dependent through the shared label.
     """
     rng = make_rng(seed, "block-beta", count, tuple(block_sizes))
-    cols = []
-    for j, m in enumerate(block_sizes):
+    # one array, filled a block of columns at a time: beside it only the
+    # block's labels and one of its two draws are alive
+    pts = np.empty((count, sum(block_sizes)))
+    end = 0
+    for m in block_sizes:
         pick_first = rng.random(count) < 0.5
-        first = rng.beta(5.0, 2.0, size=(count, m))
-        second = rng.beta(2.0, 5.0, size=(count, m))
-        cols.append(np.where(pick_first[:, None], first, second))
-    return Dataset._of(np.hstack(cols))
+        cols = pts[:, end:end + m]
+        end += m
+        cols[...] = rng.beta(5.0, 2.0, size=(count, m))
+        np.copyto(cols, rng.beta(2.0, 5.0, size=(count, m)), where=~pick_first[:, None])
+    return Dataset._of(pts)
 
 
 @dataclass(frozen=True)

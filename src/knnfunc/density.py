@@ -7,13 +7,18 @@ boundary-corrected: f_hat at interior points, nearest-interior value at
 knn_density is the one estimator, with an optional detector: without a
 BoundaryConfig it returns the standard estimate; with one it runs
 boundary.detect_boundary on the queries and returns the corrected
-estimate with the labels.  Both estimates are strictly positive whenever
-the k-NN radius is nonzero; a zero radius (k-fold duplicate collision) is
-a data error and raises.  The corrected estimate queries radii at the
-interior points only: a boundary point's own value is never used, so it
-gets no radius query, only the same k-th-distance search bounded at
-1e-150, compared with zero, which keeps the error the same.  Queries are
-an (n, d) matrix, one point a row.
+estimate with the labels.  The detector reads only the queries and the
+reference count M, so the estimators in functionals (and the CLI's
+density command) run it before they build the reference index and then
+hand its labels to the step knn_density ends with (_labelled_density):
+the detector's head and blocks and the reference index are never alive
+together, and the values are the same.  Both estimates are strictly
+positive whenever the k-NN radius is nonzero; a zero radius (k-fold
+duplicate collision) is a data error and raises.  The corrected estimate
+queries radii at the interior points only: a boundary point's own value
+is never used, so it gets no radius query, only the same k-th-distance
+search bounded at 1e-150, compared with zero, which keeps the error the
+same.  Queries are an (n, d) matrix, one point a row.
 """
 
 from dataclasses import dataclass
@@ -65,6 +70,16 @@ def knn_density(
         # the query matrix is checked before the detector reads it
         queries = _as_queries(queries, index.dim)
         labels = detect_boundary(queries, k, index.size, config)
+    return _labelled_density(index, queries, k, labels)
+
+
+def _labelled_density(
+    index: NeighborIndex, queries, k: int, labels: Optional[BoundaryLabels]
+) -> DensityEstimates:
+    """knn_density past its detector: the standard estimate when labels is
+    None, else the estimate those labels of the queries correct.  A caller
+    that has the queries before the index may run detect_boundary first
+    and build the index after it, as functionals does."""
     if not 3 <= k <= index.size:
         raise ValueError(f"k={k} outside [3, {index.size}]")
     if labels is None:

@@ -20,9 +20,9 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import ndtri, psi
 
-from .boundary import BoundaryConfig
+from .boundary import BoundaryConfig, detect_boundary
 from .data import Dataset, SampleSplit
-from .density import knn_density
+from .density import _labelled_density
 from .knn import build_index
 
 __all__ = [
@@ -154,8 +154,17 @@ def _report(estimate, variance, relabelled, k, split, variant, ci_level) -> Esti
 # -- estimators ---------------------------------------------------------------
 
 def _density_values(data, split, k, config):
-    """knn_density at split's evaluation points from its references."""
-    return knn_density(build_index(split.ref_points(data)), split.eval_points(data), k, config)
+    """knn_density at split's evaluation points from its references.
+
+    The detector needs only the reference count, so it runs before the
+    reference index is built, and each phase gathers the evaluation points
+    it reads: the two phases' arrays are never alive together, and the
+    detector's errors still come before the k check."""
+    labels = None
+    if config is not None:
+        labels = detect_boundary(split.eval_points(data), k, split.n_ref, config)
+    index = build_index(split.ref_points(data))
+    return _labelled_density(index, split.eval_points(data), k, labels)
 
 
 def _plug_in(functional, dens, M):

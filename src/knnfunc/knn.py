@@ -98,12 +98,22 @@ _BLOCK_SLOTS = 1 << 15
 # this many slots.  Beside what it keeps, a block's distances and indices
 # take 16 bytes a slot, and its reverse-count mask and entries 9 more once
 # the distances are dropped.  Measured detect_boundary time and
-# tracemalloc peak with a numeric config on a 2-core host, median of 9
-# (the mixture's evaluation set at d = 3, N = 30,000, K + 1 = 38):
-#   2^14 218 ms 5.1 MB;  2^16 189 ms 5.7 MB;  2^18 155 ms 9.0 MB;
-#   2^20 142 ms 22.7 MB;  one block 153 ms 24.3 MB
-# Each block is one more tree call and one more N-long bincount.  At d = 1
-# only the rows _window_counts leaves unsettled take this path.
+# tracemalloc peak with a numeric config on a 2-core host, median of 7
+# (large-estimate's evaluation sets, N = 30,000: d = 3 with K + 1 = 38,
+# d = 6 with K + 1 = 7):
+#   d=3:  2^16 76 ms 5.7 MB;  2^17 74 ms 6.8 MB;  2^18 74 ms 9.0 MB;
+#         2^19 76 ms 13.6 MB
+#   d=6:  2^16 103 ms 4.4 MB;  2^17 97 ms 5.7 MB;  2^18 96 ms 7.2 MB;
+#         2^19 97 ms 7.2 MB
+# Each block is one more tree call and one more N-long bincount.  The
+# widened queries of tied rows (knn_query) go in blocks of this size too.
+# count_reverse_neighbors on 20,000 points with K = 50, median of 9
+# with the sizes alternated, took 111 vs 135 ms at 2^17 vs 2^18 (d = 1,
+# 100 values), 204 vs 218 ms (d = 2, 10 values an axis) and 228 vs 244 ms
+# (d = 3, 10 values an axis).  So 2^17 would be no slower here and would
+# hold about 2 MB less; it stays 2^18 until a benchmark run sizes that
+# change on its own.  At d = 1 only the rows _window_counts leaves
+# unsettled take this path.
 _GRAPH_BLOCK_SLOTS = 1 << 18
 
 

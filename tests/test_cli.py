@@ -96,6 +96,23 @@ def test_density_csv_output(mixture_csv, tmp_path):
     assert first[-1] in ("interior", "boundary")
 
 
+def test_density_goes_through_the_estimators_order(mixture_csv, tmp_path, monkeypatch):
+    # the estimators' density step: the detector returns before the
+    # reference index is built
+    events = []
+    functionals = knnfunc.functionals
+    detect, build = functionals.detect_boundary, functionals.build_index
+    monkeypatch.setattr(functionals, "detect_boundary",
+                        lambda *a: events.append("detect") or detect(*a))
+    monkeypatch.setattr(functionals, "build_index",
+                        lambda *a: events.append("build") or build(*a))
+    assert run(["density", "--input", str(mixture_csv), "--seed", "2",
+                "--lipschitz", "0", "--eps0", "1", "--pk-scale", "0.3", "--delta", "0.9",
+                "-o", str(tmp_path / "dens.csv")]) == 0
+    assert events == ["detect", "build"]
+    assert "kind=corrected" in (tmp_path / "dens.csv").read_text().split("\n")[0]
+
+
 def test_tune_smoke(tmp_path):
     out = tmp_path / "tune.json"
     import warnings

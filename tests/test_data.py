@@ -330,6 +330,26 @@ def test_mixture_sample_holds_one_copy_of_its_draw(traced_peak):
     assert peak < 1.5 * data.points.nbytes, peak / data.points.nbytes
 
 
+def test_block_sample_fills_one_array(traced_peak):
+    # each block's draws go into the sample's own columns: the peak was
+    # 2.66x the data's bytes when the blocks were stacked at the end
+    data, peak = traced_peak(lambda: sample_block_beta_mixture(50_000, [2, 1, 1], 1))
+    assert not data.points.flags.writeable
+    assert peak < 1.7 * data.points.nbytes, peak / data.points.nbytes
+
+
+def test_block_sample_is_each_blocks_labelled_draws():
+    # a shared Beta(5,2)/Beta(2,5) label per row and block, in draw order
+    count, sizes = 777, [1, 3, 2]
+    rng = make_rng(9, "block-beta", count, tuple(sizes))
+    want = []
+    for m in sizes:
+        pick_first = rng.random(count) < 0.5
+        first, second = rng.beta(5.0, 2.0, (count, m)), rng.beta(2.0, 5.0, (count, m))
+        want.append(np.where(pick_first[:, None], first, second))
+    assert np.array_equal(sample_block_beta_mixture(count, sizes, 9).points, np.hstack(want))
+
+
 def test_uniform_sampler_blocks_are_one_draw():
     n = 2 * knnfunc.data._HESSIAN_BLOCK_ROWS + 5
     got = np.concatenate(list(uniform_density(3).sampler(n, make_rng(1, "uniform"))))

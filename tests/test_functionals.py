@@ -1,5 +1,5 @@
 import math
-
+import re
 import warnings
 
 import numpy as np
@@ -21,8 +21,12 @@ from knnfunc import (
     shannon_functional,
     split,
 )
+import knnfunc.functionals
 from knnfunc.data import SampleSplit
+from knnfunc.density import knn_density
+from knnfunc.functionals import _density_values
 from knnfunc.inference import generate_dataset
+from knnfunc.knn import build_index
 from knnfunc.rng import make_rng
 
 import oracles
@@ -369,3 +373,129 @@ def test_report_ci_ordering_and_serialization():
     assert lo <= rep.estimate <= hi and level == 0.9
     payload = rep.to_dict()
     assert payload["ci"]["lo"] == lo and payload["estimator_variant"] == "bpi"
+
+
+# -- the detector runs before the reference index is built --------------------
+
+def _mixture(T, d, seed):
+    data = generate_dataset("beta_uniform_mixture", T, seed,
+                            {"d": d, "a": 4, "b": 4, "eps": 0.2})
+    return data, split(data, 0.7, seed)
+
+
+def _density_outcome(call, *args):
+    """(values, labels' arrays and numbers) of call(*args), or the message
+    of its ValueError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # q >= 1
+        try:
+            dens = call(*args)
+        except ValueError as exc:
+            return str(exc)
+    if dens.labels is None:
+        return dens.values, None
+    lab = dens.labels
+    return dens.values, (lab.interior, lab.boundary, lab.nearest_interior,
+                         lab.threshold_used, lab.K_used, lab.q_used)
+
+
+def _index_first(data, sp, k, config):
+    """knn_density on an index built before the detector runs."""
+    return knn_density(build_index(sp.ref_points(data)), sp.eval_points(data), k, config)
+
+
+def _same_outcome(got, want):
+    if isinstance(got, str) or isinstance(want, str):
+        return got == want
+    (gv, gl), (wv, wl) = got, want
+    return (np.array_equal(gv, wv) and (gl is None) == (wl is None)
+            and (wl is None or all(np.array_equal(a, b) for a, b in zip(gl, wl))))
+
+
+# pk_scale = 1 puts q above 1 at these k, so every point is interior
+_Q_ABOVE_ONE = BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0=1.0, pk_scale=1.0)
+
+
+@pytest.mark.parametrize("d", [1, 3, 6])
+@pytest.mark.parametrize("ties", [False, True], ids=["continuous", "tied"])
+@pytest.mark.parametrize("config", [None, FIRING, _Q_ABOVE_ONE],
+                         ids=["standard", "live", "q>=1"])
+def test_density_values_are_knn_densitys(d, ties, config):
+    # bit for bit, labels included.  Tied input rounds the mixture to a
+    # grid (1/1024 at d = 1, 1/16 at d = 3, 1/8 at d = 6), where rows repeat
+    # and distances tie, yet no k-NN radius is zero
+    data, sp = _mixture(3000, d, 21 + d)
+    if ties:
+        grid = {1: 1024, 3: 16, 6: 8}[d]
+        data = Dataset(np.round(data.points * grid) / grid)
+    k = 12 if d < 6 else 5
+    got = _density_outcome(_density_values, data, sp, k, config)
+    assert _same_outcome(got, _density_outcome(_index_first, data, sp, k, config))
+    assert not isinstance(got, str), got
+    if config is not None:
+        # the live detector relabels points; q >= 1 labels all interior
+        assert (got[1][1].size > 0) == (config is FIRING)
+
+
+@pytest.mark.parametrize("case", ["k below 3", "k above M", "k at M", "identical"])
+@pytest.mark.parametrize("config", [None, FIRING], ids=["standard", "live"])
+def test_density_values_raise_knn_densitys_errors(case, config):
+    # the detector's errors come before the k check; with N < M its graph
+    # scale K = floor(k*N/M) reaches N at k = M
+    data, sp = _mixture(400, 3, 5)
+    k = {"k below 3": 2, "k above M": sp.n_ref + 1, "k at M": sp.n_ref}.get(case, 10)
+    if case == "identical":
+        points = data.points.copy()
+        points[sp.eval_indices] = 0.5
+        data = Dataset(points)
+    got = _density_outcome(_density_values, data, sp, k, config)
+    assert _same_outcome(got, _density_outcome(_index_first, data, sp, k, config))
+    message = {
+        "k below 3": "k must be >= 3" if config else r"k=2 outside \[3, 280\]",
+        "k above M": "K=120 must be < N=120" if config else r"k=281 outside \[3, 280\]",
+        "k at M": "K=120 must be < N=120" if config else None,
+        "identical": "all evaluation points identical" if config else None,
+    }[case]
+    if message is None:
+        assert not isinstance(got, str)
+    else:
+        assert isinstance(got, str) and re.match(message, got), got
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda data, sp: bpi_estimate(data, sp, shannon_functional(), 10, config=FIRING),
+    lambda data, sp: bpi_estimate_bc(data, sp, shannon_functional(), 10, config=FIRING),
+    lambda data, sp: renyi_entropy(data, sp, 0.5, 10, config=FIRING),
+    lambda data, sp: mutual_information(data, sp, [0], [1, 2], 10, config=FIRING),
+], ids=["bpi", "bpi_bc", "renyi", "mi"])
+def test_reference_index_is_built_after_the_detector_returns(monkeypatch, estimate):
+    events = []
+
+    def detector(*args):
+        events.append("detect")
+        labels = detect_boundary(*args)
+        events.append("detected")
+        return labels
+
+    def index(points):
+        events.append("build")
+        return build(points)
+
+    detect_boundary, build = knnfunc.functionals.detect_boundary, knnfunc.functionals.build_index
+    monkeypatch.setattr(knnfunc.functionals, "detect_boundary", detector)
+    monkeypatch.setattr(knnfunc.functionals, "build_index", index)
+    estimate(*_mixture(2000, 3, 8))
+    calls = len(events) // 3
+    assert calls >= 1 and events == ["detect", "detected", "build"] * calls
+
+
+def test_corrected_estimate_holds_one_phase_at_a_time(traced_peak):
+    # the reference tree is built once the detector's head and block are
+    # gone: the peak was 2.47x the sample's bytes with both alive, and is
+    # about 1.9x
+    data, sp = _mixture(20_000, 6, 5)
+    renyi = renyi_functional(0.5)
+    bpi_estimate_bc(data, sp, renyi, 11, config=FIRING)  # imports and caches
+    report, peak = traced_peak(lambda: bpi_estimate_bc(data, sp, renyi, 11, config=FIRING))
+    assert report.boundary_corrected
+    assert peak < 2.2 * data.points.nbytes, peak / data.points.nbytes
