@@ -22,7 +22,7 @@ boundary point finds its nearest interior point; only a boundary point
 with no interior point in that head needs a second index, over the
 interior points.  At d = 1 the counts come from the sorted windows, with
 no neighbour lists and no head, and every boundary point asks the
-interior index, one sorted-window search.  The detector's working memory
+interior index, one k = 1 tree query.  The detector's working memory
 is the head and one block of the self-query, or, while an "auto" L is
 estimated, the N*K edge ratios (8 bytes each) and one block of about
 knn._BLOCK_SLOTS slots.
@@ -57,7 +57,7 @@ Auto = Union[float, str]
 # 2,485 boundary points have their first interior neighbour past column 8,
 # 4 past 16 and none past 24; at d = 6 K + 1 is 7.  At d = 1 no head is
 # kept: there (N = 9,000, K + 1 = 327) 353 of 462 boundary points had none
-# in a head of 24, and the interior index is one sorted-window search.
+# in a head of 24, and the interior index is one k = 1 tree query.
 _HEAD = 24
 
 

@@ -85,17 +85,23 @@ class SampleSplit:
     ref_indices: np.ndarray
 
     def __post_init__(self):
-        # private copies, frozen below, so the caller's arrays stay writeable
-        ev = np.array(self.eval_indices, dtype=np.intp)
-        rf = np.array(self.ref_indices, dtype=np.intp)
-        if ev.size < 1 or rf.size < 1:
+        if np.size(self.eval_indices) < 1 or np.size(self.ref_indices) < 1:
             raise ValueError("both split parts must be nonempty")
-        if np.isin(ev, rf).any():
+        for field in ("eval_indices", "ref_indices"):
+            part = np.asarray(getattr(self, field))
+            # a float would be truncated, a bool read as row 0 or 1, and a
+            # negative index would alias a row from the end past the
+            # overlap check
+            if part.dtype.kind not in "iu":
+                raise ValueError(f"{field} must be integers, got dtype {part.dtype}")
+            # a private copy, frozen, so the caller's array stays writeable
+            part = np.array(part, dtype=np.intp)
+            if (part < 0).any():
+                raise ValueError(f"{field} must be nonnegative")
+            part.setflags(write=False)
+            object.__setattr__(self, field, part)
+        if np.isin(self.eval_indices, self.ref_indices).any():
             raise ValueError("eval and reference indices overlap")
-        ev.setflags(write=False)
-        rf.setflags(write=False)
-        object.__setattr__(self, "eval_indices", ev)
-        object.__setattr__(self, "ref_indices", rf)
 
     @property
     def n_eval(self) -> int:

@@ -287,12 +287,14 @@ def mutual_information(
     The variance estimate is the empirical variance of
     log(f_X * f_Y / f_XY) times (1/N + 1/M).  boundary_corrected is true
     when the detector relabelled a point in any of the three entropies.
-    Raises when a column index is outside [0, d), repeated within a block,
-    or shared by the two blocks.
+    Raises when a block is empty, or a column index is outside [0, d),
+    repeated within a block, or shared by the two blocks.
     """
     x_cols = list(x_cols)
     y_cols = list(y_cols)
     for name, cols in (("x", x_cols), ("y", y_cols)):
+        if not cols:
+            raise ValueError(f"{name} column block is empty")
         for i, c in enumerate(cols):
             if not 0 <= c < data.dim:
                 raise ValueError(f"{name} column {c} outside 0..{data.dim - 1}")

@@ -11,32 +11,29 @@ its choices changes a result:
 - _ordered_map runs independent jobs, such as Monte Carlo trials, as
   threads over those CPUs, and a tree call inside a job gets the CPUs left
   over: one apiece once every CPU has a job;
-- an index stores its points once: a large index at d >= 2
-  (_ZORDER_MIN_REFS points or more) in Z-order (a Morton key), a smaller
-  one in input order, both as the tree's own data with leaves of
-  _LEAFSIZE points, and at d = 1 as the (value, index)-sorted column; tree
-  rows are mapped back to input rows before ties are ranked;
+- an index stores its points once, as the tree's own data with leaves of
+  _LEAFSIZE points: a large index at d >= 2 (_ZORDER_MIN_REFS points or
+  more) in Z-order (a Morton key), one at d = 1 as the (value,
+  index)-sorted column, and any other in input order; tree rows are
+  mapped back to input rows before ties are ranked;
 - queries are an (n, d) matrix, one point a row, and every k-th distance
   comes from one search (_kth_distances), which answers a sequence of ks
   (the dimension estimate's k1 and k2) with one tree search; against
   a Z-stored index it visits the queries in Z-order too, so consecutive
   queries walk the same part of the tree, and scatters the distances back
   to input order;
-- at d = 1 no tree is built: the k nearest of a point are a window of the
-  (value, index)-sorted references, which gives the k-th distances
-  directly, one window search per k, and the full neighbour lists after
-  merging the window's two runs on either side of the query;
+- at d = 1 the k nearest of a point are a window of the sorted column,
+  which gives the k-th distances directly, one window search per k, with
+  no tree search; neighbour lists come from the tree at every d;
 - the reverse counts of a d = 1 self-query come from the windows' bounds
   by one prefix sum (_window_counts), with no neighbour list for any point
   whose window has no tie at its edge;
 - the zero-distance check is the same search bounded at 1e-150, so it
   visits little more than each query's own leaf;
 - one loop ranks every row holding a tie by a row-wise lexsort on
-  (distance, index); a row whose k-th distance ties its (k+1)-th is asked
-  again, twice as wide each time, until the tie is passed;
-- passes over a neighbour list (the d = 1 lists, the ranking of tied
-  rows) go a row block at a time, so that beside the result they hold a
-  few MB, whatever its size;
+  (distance, index), a row block at a time; a row whose k-th distance ties
+  its (k+1)-th is asked again, twice as wide each time, until the tie is
+  passed;
 - any other self-query (_self_query), such as the boundary detector's at
   d >= 2, is one knn_query per row block of stored rows, read as views, in
   storage order.  Each block adds its reverse counts and keeps the first
@@ -86,12 +83,12 @@ _THREAD_MIN_SLOTS = 1 << 15
 _budget = threading.local()
 
 
-# Passes over an (n, k) neighbour list work in row blocks of about this
-# many slots (_row_blocks), so their temporaries stay a few MB however
-# large the list grows.  Measured times in ms of _window_neighbors, which
-# makes the d = 1 lists, on a 2-core host (the mixture's evaluation set at
-# d = 1, N = 9,000 and K + 1 = 327, median of 15):
-#   unblocked 140;  2^12 77;  2^14 70;  2^15 70;  2^16 74;  2^18 90
+# The "auto" detector's estimate of L (boundary._resolve_auto) fills its
+# N*K edge ratios a row block of about this many slots at a time, so its
+# knn_query results stay a few MB beside the ratios.  It is kept apart from
+# _GRAPH_BLOCK_SLOTS: at 2^18 the "auto" detector's tracemalloc peak on
+# large-estimate's evaluation sets (N = 30,000) rose from 4.7 to 10.1 MiB
+# at d = 6 and from 11.1 to 18.1 MiB at d = 3.
 _BLOCK_SLOTS = 1 << 15
 
 # A self-query (_self_query) runs one knn_query per row block of about
@@ -109,18 +106,19 @@ _BLOCK_SLOTS = 1 << 15
 # widened queries of tied rows (knn_query) go in blocks of this size too.
 # count_reverse_neighbors on 20,000 points with K = 50, median of 9
 # with the sizes alternated, took 111 vs 135 ms at 2^17 vs 2^18 (d = 1,
-# 100 values), 204 vs 218 ms (d = 2, 10 values an axis) and 228 vs 244 ms
-# (d = 3, 10 values an axis).  So 2^17 would be no slower here and would
+# 100 values, when d = 1 lists came from sorted windows), 204 vs 218 ms
+# (d = 2, 10 values an axis) and 228 vs 244 ms (d = 3, 10 values an
+# axis).  So 2^17 would be no slower here and would
 # hold about 2 MB less; it stays 2^18 until a benchmark run sizes that
 # change on its own.  At d = 1 only the rows _window_counts leaves
 # unsettled take this path.
 _GRAPH_BLOCK_SLOTS = 1 << 18
 
 
-def _row_blocks(n: int, k: int, min_slots: int = 0):
-    """Slices covering n rows of k slots each, about max(_BLOCK_SLOTS,
-    min_slots) slots a slice."""
-    step = max(1, max(_BLOCK_SLOTS, min_slots) // max(k, 1))
+def _row_blocks(n: int, k: int, slots: int = 0):
+    """Slices covering n rows of k slots each, about slots (by default
+    _BLOCK_SLOTS) slots a slice."""
+    step = max(1, (slots or _BLOCK_SLOTS) // max(k, 1))
     return [slice(a, min(a + step, n)) for a in range(0, n, step)]
 
 
@@ -199,9 +197,9 @@ class NeighborResult:
 class NeighborIndex:
     """Immutable spatial index over a fixed reference point set.
 
-    The points are stored once, in storage order: the Z-ordered copy a
-    large tree is built on, the (value, index)-sorted column at d = 1, or
-    else a private input-order copy.
+    The points are stored once, in storage order, as the data of the one
+    tree: the (value, index)-sorted column at d = 1, the Z-ordered copy of
+    a large index at d >= 2, or else a private input-order copy.
     """
 
     def __init__(self, points: np.ndarray):
@@ -213,30 +211,19 @@ class NeighborIndex:
         self.size = points.shape[0]
         self.dim = points.shape[1]
         # _order, when set, is the storage order: stored row j is input
-        # row _order[j].  At d = 1 neighbours come from the column sorted by
-        # (value, index), and no tree is built; a large tree stores its
-        # points in Z-order.  Each stored copy is private, so freezing it
-        # leaves the caller's array writeable
-        self._tree = self._sorted = self._order = None
+        # row _order[j].  Each stored copy is private, so freezing it leaves
+        # the caller's array writeable.  _sorted, at d = 1 only, is the
+        # stored column, where _kth_distances and _window_counts find their
+        # windows
+        self._order = None
         if self.dim == 1:
             self._order = np.argsort(points[:, 0], kind="stable")
-            self._sorted = points[self._order, 0]
-            self._sorted.setflags(write=False)
-            return
-        if self.size >= _ZORDER_MIN_REFS:
+        elif self.size >= _ZORDER_MIN_REFS:
             self._order = _zorder(points)
-            stored = points[self._order]
-        else:
-            stored = np.array(points, order="C")
+        stored = np.array(points, order="C") if self._order is None else points[self._order]
         stored.setflags(write=False)
         self._tree = cKDTree(stored, leafsize=_LEAFSIZE)
-
-    def _stored_rows(self, rows: slice) -> np.ndarray:
-        """A view of the stored rows rows as a (n, dim) matrix; stored row j
-        is input row j, or _order[j] when _order is set."""
-        if self._sorted is not None:
-            return self._sorted[rows, None]
-        return self._tree.data[rows]
+        self._sorted = self._tree.data[:, 0] if self.dim == 1 else None
 
     def __repr__(self):
         return f"NeighborIndex(size={self.size}, dim={self.dim})"
@@ -261,10 +248,7 @@ def _as_queries(query, dim):
 def _nearest(index: NeighborIndex, q: np.ndarray, k: int):
     """(distances, indices), each (n, k), of the k nearest of each query
     row as cKDTree.query gives them: rows nondecreasing in distance, equal
-    distances in no set order, indices of input rows.  At d = 1 they come
-    from the sorted window."""
-    if index._sorted is not None:
-        return _window_neighbors(index, q[:, 0], k)
+    distances in no set order, indices of input rows."""
     dist, idx = index._tree.query(q, k=k, workers=_workers(len(q), k))
     idx = idx.reshape(len(q), k)
     if index._order is not None:
@@ -315,7 +299,7 @@ def knn_query(index: NeighborIndex, query, k: int) -> NeighborResult:
     rows, width = np.where((dist[:, 1:] <= dist[:, :-1]).any(axis=1))[0], kk
     while rows.size:
         left = []
-        for block in _row_blocks(rows.size, width, min_slots=_GRAPH_BLOCK_SLOTS):
+        for block in _row_blocks(rows.size, width, _GRAPH_BLOCK_SLOTS):
             r = rows[block]
             d, i = (dist[r], idx[r]) if width == kk else _nearest(index, q[r], width)
             done = (d[:, -1] > d[:, k - 1]) | (width == index.size)
@@ -427,35 +411,6 @@ def _window_start(s: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
     return np.where(before_j < at_j, a - 1, np.minimum(a, hi))
 
 
-def _window_neighbors(index: NeighborIndex, x: np.ndarray, k: int):
-    """The k nearest of each 1-d query x, as cKDTree.query gives them:
-    (distances, indices), each row nondecreasing in distance.
-
-    A window's distances fall to x and then rise again, two monotone runs,
-    which one stable row-wise argsort merges.  Equal distances are left in
-    window order; knn_query re-sorts such rows by index.  The rows are
-    filled a block at a time, so only the result is graph-sized.
-    """
-    s = index._sorted
-    n = len(x)
-    dist = np.empty((n, k))
-    idx = np.empty((n, k), dtype=np.intp)
-    with np.errstate(over="ignore"):  # inf past 1e154, as the tree gives
-        start = _window_start(s, x, k)
-        for rows in _row_blocks(n, k):
-            pos = start[rows, None] + np.arange(k)
-            r = s[pos]
-            r -= x[rows, None]
-            np.abs(r, out=r)
-            order = np.argsort(r, axis=1, kind="stable")
-            order += np.arange(0, order.size, k)[:, None]  # flat positions
-            d = r.take(order, out=dist[rows])
-            d *= d
-            np.sqrt(d, out=d)
-            index._order.take(pos.take(order), out=idx[rows])
-    return dist, idx
-
-
 def unit_ball_volume(d: int) -> float:
     """Volume of the Euclidean unit ball, pi^(d/2) / Gamma(d/2 + 1)."""
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
@@ -493,12 +448,12 @@ def _self_query(index: NeighborIndex, k: int, keep: int = 0):
     if index._sorted is not None and not keep:
         covered, todo = _window_counts(index._sorted, k)
         counts[index._order] = covered
-        blocks = [todo[b] for b in _row_blocks(todo.size, k, min_slots=_GRAPH_BLOCK_SLOTS)]
+        blocks = [todo[b] for b in _row_blocks(todo.size, k, _GRAPH_BLOCK_SLOTS)]
     else:
-        blocks = _row_blocks(N, k, min_slots=_GRAPH_BLOCK_SLOTS)
+        blocks = _row_blocks(N, k, _GRAPH_BLOCK_SLOTS)
     for rows in blocks:
         src = np.arange(rows.start, rows.stop) if index._order is None else index._order[rows]
-        nbrs = knn_query(index, index._stored_rows(rows), k).indices
+        nbrs = knn_query(index, index._tree.data[rows], k).indices
         head[src] = nbrs[:, :keep]
         is_self = nbrs == src[:, None]
         # a row whose own point was displaced from its k list by duplicates

@@ -311,8 +311,8 @@ def test_detect_boundary_equals_recomputation_from_public_pieces(name):
 
 def test_row_blocks_do_not_change_counts_or_labels(monkeypatch):
     # tiny row blocks, with a ragged last block, give byte-identical counts
-    # and labels: the graph's own knn_query blocks (tree path at d = 2, 3,
-    # window path at d = 1), the d = 1 window lists, the "auto" constants,
+    # and labels: the graph's own knn_query blocks (every row at d = 2, 3,
+    # the rows the windows leave unsettled at d = 1), the "auto" constants,
     # the counts and the nearest interior points are each made a block at a time
     inputs = dict(_shared_graph_inputs(),
                   uniform1d=(np.random.default_rng(36).random((400, 1)), 20, 800))
@@ -353,8 +353,9 @@ def test_detection_memory_is_graph_and_ratios(traced_peak):
     # the detector holds at most an int32 (K+1)-NN graph and, with
     # L = "auto", the N*K edge ratios, beside one block of a query (16
     # bytes a slot), also when many points are boundary
-    # (pk_scale = 0 puts the threshold at K); d = 1 takes the window path,
-    # d = 3 the tree, where an "auto" eps0 would put q above 1
+    # (pk_scale = 0 puts the threshold at K); d = 1 takes the window
+    # counts, d = 3 the tree's lists, where an "auto" eps0 would put q
+    # above 1
     block = 16 * knnfunc.knn._GRAPH_BLOCK_SLOTS
     for pts, K, eps0 in ((np.random.default_rng(37).random((4000, 1)), 300, "auto"),
                          (np.random.default_rng(38).random((20000, 3)), 60, 4.0)):

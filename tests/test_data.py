@@ -226,6 +226,28 @@ def test_split_parts_must_be_disjoint():
             SampleSplit(np.array(ev), np.array(rf))
 
 
+def test_split_indices_must_be_nonnegative_integers():
+    # floats are not truncated, bools not read as rows 1 and 0, and a
+    # negative index cannot alias a reference row from the end past the
+    # overlap check; the nonempty check comes first
+    SampleSplit(np.array([0, 2], dtype=np.uint8), [1, 3])
+    for ev, rf, message in (
+        ([0.5, 1.7], [2, 3], "eval_indices must be integers, got dtype float64"),
+        ([0, 1], [True, False], "ref_indices must be integers, got dtype bool"),
+        ([0, 1], np.array([2.0, 3.0]), "ref_indices must be integers"),
+        ([-3], [0, 1, 2], "eval_indices must be nonnegative"),
+        ([2, 3], [0, -1], "ref_indices must be nonnegative"),
+        (np.array([2**63], dtype=np.uint64), [0], "eval_indices must be nonnegative"),
+        ([], [0.5], "both split parts must be nonempty"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            SampleSplit(ev, rf)
+    # row ref[0] - T is row ref[0] of a T-row dataset
+    sp = split(Dataset(np.random.default_rng(0).random((10, 1))), 0.5, seed=0)
+    with pytest.raises(ValueError, match="eval_indices must be nonnegative"):
+        SampleSplit(sp.ref_indices[:1] - 10, sp.ref_indices)
+
+
 def test_dataset_and_split_leave_the_callers_arrays_writeable():
     # each freezes a private copy, so the caller can still write its own
     x = np.random.default_rng(0).random((5, 2))

@@ -346,6 +346,11 @@ def test_mi_overlapping_blocks_rejected():
             mutual_information(data, sp, x_cols, [1], 5)
     with pytest.raises(ValueError, match="y column 1 repeated"):
         mutual_information(data, sp, [0], [1, 1], 5)
+    # an empty block is named, not reported as a T x 0 point matrix
+    with pytest.raises(ValueError, match="x column block is empty"):
+        mutual_information(data, sp, [], [1], 5)
+    with pytest.raises(ValueError, match="y column block is empty"):
+        mutual_information(data, sp, [0], [], 5)
 
 
 def test_boundary_corrected_reports_whether_points_were_relabelled():

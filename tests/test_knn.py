@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import cKDTree
 
 import knnfunc.knn
 from knnfunc import (
@@ -202,23 +201,21 @@ def test_knn_radii_1d_equals_brute_force():
             assert np.array_equal(got, want), (name, k)
 
 
-def test_knn_query_1d_equals_brute_force(monkeypatch):
-    # the sorted-window lists must equal the oracle's, ties by index, also
-    # when tiny row blocks leave a ragged last block
-    for block in (knnfunc.knn._BLOCK_SLOTS, 13):
-        monkeypatch.setattr(knnfunc.knn, "_BLOCK_SLOTS", block)
-        for name, refs, queries in _1d_inputs(15):
-            idx = build_index(refs)
-            for k in (1, 2, 37, len(refs) - 1, len(refs)):
-                got = knn_query(idx, queries, k)
-                want = oracles.brute_force_knn(refs, queries, k)
-                assert np.array_equal(got.indices, want.indices), (name, k, block)
-                assert np.array_equal(got.distances, want.distances), (name, k, block)
+def test_knn_query_1d_equals_brute_force():
+    # the lists of the tree on the sorted column must equal the oracle's,
+    # ties by index
+    for name, refs, queries in _1d_inputs(15):
+        idx = build_index(refs)
+        for k in (1, 2, 37, len(refs) - 1, len(refs)):
+            got = knn_query(idx, queries, k)
+            want = oracles.brute_force_knn(refs, queries, k)
+            assert np.array_equal(got.indices, want.indices), (name, k)
+            assert np.array_equal(got.distances, want.distances), (name, k)
 
 
 def test_1d_knn_query_memory_is_its_result(traced_peak):
-    # the window lists are filled in row blocks: the peak is the result
-    # plus a few MB, not several graph-sized temporaries
+    # the tree's lists are the result: the peak is the result plus a few
+    # MB, not several graph-sized temporaries
     rng = np.random.default_rng(19)
     pts = rng.random((6000, 1))
     idx = build_index(pts)
@@ -239,23 +236,14 @@ def test_tied_knn_query_memory_is_its_result(traced_peak, d, values):
     assert peak <= 1.3 * (res.distances.nbytes + res.indices.nbytes + block)
 
 
-def _tree_neighbors(index, x, k):
-    """The tree's answer in place of knnfunc.knn._window_neighbors, on the
-    index's sorted column put back in input order."""
-    refs = np.empty((index.size, 1))
-    refs[index._order, 0] = index._sorted
-    dist, idx = cKDTree(refs).query(x[:, None], k=k)
-    return dist.reshape(len(x), k), idx.reshape(len(x), k)
-
-
 def _settle_nothing(s, k):
     """In place of knnfunc.knn._window_counts: every row to knn_query."""
     return np.zeros(len(s), dtype=np.int64), np.arange(len(s))
 
 
 def test_1d_graph_equals_tree_graph(monkeypatch):
-    # the sorted windows and window lists give the reverse counts and
-    # labels that the tree's lists of every row gave
+    # the sorted windows give the reverse counts and labels that the
+    # tree's lists of every row give
     configs = (BoundaryConfig(),
                BoundaryConfig(delta=0.9, lipschitz_L=0.0, eps0=1.0, pk_scale=0.3))
     fired = 0
@@ -264,7 +252,6 @@ def test_1d_graph_equals_tree_graph(monkeypatch):
         for path in ("window", "tree"):
             if path == "tree":
                 monkeypatch.setattr(knnfunc.knn, "_window_counts", _settle_nothing)
-                monkeypatch.setattr(knnfunc.knn, "_window_neighbors", _tree_neighbors)
             counts = [count_reverse_neighbors(refs, K) for K in (1, 5, 40)]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
@@ -376,7 +363,7 @@ def test_index_leaves_the_callers_array_writeable(monkeypatch):
             warnings.simplefilter("ignore", RuntimeWarning)
             detect_boundary(z, 20, 800, BoundaryConfig())
         assert x.flags.writeable and y.flags.writeable and z.flags.writeable
-        assert not idx._stored_rows(slice(None)).flags.writeable
+        assert not idx._tree.data.flags.writeable
         first = x[:5].copy()
         before = knn_query(idx, first, 3)
         x[:] = 0.0  # the caller's edit leaves the index as it was
@@ -424,22 +411,26 @@ def test_zorder_memory_is_a_few_row_arrays(traced_peak):
 
 
 def test_zstored_index_keeps_one_copy_of_its_points():
-    # a Z-stored index keeps the tree's Z-ordered n x d copy and its order,
-    # beside the tree's own n-long index array: no input-order copy
-    pts = np.random.default_rng(22).random((1 << 14, 3))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        idx = build_index(pts)
-        kept = tracemalloc.get_traced_memory()[0] - base
-    finally:
-        tracemalloc.stop()
-    assert idx._order is not None
-    n, d = pts.shape
-    assert kept <= 8 * n * d + 2 * 8 * n + 4096, kept
-    # the stored rows are the input rows in Z-order, read-only
-    stored = idx._stored_rows(slice(None))
-    assert np.array_equal(stored, pts[idx._order]) and not stored.flags.writeable
+    # a Z-stored index, or one on the sorted column at d = 1, keeps the
+    # tree's permuted n x d copy and its order, beside the tree's own
+    # n-long index array: no input-order copy
+    rng = np.random.default_rng(22)
+    for n, d in ((1 << 14, 3), (50_000, 1)):
+        pts = rng.random((n, d))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            idx = build_index(pts)
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert idx._order is not None
+        assert kept <= 8 * n * d + 2 * 8 * n + 4096, (d, kept)
+        # the stored rows are the input rows in storage order, read-only
+        stored = idx._tree.data
+        assert np.array_equal(stored, pts[idx._order]) and not stored.flags.writeable
+        if d == 1:  # the sorted column the windows search is the tree's data
+            assert np.shares_memory(idx._sorted, stored)
 
 
 @pytest.mark.parametrize("d", [1, 3])
